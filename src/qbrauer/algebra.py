@@ -6,7 +6,9 @@ basis element attached to a diagram d with canonical factorization
 (w1, wd, w2) through e_(k) is g_{w1} g_{wd} e_(k) g_{w2}.  Multiplication
 is relation-driven: the right factor is expanded into a word in the
 generators g_j, g_j^{-1}, e and folded onto the left factor one atom at a
-time, keeping every intermediate result in normal form.
+time, keeping every intermediate result in normal form.  An atom of a word
+is (j, +1) for g_j, (j, -1) for g_j^{-1} (the encoding of ``hecke``), or
+``E_ATOM`` for e.
 
 Single-generator multiplication mirrors the Hecke rule, with the diagram
 playing the role of the permutation: comparing the minimal word length of
@@ -58,8 +60,8 @@ from .diagrams import (
     star,
     top_swap,
 )
-from .hecke import HeckeElement
-from .scalars import Scalar
+from .hecke import HeckeElement, SparseElement, accumulate, asc, desc, inverse_action
+from .scalars import ONE, Scalar
 
 # decomposition data is version-independent; shared across contexts
 _EXPR_CACHE: dict = {}
@@ -83,53 +85,14 @@ def _v_len(d: BrauerDiagram) -> int:
     return perm_length(e.wd) + perm_length(e.w2)
 
 
-class QBrauerElement:
+class QBrauerElement(SparseElement):
     """Finitely supported map BrauerDiagram -> Scalar."""
 
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms=None):
-        self.n = n
-        self.terms = {}
-        if terms:
-            for d, c in terms.items():
-                if not c.is_zero():
-                    self.terms[d] = c
+    __slots__ = ()
 
     @classmethod
     def basis(cls, d: BrauerDiagram) -> "QBrauerElement":
-        return cls(d.n, {d: scalars.ONE})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "QBrauerElement") -> "QBrauerElement":
-        if self.n != other.n:
-            raise SizeMismatch("mixed ranks in sum")
-        out = dict(self.terms)
-        for d, c in other.terms.items():
-            s = out.get(d)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(d, None)
-            else:
-                out[d] = s
-        return QBrauerElement(self.n, out)
-
-    def __sub__(self, other: "QBrauerElement") -> "QBrauerElement":
-        return self + other.scale(scalars.from_int(-1))
-
-    def scale(self, c: Scalar) -> "QBrauerElement":
-        if c.is_zero():
-            return QBrauerElement(self.n)
-        return QBrauerElement(self.n, {d: c * v for d, v in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, QBrauerElement)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
+        return cls(d.n, {d: ONE})
 
     def __repr__(self) -> str:
         return f"QBrauerElement(n={self.n}, {len(self.terms)} terms)"
@@ -151,7 +114,7 @@ class AlgebraContext:
         self.n = n
         self.N = N
         self._r = scalars.r_scalar() if N is None else scalars.r_power(N)
-        self._b = (self._r - scalars.ONE) * scalars.qm1_scalar().inv()
+        self._b = (self._r - ONE) * scalars.qm1_scalar().inv()
         self._lmul_g: dict = {}
         self._rmul_g: dict = {}
         self._core: dict = {}
@@ -173,10 +136,6 @@ class AlgebraContext:
     def __repr__(self):
         tag = "generic" if self.N is None else f"N={self.N}"
         return f"AlgebraContext(n={self.n}, {tag})"
-
-
-def layer(d: BrauerDiagram) -> int:
-    return d.layer()
 
 
 def filtration_component(x: QBrauerElement, k: int) -> QBrauerElement:
@@ -214,12 +173,12 @@ def _lmul_g_basis(ctx: AlgebraContext, j: int, d: BrauerDiagram):
         sjd = top_swap(d, j)
         delta = _vstar_len(sjd) - _vstar_len(d)
         if delta == 1:
-            res = ((scalars.ONE, sjd),)
+            res = ((sjd, ONE),)
         elif delta == 0:
             assert sjd == d
-            res = ((scalars.q_scalar(), d),)
+            res = ((d, scalars.q_scalar()),)
         else:
-            res = ((scalars.qm1_scalar(), d), (scalars.q_scalar(), sjd))
+            res = ((d, scalars.qm1_scalar()), (sjd, scalars.q_scalar()))
         ctx._lmul_g[key] = res
     return res
 
@@ -231,27 +190,22 @@ def _rmul_g_basis(ctx: AlgebraContext, d: BrauerDiagram, j: int):
         dsj = bottom_swap(d, j)
         delta = _v_len(dsj) - _v_len(d)
         if delta == 1:
-            res = ((scalars.ONE, dsj),)
+            res = ((dsj, ONE),)
         elif delta == 0:
             assert dsj == d
-            res = ((scalars.q_scalar(), d),)
+            res = ((d, scalars.q_scalar()),)
         else:
-            res = ((scalars.qm1_scalar(), d), (scalars.q_scalar(), dsj))
+            res = ((d, scalars.qm1_scalar()), (dsj, scalars.q_scalar()))
         ctx._rmul_g[key] = res
     return res
 
 
 def _combine(n: int, x: QBrauerElement, table) -> QBrauerElement:
+    """Linear extension over x of ``table(d)``, a tuple of (diagram, coeff)."""
     out: dict = {}
     for d, c in x.terms.items():
-        for coef, nd in table(d):
-            s = out.get(nd)
-            s = coef * c if s is None else s + coef * c
-            if s.is_zero():
-                out.pop(nd, None)
-            else:
-                out[nd] = s
-    return QBrauerElement(n, out)
+        accumulate(out, c, table(d))
+    return QBrauerElement._adopt(n, out)
 
 
 def lmul_g(ctx: AlgebraContext, j: int, x: QBrauerElement) -> QBrauerElement:
@@ -267,13 +221,11 @@ def rmul_g(ctx: AlgebraContext, x: QBrauerElement, j: int) -> QBrauerElement:
 
 
 def lmul_g_inv(ctx: AlgebraContext, j: int, x: QBrauerElement) -> QBrauerElement:
-    qinv = scalars.q_scalar().inv()
-    return lmul_g(ctx, j, x).scale(qinv) + x.scale(qinv - scalars.ONE)
+    return inverse_action(lmul_g(ctx, j, x), x)
 
 
 def rmul_g_inv(ctx: AlgebraContext, x: QBrauerElement, j: int) -> QBrauerElement:
-    qinv = scalars.q_scalar().inv()
-    return rmul_g(ctx, x, j).scale(qinv) + x.scale(qinv - scalars.ONE)
+    return inverse_action(rmul_g(ctx, x, j), x)
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +233,10 @@ def rmul_g_inv(ctx: AlgebraContext, x: QBrauerElement, j: int) -> QBrauerElement
 # ---------------------------------------------------------------------------
 
 def _sum_core(ctx: AlgebraContext, h: HeckeElement, k: int) -> QBrauerElement:
-    out = QBrauerElement(ctx.n)
+    out: dict = {}
     for w, c in h.terms.items():
-        out = out + _core(ctx, w, k).scale(c)
-    return out
+        accumulate(out, c, _core(ctx, w, k).terms.items())
+    return QBrauerElement._adopt(ctx.n, out)
 
 
 def _core(ctx: AlgebraContext, sigma: Perm, k: int) -> QBrauerElement:
@@ -334,38 +286,26 @@ def _core_compute(ctx: AlgebraContext, sigma: Perm, k: int) -> QBrauerElement:
         assert j2 % 2 == 0 and j2 <= 2 * k
         if j2 == 2:
             return e_k_element(ctx, k).scale(ctx.r())
-        word = (
-            [(t, +1) for t in range(3, j2 + 1)]
-            + [(t, +1) for t in range(2, 2 * k)]
-            + [(t, -1) for t in range(1, 2 * k - 1)]
-        )
-        h = hecke.word_element(n, word)
+        h = hecke.word_element(n, asc(3, j2) + asc(2, 2 * k - 1) + asc(1, 2 * k - 2, -1))
         return _sum_core(ctx, h, k - 1).scale(ctx.r())
 
     if j1 == 2 * k:
         # e g^+_{2,2k+1} g^+_{1,2k} e_(k): letter-by-letter inversion of the
         # trailing chain against e g^+_{2,2k+1} g^-_{1,2k} e_(k) = e_(k+1)
         assert j2 == 2 * k + 1
-        acc = QBrauerElement.basis(e_k_diagram(n, k + 1)).scale(q ** (2 * k))
+        out = {e_k_diagram(n, k + 1): q ** (2 * k)}
         qm1 = scalars.qm1_scalar()
         for m in range(1, 2 * k + 1):
-            word = (
-                [(t, +1) for t in range(2, 2 * k + 2)]
-                + [(t, -1) for t in range(1, m)]
-                + [(t, +1) for t in range(m + 1, 2 * k + 1)]
-            )
+            word = asc(2, 2 * k + 1) + asc(1, m - 1, -1) + asc(m + 1, 2 * k)
             h = hecke.word_element(n, word)
-            acc = acc + _sum_core(ctx, h, k).scale(qm1 * q ** (m - 1))
-        return acc
+            accumulate(out, qm1 * q ** (m - 1), _sum_core(ctx, h, k).terms.items())
+        return QBrauerElement._adopt(n, out)
 
     # j1 = 2j < 2k: the ascending chain g^+_{1,2j} equals the descending
     # g^+_{2j+1,2} against e_(k); the rewritten word is not reduced, so
     # re-expand it in the Hecke algebra and recurse.
     assert j1 % 2 == 0 and j1 < 2 * k
-    word = [(t, +1) for t in range(2, j2 + 1)] + [
-        (t, +1) for t in range(j1 + 1, 1, -1)
-    ]
-    h = hecke.word_element(n, word)
+    h = hecke.word_element(n, asc(2, j2) + desc(j1 + 1, 2))
     return _sum_core(ctx, h, k)
 
 
@@ -377,10 +317,10 @@ def s_chain(n: int, i: int, j: int) -> Perm:
 
 
 def lmul_e(ctx: AlgebraContext, x: QBrauerElement) -> QBrauerElement:
-    out = QBrauerElement(ctx.n)
+    out: dict = {}
     for d, c in x.terms.items():
-        out = out + _lmul_e_basis(ctx, d).scale(c)
-    return out
+        accumulate(out, c, _lmul_e_basis(ctx, d).terms.items())
+    return QBrauerElement._adopt(ctx.n, out)
 
 
 def _lmul_e_basis(ctx: AlgebraContext, d: BrauerDiagram) -> QBrauerElement:
@@ -406,24 +346,22 @@ def ek_atoms(k: int):
     """Word for e_(k) from the recursion e_(k) = e g^+_{2,2k-1} g^-_{1,2k-2} e_(k-1)."""
     if k == 0:
         return []
-    word = [E_ATOM]
-    word += [("g", t, +1) for t in range(2, 2 * k)]
-    word += [("g", t, -1) for t in range(1, 2 * k - 1)]
-    return word + ek_atoms(k - 1)
+    return [E_ATOM] + asc(2, 2 * k - 1) + asc(1, 2 * k - 2, -1) + ek_atoms(k - 1)
 
 
 def generator_word(d: BrauerDiagram):
     """A word in g_j, g_j^{-1}, e whose product is the basis element of d."""
     ex = _expr(d)
-    word = [("g", j, +1) for j in reduced_word(ex.w1)]
-    word += [("g", j, +1) for j in reduced_word(ex.wd)]
+    word = [(j, +1) for j in reduced_word(ex.w1)]
+    word += [(j, +1) for j in reduced_word(ex.wd)]
     word += ek_atoms(ex.k)
-    word += [("g", j, +1) for j in reduced_word(ex.w2)]
+    word += [(j, +1) for j in reduced_word(ex.w2)]
     return word
 
 
 def rmul_atom(ctx: AlgebraContext, x: QBrauerElement, atom) -> QBrauerElement:
-    out = QBrauerElement(ctx.n)
+    """x times a single generator atom."""
+    out: dict = {}
     for d, c in x.terms.items():
         key = (d, atom)
         res = ctx._rmul_atom.get(key)
@@ -431,38 +369,40 @@ def rmul_atom(ctx: AlgebraContext, x: QBrauerElement, atom) -> QBrauerElement:
             y = QBrauerElement.basis(d)
             if atom == E_ATOM:
                 res = rmul_e(ctx, y)
-            elif atom[2] > 0:
-                res = rmul_g(ctx, y, atom[1])
+            elif atom[1] > 0:
+                res = rmul_g(ctx, y, atom[0])
             else:
-                res = rmul_g_inv(ctx, y, atom[1])
+                res = rmul_g_inv(ctx, y, atom[0])
             ctx._rmul_atom[key] = res
-        out = out + res.scale(c)
-    return out
+        accumulate(out, c, res.terms.items())
+    return QBrauerElement._adopt(ctx.n, out)
 
 
 def lmul_gen(ctx: AlgebraContext, atom, x: QBrauerElement) -> QBrauerElement:
     """Left multiplication by a single generator atom."""
     if atom == E_ATOM:
         return lmul_e(ctx, x)
-    if atom[2] > 0:
-        return lmul_g(ctx, atom[1], x)
-    return lmul_g_inv(ctx, atom[1], x)
+    if atom[1] > 0:
+        return lmul_g(ctx, atom[0], x)
+    return lmul_g_inv(ctx, atom[0], x)
 
 
-def rmul_gen(ctx: AlgebraContext, x: QBrauerElement, atom) -> QBrauerElement:
-    return rmul_atom(ctx, x, atom)
+def word_element(ctx: AlgebraContext, word, x: QBrauerElement | None = None) -> QBrauerElement:
+    """x (the unit by default) times the product of the atoms of ``word``,
+    folded on one atom at a time."""
+    z = ctx.unit() if x is None else x
+    for atom in word:
+        z = rmul_atom(ctx, z, atom)
+    return z
 
 
 def product(ctx: AlgebraContext, x: QBrauerElement, y: QBrauerElement) -> QBrauerElement:
     if x.n != y.n or x.n != ctx.n:
         raise SizeMismatch("mixed ranks in product")
-    out = QBrauerElement(ctx.n)
+    out: dict = {}
     for d, c in y.terms.items():
-        z = x
-        for atom in generator_word(d):
-            z = rmul_atom(ctx, z, atom)
-        out = out + z.scale(c)
-    return out
+        accumulate(out, c, word_element(ctx, generator_word(d), x).terms.items())
+    return QBrauerElement._adopt(ctx.n, out)
 
 
 # ---------------------------------------------------------------------------
@@ -512,12 +452,18 @@ def element_to_json(ctx: AlgebraContext, x: QBrauerElement) -> dict:
 
 
 def element_from_json(obj: dict) -> QBrauerElement:
+    """Read an element; every diagram must have the element's n, once."""
     from .diagrams import diagram_from_json
 
-    return QBrauerElement(
-        obj["n"],
-        {
-            diagram_from_json(t["diagram"]): scalars.scalar_from_json(t["coeff"])
-            for t in obj["terms"]
-        },
-    )
+    n = obj["n"]
+    if type(n) is not int or n < 1:
+        raise ValueError(f"bad rank n={n!r}")
+    terms = {}
+    for t in obj["terms"]:
+        d = diagram_from_json(t["diagram"])
+        if d.n != n:
+            raise SizeMismatch(f"a diagram has n={d.n} in an element of n={n}")
+        if d in terms:
+            raise ValueError("a diagram occurs twice in one element")
+        terms[d] = scalars.scalar_from_json(t["coeff"])
+    return QBrauerElement(n, terms)

@@ -31,7 +31,7 @@ from .algebra import (
     layer_component,
     lmul_gen,
     product,
-    rmul_gen,
+    rmul_atom,
     E_ATOM,
     _expr,
 )
@@ -46,7 +46,15 @@ from .diagrams import (
     perm_to_diagram,
     star,
 )
-from .hecke import HeckeElement, in_subalgebra, involution_i as hecke_involution, product as hecke_product
+from .hecke import (
+    HeckeElement,
+    accumulate,
+    in_subalgebra,
+    involution_i as hecke_involution,
+    product as hecke_product,
+)
+from .scalars import ONE
+from .suites import report
 
 
 class MalformedCoords(ValueError):
@@ -166,12 +174,12 @@ def _check_coords(ctx: AlgebraContext, c: InflationCoords) -> None:
 def from_inflation(ctx: AlgebraContext, c: InflationCoords) -> QBrauerElement:
     """Linear extension over h of (d1, d2, g_w) -> basis diagram."""
     _check_coords(ctx, c)
-    out = QBrauerElement(ctx.n)
+    out: dict = {}
     for w, coeff in c.h.terms.items():
         d, loops = concat_many(c.d1, perm_to_diagram(w), c.d2)
         assert loops == c.k
-        out = out + QBrauerElement.basis(d).scale(coeff)
-    return out
+        accumulate(out, coeff, ((d, ONE),))
+    return QBrauerElement._adopt(ctx.n, out)
 
 
 # ---------------------------------------------------------------------------
@@ -191,30 +199,20 @@ def phi_k(ctx: AlgebraContext, c: BrauerDiagram, d: BrauerDiagram) -> HeckeEleme
         raise MalformedCoords("phi_k needs a bottom part and a top part of one layer")
     P = product(ctx, basis_element(ctx, c), basis_element(ctx, d))
     n = ctx.n
-    out = HeckeElement(n)
+    out: dict = {}
     ident = identity_perm(n)
     for dd, coeff in layer_component(P, k).terms.items():
         ex = _expr(dd)
         assert ex.w1 == ident and ex.w2 == ident
-        out = out + HeckeElement(n, {ex.wd: coeff})
-    assert in_subalgebra(out, k)
-    return out
+        accumulate(out, coeff, ((ex.wd, ONE),))
+    h = HeckeElement._adopt(n, out)
+    assert in_subalgebra(h, k)
+    return h
 
 
 # ---------------------------------------------------------------------------
 # verification reports
 # ---------------------------------------------------------------------------
-
-def _report(check: str, ctx: AlgebraContext, params: dict, pairs: int, failures: list) -> dict:
-    return {
-        "check": check,
-        "n": ctx.n,
-        "version": ctx.version,
-        "params": params,
-        "pairs_tested": pairs,
-        "failures": failures,
-    }
-
 
 def inflation_bijection_check(ctx: AlgebraContext) -> dict:
     """to_inflation and from_inflation are mutually inverse on the basis."""
@@ -226,7 +224,7 @@ def inflation_bijection_check(ctx: AlgebraContext) -> dict:
         back = from_inflation(ctx, c)
         if back != QBrauerElement.basis(d):
             failures.append({"diagram": d.edges()})
-    return _report("inflation_bijection", ctx, {}, count, failures)
+    return report("inflation_bijection", ctx, {}, count, failures)
 
 
 def inflation_product_check(ctx: AlgebraContext, sample=None, seed: int = 0) -> dict:
@@ -255,7 +253,7 @@ def inflation_product_check(ctx: AlgebraContext, sample=None, seed: int = 0) -> 
             )
             if got != want:
                 failures.append({"c": c.edges(), "d": d.edges()})
-    return _report("inflation_product", ctx, {"sample": sample}, pairs, failures)
+    return report("inflation_product", ctx, {"sample": sample}, pairs, failures)
 
 
 def involution_symmetry_check(ctx: AlgebraContext, sample=None, seed: int = 0) -> dict:
@@ -287,7 +285,7 @@ def involution_symmetry_check(ctx: AlgebraContext, sample=None, seed: int = 0) -
             perm_inv(ex.w1),
         ):
             failures.append({"basis_image": d.edges()})
-    return _report("involution_symmetry", ctx, {"sample": sample}, pairs, failures)
+    return report("involution_symmetry", ctx, {"sample": sample}, pairs, failures)
 
 
 def cell_chain_check(ctx: AlgebraContext) -> dict:
@@ -295,9 +293,7 @@ def cell_chain_check(ctx: AlgebraContext) -> dict:
     multiplying a basis element by any generator, on either side, never
     produces terms in a shallower layer, and row rotation preserves layers."""
     n = ctx.n
-    atoms = [E_ATOM] + [("g", j, +1) for j in range(1, n)] + [
-        ("g", j, -1) for j in range(1, n)
-    ]
+    atoms = [E_ATOM] + [(j, s) for s in (+1, -1) for j in range(1, n)]
     failures = []
     count = 0
     for d in enumerate_diagrams(n):
@@ -307,10 +303,10 @@ def cell_chain_check(ctx: AlgebraContext) -> dict:
             failures.append({"involution_layer": d.edges()})
         x = QBrauerElement.basis(d)
         for atom in atoms:
-            for y in (lmul_gen(ctx, atom, x), rmul_gen(ctx, x, atom)):
+            for y in (lmul_gen(ctx, atom, x), rmul_atom(ctx, x, atom)):
                 if any(dd.layer() < k for dd in y.terms):
                     failures.append({"diagram": d.edges(), "atom": atom})
-    return _report("cell_chain", ctx, {}, count, failures)
+    return report("cell_chain", ctx, {}, count, failures)
 
 
 # ---------------------------------------------------------------------------

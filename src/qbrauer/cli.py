@@ -13,7 +13,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -60,10 +59,11 @@ def parse_perm(n: int, text: str):
     """Chain notation "s3,6 s2,5 s2" or a one-line JSON array "[5,1,3,2,4]"."""
     text = text.strip()
     if text.startswith("["):
-        w = tuple(json.loads(text))
-        if sorted(w) != list(range(1, n + 1)):
+        w = json.loads(text)
+        if not (isinstance(w, list) and all(type(v) is int for v in w)
+                and sorted(w) == list(range(1, n + 1))):
             raise InputError(f"{text} is not a permutation of 1..{n}")
-        return w
+        return tuple(w)
     if text in ("1", "id", ""):
         return tuple(range(1, n + 1))
     w = tuple(range(1, n + 1))
@@ -82,12 +82,16 @@ def parse_perm(n: int, text: str):
 
 
 def parse_field_value(field, text: str):
-    if isinstance(field, scalars.PrimeField):
-        return field(int(text))
-    if "/" in text:
-        a, b = text.split("/")
-        return Fraction(int(a), int(b))
-    return Fraction(int(text))
+    """An integer, or over the rationals also a fraction "a/b"."""
+    try:
+        if isinstance(field, scalars.PrimeField):
+            return field(int(text))
+        if "/" in text:
+            a, b = text.split("/")
+            return Fraction(int(a), int(b))
+        return Fraction(int(text))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"{text!r} is not a field value") from exc
 
 
 def make_field(name: str):
@@ -109,6 +113,11 @@ def _context(args) -> AlgebraContext:
     return AlgebraContext(args.n, N)
 
 
+def _check_k(args) -> None:
+    if not 0 <= args.k <= args.n // 2:
+        raise InputError(f"need 0 <= k <= {args.n // 2} for n={args.n}")
+
+
 def cmd_dim(args) -> int:
     n = args.n
     lines = [f"dim = {double_factorial_odd(n)}"]
@@ -122,14 +131,20 @@ def cmd_dim(args) -> int:
 
 
 def cmd_mul(args) -> int:
-    with open(args.x, encoding="utf-8") as fh:
-        xj = json.load(fh)
-    with open(args.y, encoding="utf-8") as fh:
-        yj = json.load(fh)
-    if xj["n"] != yj["n"]:
+    objs = []
+    for path in (args.x, args.y):
+        with open(path, encoding="utf-8") as fh:
+            objs.append(json.load(fh))
+    x, y = (element_from_json(obj) for obj in objs)
+    if x.n != y.n:
         raise InputError("operands have different n")
-    ctx = AlgebraContext(xj["n"], xj["version"].get("N"))
-    x, y = element_from_json(xj), element_from_json(yj)
+    version = objs[0]["version"]
+    if objs[1]["version"] != version:
+        raise InputError("operands have different versions")
+    N = version.get("N") if isinstance(version, dict) else None
+    ctx = AlgebraContext(x.n, N if type(N) is int else None)
+    if ctx.version != version:
+        raise InputError(f"bad version {version!r}")
     z = product(ctx, x, y)
     _write(args, json.dumps(element_to_json(ctx, z), indent=2) + "\n")
     return 0
@@ -140,38 +155,21 @@ def cmd_table(args) -> int:
     diagrams = enumerate_diagrams(args.n)
     ids = {d: i for i, d in enumerate(diagrams)}
 
-    def rows_for(d1):
-        out = []
-        for d2 in diagrams:
-            P = product(ctx, QBrauerElement.basis(d1), QBrauerElement.basis(d2))
-            for dout in sorted(P.terms, key=lambda d: d.partner):
-                out.append([ids[d1], ids[d2], ids[dout], str(P.terms[dout])])
-        return out
-
-    # table generation is embarrassingly parallel over left factors; the
-    # context caches are shared read-mostly maps with idempotent fills, so
-    # worker threads may race on them safely.  Output order is fixed by
-    # reassembling in left-id order.
-    nthreads = int(os.environ.get("QBRAUER_THREADS", "1"))
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["d_left_id", "d_right_id", "d_out_id", "coeff"])
-    if nthreads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            chunks = pool.map(rows_for, diagrams)
-            for chunk in chunks:
-                writer.writerows(chunk)
-    else:
-        for d1 in diagrams:
-            writer.writerows(rows_for(d1))
+    for d1 in diagrams:
+        for d2 in diagrams:
+            P = product(ctx, QBrauerElement.basis(d1), QBrauerElement.basis(d2))
+            for dout in sorted(P.terms, key=lambda d: d.partner):
+                writer.writerow([ids[d1], ids[d2], ids[dout], str(P.terms[dout])])
     _write(args, buf.getvalue())
     return 0
 
 
 def cmd_straighten(args) -> int:
     ctx = _context(args)
+    _check_k(args)
     sigma = parse_perm(args.n, args.sigma)
     out = straighten(ctx, sigma, args.k, order=args.order)
     if args.format == "json":
@@ -225,6 +223,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_phi(args) -> int:
     ctx = _context(args)
+    _check_k(args)
     tops = enumerate_nocross(args.n, args.k)
     bots = [star(t) for t in tops]
     buf = io.StringIO()
@@ -282,12 +281,8 @@ def cmd_verify(args) -> int:
 
 def cmd_qh(args) -> int:
     field = make_field(args.field)
-    if field == "rationals":
-        q0 = parse_field_value(Fraction, args.q0)
-        r0 = parse_field_value(Fraction, args.r0)
-    else:
-        q0 = parse_field_value(field, args.q0)
-        r0 = parse_field_value(field, args.r0)
+    kind = Fraction if field == "rationals" else field
+    q0, r0 = (parse_field_value(kind, text) for text in (args.q0, args.r0))
     ok, why = is_quasi_hereditary(args.n, q0, r0)
     payload = {"n": args.n, "field": args.field, "q0": args.q0, "r0": args.r0,
                "quasi_hereditary": ok, "explanation": why}
@@ -398,6 +393,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "n", 1) < 1:
+            raise InputError("need n >= 1")
         return args.func(args)
     except (InputError, FileNotFoundError, json.JSONDecodeError, KeyError,
             ValueError) as exc:

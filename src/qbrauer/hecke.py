@@ -5,6 +5,9 @@ Free module on {g_w : w in S_n}, with g_j g_w = g_{s_j w} when the length
 rises and (q-1) g_w + q g_{s_j w} otherwise (same on the right).  Products
 of basis elements are computed by expanding one factor into a reduced word
 from its chain factorization and folding single-generator multiplications.
+
+The sparse-sum step ``accumulate`` and the element base ``SparseElement``
+live here, the lowest module, and ``algebra`` builds on both.
 """
 
 from __future__ import annotations
@@ -20,59 +23,95 @@ from .diagrams import (
     reduced_word,
     rmul_s,
 )
-from .scalars import Scalar
+from .scalars import ONE, Scalar
 
 
-class HeckeElement:
-    """Finitely supported map S_n -> Scalar; no zero coefficients stored."""
+def accumulate(out: dict, c: Scalar, pairs) -> dict:
+    """Add c * v into ``out[key]`` for each (key, v) in ``pairs``, in place,
+    dropping keys whose sum is zero; returns ``out``.
+
+    This is the one sparse-sum step of the Hecke and the q-Brauer layers.
+    ``out`` must be a dict the caller owns, never the terms of an element.
+    """
+    for key, v in pairs:
+        # a factor that is the shared unit needs no multiplication
+        if v is ONE:
+            v = c
+        elif c is not ONE:
+            v = c * v
+        s = out.get(key)
+        if s is not None:
+            v = s + v
+            if v.is_zero():
+                del out[key]
+                continue
+        elif v.is_zero():
+            continue
+        out[key] = v
+    return out
+
+
+class SparseElement:
+    """Finitely supported map basis -> Scalar of an algebra of rank n;
+    no zero coefficients stored.  Elements are never changed in place."""
 
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms=None):
         self.n = n
-        self.terms = {}
-        if terms:
-            for w, c in terms.items():
-                if not c.is_zero():
-                    self.terms[w] = c
+        self.terms = {k: c for k, c in terms.items() if not c.is_zero()} if terms else {}
 
     @classmethod
-    def unit(cls, n: int) -> "HeckeElement":
-        return cls(n, {identity_perm(n): scalars.ONE})
-
-    @classmethod
-    def basis(cls, w: Perm) -> "HeckeElement":
-        return cls(len(w), {w: scalars.ONE})
+    def _adopt(cls, n: int, terms: dict):
+        """Wrap a fresh zero-free dict, such as one built by ``accumulate``."""
+        x = cls.__new__(cls)
+        x.n, x.terms = n, terms
+        return x
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __add__(self, other: "HeckeElement") -> "HeckeElement":
+    def _plus(self, other, c: Scalar):
         if self.n != other.n:
-            raise SizeMismatch("mixed ranks in Hecke sum")
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, scalars.ZERO) + c
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return HeckeElement(self.n, out)
+            raise SizeMismatch("mixed ranks in sum")
+        return self._adopt(self.n, accumulate(dict(self.terms), c, other.terms.items()))
 
-    def __sub__(self, other: "HeckeElement") -> "HeckeElement":
-        return self + other.scale(-scalars.ONE)
+    def __add__(self, other):
+        return self._plus(other, ONE)
 
-    def scale(self, c: Scalar) -> "HeckeElement":
-        if c.is_zero():
-            return HeckeElement(self.n)
-        return HeckeElement(self.n, {w: c * v for w, v in self.terms.items()})
+    def __sub__(self, other):
+        return self._plus(other, -ONE)
+
+    def scale(self, c: Scalar):
+        return self._adopt(self.n, accumulate({}, c, self.terms.items()))
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, HeckeElement)
+            type(other) is type(self)
             and self.n == other.n
             and self.terms == other.terms
         )
+
+
+def inverse_action(gx: SparseElement, x: SparseElement) -> SparseElement:
+    """g^{-1} acting on x, from gx, the action of g: the quadratic relation
+    gives g^{-1} = q^{-1} g + (q^{-1} - 1)."""
+    qinv = scalars.q_scalar().inv()
+    return gx.scale(qinv) + x.scale(qinv - ONE)
+
+
+class HeckeElement(SparseElement):
+    """Finitely supported map S_n -> Scalar."""
+
+    __slots__ = ()
+
+    @classmethod
+    def unit(cls, n: int) -> "HeckeElement":
+        return cls(n, {identity_perm(n): ONE})
+
+    @classmethod
+    def basis(cls, w: Perm) -> "HeckeElement":
+        return cls(len(w), {w: ONE})
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -81,69 +120,55 @@ class HeckeElement:
         return " + ".join(bits)
 
 
-def gen_mul_left(j: int, x: HeckeElement) -> HeckeElement:
-    """g_j * x."""
+def _gen_mul(x: HeckeElement, j: int, move) -> HeckeElement:
+    """Fold the generator rule over x; ``move(w)`` gives the moved
+    permutation and whether the length rises."""
     if not 1 <= j <= x.n - 1:
         raise ValueError(f"generator index {j} out of range for n={x.n}")
-    out: dict = {}
     q, qm1 = scalars.q_scalar(), scalars.qm1_scalar()
+    out: dict = {}
     for w, c in x.terms.items():
-        sw = lmul_s(j, w)
-        if w[j - 1] < w[j]:  # length rises
-            _acc(out, sw, c)
-        else:
-            _acc(out, w, qm1 * c)
-            _acc(out, sw, q * c)
-    return HeckeElement(x.n, out)
+        sw, rises = move(w)
+        accumulate(out, c, ((sw, ONE),) if rises else ((w, qm1), (sw, q)))
+    return HeckeElement._adopt(x.n, out)
+
+
+def gen_mul_left(j: int, x: HeckeElement) -> HeckeElement:
+    """g_j * x."""
+    return _gen_mul(x, j, lambda w: (lmul_s(j, w), w[j - 1] < w[j]))
 
 
 def gen_mul_right(x: HeckeElement, j: int) -> HeckeElement:
     """x * g_j."""
-    if not 1 <= j <= x.n - 1:
-        raise ValueError(f"generator index {j} out of range for n={x.n}")
-    out: dict = {}
-    q, qm1 = scalars.q_scalar(), scalars.qm1_scalar()
-    for w, c in x.terms.items():
-        ws = rmul_s(w, j)
-        if w.index(j + 1) > w.index(j):  # length rises
-            _acc(out, ws, c)
-        else:
-            _acc(out, w, qm1 * c)
-            _acc(out, ws, q * c)
-    return HeckeElement(x.n, out)
+    return _gen_mul(x, j, lambda w: (rmul_s(w, j), w.index(j + 1) > w.index(j)))
 
 
 def gen_mul_right_inv(x: HeckeElement, j: int) -> HeckeElement:
-    """x * g_j^{-1} = q^{-1} x g_j + (q^{-1} - 1) x."""
-    qinv = scalars.q_scalar().inv()
-    return gen_mul_right(x, j).scale(qinv) + x.scale(qinv - scalars.ONE)
-
-
-def gen_mul_left_inv(j: int, x: HeckeElement) -> HeckeElement:
-    qinv = scalars.q_scalar().inv()
-    return gen_mul_left(j, x).scale(qinv) + x.scale(qinv - scalars.ONE)
-
-
-def _acc(out: dict, w: Perm, c: Scalar) -> None:
-    s = out.get(w)
-    s = c if s is None else s + c
-    if s.is_zero():
-        out.pop(w, None)
-    else:
-        out[w] = s
+    """x * g_j^{-1}."""
+    return inverse_action(gen_mul_right(x, j), x)
 
 
 def product(x: HeckeElement, y: HeckeElement) -> HeckeElement:
     """x * y, expanding each basis term of y into a reduced word."""
     if x.n != y.n:
         raise SizeMismatch("mixed ranks in Hecke product")
-    out = HeckeElement(x.n)
+    out: dict = {}
     for w, c in y.terms.items():
         z = x
         for j in reduced_word(w):
             z = gen_mul_right(z, j)
-        out = out + z.scale(c)
-    return out
+        accumulate(out, c, z.terms.items())
+    return HeckeElement._adopt(x.n, out)
+
+
+def asc(l: int, k: int, sign: int = 1):
+    """Ascending generator chain (j, sign) for j = l..k; empty when k < l."""
+    return [(j, sign) for j in range(l, k + 1)]
+
+
+def desc(l: int, k: int, sign: int = 1):
+    """Descending generator chain for j = l..k downwards; empty when l < k."""
+    return [(j, sign) for j in range(l, k - 1, -1)]
 
 
 def word_element(n: int, letters) -> HeckeElement:
@@ -156,11 +181,7 @@ def word_element(n: int, letters) -> HeckeElement:
 
 def inverse_basis(w: Perm) -> HeckeElement:
     """g_w^{-1}, as the reversed product of generator inverses."""
-    n = len(w)
-    z = HeckeElement.unit(n)
-    for j in reversed(reduced_word(w)):
-        z = gen_mul_right_inv(z, j)
-    return z
+    return word_element(len(w), [(j, -1) for j in reversed(reduced_word(w))])
 
 
 def involution_i(x: HeckeElement) -> HeckeElement:
@@ -171,8 +192,7 @@ def involution_i(x: HeckeElement) -> HeckeElement:
 def chain_element(n: int, sign: int, l: int, k: int) -> HeckeElement:
     """g^+_{l,k} (sign +1) or g^-_{l,k} (sign -1): the generator chain from
     l to k, ascending or descending as l <= k or l > k."""
-    rng = range(l, k + 1) if l <= k else range(l, k - 1, -1)
-    return word_element(n, [(j, sign) for j in rng])
+    return word_element(n, asc(l, k, sign) if l <= k else desc(l, k, sign))
 
 
 def in_subalgebra(x: HeckeElement, k: int) -> bool:

@@ -254,9 +254,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_one(self) -> bool:
-        return self._den() == (0, 0, 0, 0) and self.num == _P_ONE
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Scalar)
@@ -585,6 +582,11 @@ def scalar_to_json(s: Scalar) -> dict:
 
 
 def scalar_from_json(obj: dict) -> Scalar:
+    """Read a scalar; every exponent must be a non-negative integer, so the
+    numerator lies in Z[q, r] and the denominator is a monomial."""
     num = IntPoly({(int(eq), int(er)): int(c) for c, eq, er in obj["num"]})
-    den = obj["den"]
-    return Scalar(num, den["q"], den["r"], den["qm1"], den["rm1"])
+    den = [obj["den"][k] for k in ("q", "r", "qm1", "rm1")]
+    exps = [e for m in num.terms for e in m] + den
+    if any(type(e) is not int or e < 0 for e in exps):
+        raise ValueError("scalar exponents must be non-negative integers")
+    return Scalar(num, *den)

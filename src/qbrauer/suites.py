@@ -13,6 +13,7 @@ import random
 from fractions import Fraction
 
 from . import hecke
+from .hecke import accumulate, asc, desc
 from .algebra import (
     AlgebraContext,
     QBrauerElement,
@@ -22,10 +23,11 @@ from .algebra import (
     lmul_g,
     lmul_g_inv,
     product,
-    rmul_e,
     rmul_g,
     rmul_g_inv,
     straighten,
+    word_element,
+    E_ATOM,
 )
 from .diagrams import (
     concat,
@@ -37,35 +39,12 @@ from .diagrams import (
 from .scalars import brauer_limit, q_scalar, qm1_scalar
 
 
-def asc(l: int, k: int, sign: int = 1):
-    """Ascending generator chain (j, sign) for j = l..k; empty when k < l."""
-    return [(j, sign) for j in range(l, k + 1)]
-
-
-def desc(l: int, k: int, sign: int = 1):
-    """Descending generator chain for j = l..k downwards; empty when l < k."""
-    return [(j, sign) for j in range(l, k - 1, -1)]
-
-
-def word_elem(ctx: AlgebraContext, atoms) -> QBrauerElement:
-    """Product over atoms: (j, +-1) for g_j^{+-1}, or "e"."""
-    z = ctx.unit()
-    for a in atoms:
-        if a == "e":
-            z = rmul_e(ctx, z)
-        else:
-            j, s = a
-            z = rmul_g(ctx, z, j) if s > 0 else rmul_g_inv(ctx, z, j)
-    return z
-
-
-def _report(check, ctx, params, pairs, failures):
-    version = ctx.version if ctx is not None else {"generic": True}
-    n = ctx.n if ctx is not None else params.get("n")
+def report(check: str, ctx: AlgebraContext, params: dict, pairs: int, failures: list) -> dict:
+    """The report dict of a suite or check; an empty failure list is a pass."""
     return {
         "check": check,
-        "n": n,
-        "version": version,
+        "n": ctx.n,
+        "version": ctx.version,
         "params": params,
         "pairs_tested": pairs,
         "failures": failures,
@@ -90,7 +69,7 @@ def relations_suite(ctx: AlgebraContext) -> dict:
             failures.append({"identity": tag})
 
     g = {j: lmul_g(ctx, j, ctx.unit()) for j in range(1, n)}
-    e = word_elem(ctx, ["e"])
+    e = word_element(ctx, [E_ATOM])
 
     for i in range(1, n - 1):
         check(
@@ -132,12 +111,12 @@ def relations_suite(ctx: AlgebraContext) -> dict:
             e.scale(q.inv()),
         )
     if n >= 4:
-        twist = word_elem(ctx, [(2, 1), (3, 1), (1, -1), (2, -1)])
+        twist = word_element(ctx, [(2, 1), (3, 1), (1, -1), (2, -1)])
         e2 = product(ctx, product(ctx, e, twist), e)
         check("twist idempotent value", e2, e_k_element(ctx, 2))
         check("twist idempotent left", product(ctx, twist, e2), e2)
         check("twist idempotent right", product(ctx, e2, twist), e2)
-    return _report("relations", ctx, {}, count, failures)
+    return report("relations", ctx, {}, count, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -184,12 +163,12 @@ def lemmas_suite(ctx: AlgebraContext) -> dict:
     for k in range(1, K + 1):
         for l in range(1, k):
             for sg in (1, -1):
-                a1 = word_elem(ctx, asc(1, 2 * l, sg))
-                a2 = word_elem(ctx, desc(2 * l + 1, 2, sg))
+                a1 = word_element(ctx, asc(1, 2 * l, sg))
+                a2 = word_element(ctx, desc(2 * l + 1, 2, sg))
                 check(f"chain reflect L {sg},{l},{k}",
                       product(ctx, a1, ek[k]), product(ctx, a2, ek[k]))
-                a3 = word_elem(ctx, desc(2 * l, 1, sg))
-                a4 = word_elem(ctx, asc(2, 2 * l + 1, sg))
+                a3 = word_element(ctx, desc(2 * l, 1, sg))
+                a4 = word_element(ctx, asc(2, 2 * l + 1, sg))
                 check(f"chain reflect R {sg},{l},{k}",
                       product(ctx, ek[k], a3), product(ctx, ek[k], a4))
 
@@ -207,18 +186,18 @@ def lemmas_suite(ctx: AlgebraContext) -> dict:
             )
 
     for k in range(1, K):
-        lhs = product(ctx, word_elem(ctx, ["e"] + asc(2, 2 * k + 1) + asc(1, 2 * k, -1)), ek[k])
+        lhs = product(ctx, word_element(ctx, [E_ATOM] + asc(2, 2 * k + 1) + asc(1, 2 * k, -1)), ek[k])
         check(f"ladder recursion left {k}", lhs, ek[k + 1])
-        rhs = product(ctx, ek[k], word_elem(ctx, desc(2 * k, 1, -1) + desc(2 * k + 1, 2) + ["e"]))
+        rhs = product(ctx, ek[k], word_element(ctx, desc(2 * k, 1, -1) + desc(2 * k + 1, 2) + [E_ATOM]))
         check(f"ladder recursion right {k}", rhs, ek[k + 1])
         for j in range(1, k + 1):
-            mid = word_elem(ctx, asc(2 * j, 2 * k + 1) + asc(2 * j - 1, 2 * k, -1))
+            mid = word_element(ctx, asc(2 * j, 2 * k + 1) + asc(2 * j - 1, 2 * k, -1))
             check(
                 f"ladder from level {j},{k}",
                 product(ctx, product(ctx, ek[j], mid), ek[k]),
                 ek[k + 1].scale(b ** (j - 1)),
             )
-            mid2 = word_elem(ctx, desc(2 * k, 2 * j - 1, -1) + desc(2 * k + 1, 2 * j))
+            mid2 = word_element(ctx, desc(2 * k, 2 * j - 1, -1) + desc(2 * k + 1, 2 * j))
             check(
                 f"ladder from level' {j},{k}",
                 product(ctx, product(ctx, ek[k], mid2), ek[j]),
@@ -229,14 +208,14 @@ def lemmas_suite(ctx: AlgebraContext) -> dict:
         for j in range(1, k):
             for m in range(1, j + 1):
                 for sg in (1, -1):
-                    a1 = word_elem(ctx, asc(2 * m - 1, 2 * j, sg))
-                    a2 = word_elem(ctx, desc(2 * j + 1, 2 * m, sg))
+                    a1 = word_element(ctx, asc(2 * m - 1, 2 * j, sg))
+                    a2 = word_element(ctx, desc(2 * j + 1, 2 * m, sg))
                     check(f"long reflect L {sg},{m},{j},{k}",
                           product(ctx, a1, ek[k]), product(ctx, a2, ek[k]))
             for i in range(1, j + 1):
                 for sg in (1, -1):
-                    a1 = word_elem(ctx, desc(2 * j, 2 * i - 1, sg))
-                    a2 = word_elem(ctx, asc(2 * i, 2 * j + 1, sg))
+                    a1 = word_element(ctx, desc(2 * j, 2 * i - 1, sg))
+                    a2 = word_element(ctx, asc(2 * i, 2 * j + 1, sg))
                     check(f"long reflect R {sg},{i},{j},{k}",
                           product(ctx, ek[k], a1), product(ctx, ek[k], a2))
 
@@ -260,13 +239,13 @@ def lemmas_suite(ctx: AlgebraContext) -> dict:
             continue
         for j1 in range(2 * k, n):
             for j2 in range(2 * k + 1, n):
-                lhs = product(ctx, word_elem(ctx, ["e"] + asc(2, j2) + asc(1, j1, -1)), ek[k])
+                lhs = product(ctx, word_element(ctx, [E_ATOM] + asc(2, j2) + asc(1, j1, -1)), ek[k])
                 rhs = product(
                     ctx, ek[k + 1],
-                    word_elem(ctx, asc(2 * k + 2, j2) + asc(2 * k + 1, j1, -1)),
+                    word_element(ctx, asc(2 * k + 2, j2) + asc(2 * k + 1, j1, -1)),
                 )
                 check(f"chain absorb minus {j1},{j2},{k}", lhs, rhs)
-    return _report("lemmas", ctx, {}, count, failures)
+    return report("lemmas", ctx, {}, count, failures)
 
 
 def plus_chain_absorption_suite(ctx: AlgebraContext) -> dict:
@@ -291,24 +270,26 @@ def plus_chain_absorption_suite(ctx: AlgebraContext) -> dict:
             for j2 in range(2 * k + 1, n):
                 lhs = product(
                     ctx,
-                    word_elem(ctx, ["e"] + asc(2, j2) + asc(1, j1)),
+                    word_element(ctx, [E_ATOM] + asc(2, j2) + asc(1, j1)),
                     e_k_element(ctx, k),
                 )
-                rhs = product(
+                head = product(
                     ctx,
                     e_k_element(ctx, k + 1),
-                    word_elem(ctx, asc(2 * k + 2, j2) + asc(2 * k + 1, j1)),
-                ).scale(q ** (2 * k))
+                    word_element(ctx, asc(2 * k + 2, j2) + asc(2 * k + 1, j1)),
+                )
+                rhs = accumulate({}, q ** (2 * k), head.terms.items())
                 coef = ctx.r() * q * qm1_scalar()
                 for l in range(1, k + 1):
-                    tail = word_elem(ctx, asc(2 * l + 2, j2) + asc(2 * l + 1, j1))
-                    piece = product(ctx, tail, e_k_element(ctx, k))
-                    piece = piece + product(ctx, lmul_g(ctx, 2 * l + 1, tail), e_k_element(ctx, k))
-                    rhs = rhs + piece.scale(coef * q ** (2 * l - 2))
+                    tail = word_element(ctx, asc(2 * l + 2, j2) + asc(2 * l + 1, j1))
+                    # (g_{2l+1} + 1) tail e_(k), one left factor at a time
+                    for left in (tail, lmul_g(ctx, 2 * l + 1, tail)):
+                        piece = product(ctx, left, e_k_element(ctx, k))
+                        accumulate(rhs, coef * q ** (2 * l - 2), piece.terms.items())
                 count += 1
-                if lhs != rhs:
+                if lhs.terms != rhs:
                     failures.append({"identity": f"chain absorb plus {j1},{j2},{k}"})
-    return _report("plus_chain_absorption", ctx, {}, count, failures)
+    return report("plus_chain_absorption", ctx, {}, count, failures)
 
 
 def ek_consistency_suite(ctx: AlgebraContext) -> dict:
@@ -320,10 +301,10 @@ def ek_consistency_suite(ctx: AlgebraContext) -> dict:
     right = ctx.unit()
     for k in range(1, n // 2 + 1):
         left = product(
-            ctx, word_elem(ctx, ["e"] + asc(2, 2 * k - 1) + asc(1, 2 * k - 2, -1)), left
+            ctx, word_element(ctx, [E_ATOM] + asc(2, 2 * k - 1) + asc(1, 2 * k - 2, -1)), left
         )
         right = product(
-            ctx, right, word_elem(ctx, desc(2 * k - 2, 1, -1) + desc(2 * k - 1, 2) + ["e"])
+            ctx, right, word_element(ctx, desc(2 * k - 2, 1, -1) + desc(2 * k - 1, 2) + [E_ATOM])
         )
         want = basis_element(ctx, e_k_diagram(n, k))
         count += 2
@@ -331,7 +312,7 @@ def ek_consistency_suite(ctx: AlgebraContext) -> dict:
             failures.append({"identity": f"left recursion k={k}"})
         if right != want:
             failures.append({"identity": f"right recursion k={k}"})
-    return _report("ek_consistency", ctx, {}, count, failures)
+    return report("ek_consistency", ctx, {}, count, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +340,7 @@ def oracle_suite(n: int, Ns=(1, 2, 3), sample=None, seed: int = 0) -> dict:
                     failures.append({"d1": d1.edges(), "d2": d2.edges(), "N": N})
         if dd not in P.terms:
             failures.append({"d1": d1.edges(), "d2": d2.edges(), "missing": True})
-    return _report("oracle", ctx, {"Ns": list(Ns), "sample": sample, "seed": seed},
+    return report("oracle", ctx, {"Ns": list(Ns), "sample": sample, "seed": seed},
                    len(pairs), failures)
 
 
@@ -372,7 +353,7 @@ def associativity_suite(n: int, count: int = 200, seed: int = 0) -> dict:
         a, b, c = (QBrauerElement.basis(rng.choice(diagrams)) for _ in range(3))
         if product(ctx, product(ctx, a, b), c) != product(ctx, a, product(ctx, b, c)):
             failures.append({"triple": True})
-    return _report("associativity", ctx, {"count": count, "seed": seed}, count, failures)
+    return report("associativity", ctx, {"count": count, "seed": seed}, count, failures)
 
 
 def involution_antihom_suite(n: int, count: int = 200, seed: int = 0) -> dict:
@@ -388,7 +369,7 @@ def involution_antihom_suite(n: int, count: int = 200, seed: int = 0) -> dict:
         rhs = product(ctx, involution_i(b), involution_i(a))
         if lhs != rhs or involution_i(involution_i(a)) != a:
             failures.append({"pair": True})
-    return _report("involution_antihom", ctx, {"count": count, "seed": seed}, count, failures)
+    return report("involution_antihom", ctx, {"count": count, "seed": seed}, count, failures)
 
 
 def straighten_robustness_suite(n: int, count: int = 500, seed: int = 0) -> dict:
@@ -417,7 +398,7 @@ def straighten_robustness_suite(n: int, count: int = 500, seed: int = 0) -> dict
         classical = {d: c for d, c in classical.items() if c}
         if classical != {target: Fraction(1)}:
             failures.append({"sigma": sigma, "k": k, "why": "q=1"})
-    return _report("straighten_robustness", ctx, {"count": count, "seed": seed},
+    return report("straighten_robustness", ctx, {"count": count, "seed": seed},
                    count, failures)
 
 
@@ -436,4 +417,4 @@ def layer_preservation_suite(n: int) -> dict:
                 P = product(ctx, QBrauerElement.basis(d1), QBrauerElement.basis(d2))
                 if any(dd.layer() < k for dd in P.terms):
                     failures.append({"d1": d1.edges(), "d2": d2.edges()})
-    return _report("layer_preservation", ctx, {}, pairs, failures)
+    return report("layer_preservation", ctx, {}, pairs, failures)

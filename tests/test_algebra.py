@@ -14,13 +14,12 @@ from qbrauer.algebra import (
     filtration_component,
     generator_word,
     involution_i,
-    layer,
     layer_component,
     lmul_g,
     lmul_gen,
     product,
+    rmul_atom,
     rmul_g,
-    rmul_gen,
     straighten,
     E_ATOM,
 )
@@ -89,7 +88,7 @@ def test_generator_word_examples():
     assert generator_word(identity_diagram(n)) == []
     assert generator_word(e_k_diagram(n, 1)) == [E_ATOM]
     assert generator_word(e_k_diagram(n, 2)) == [
-        E_ATOM, ("g", 2, 1), ("g", 3, 1), ("g", 1, -1), ("g", 2, -1), E_ATOM,
+        E_ATOM, (2, 1), (3, 1), (1, -1), (2, -1), E_ATOM,
     ]
 
 
@@ -98,7 +97,7 @@ def test_generator_word_rebuilds_basis():
     for d in enumerate_diagrams(4):
         z = ctx.unit()
         for atom in generator_word(d):
-            z = rmul_gen(ctx, z, atom)
+            z = rmul_atom(ctx, z, atom)
         assert z == basis_element(ctx, d)
 
 
@@ -127,7 +126,7 @@ def test_generator_word_rebuilds_rank7_example():
     )
     z = ctx.unit()
     for atom in generator_word(d):
-        z = rmul_gen(ctx, z, atom)
+        z = rmul_atom(ctx, z, atom)
     assert z == basis_element(ctx, d)
 
 
@@ -160,6 +159,35 @@ def test_shared_context_thread_safety():
     for t in threads:
         t.join()
     assert got == want
+
+
+def test_memo_entries_are_never_mutated():
+    # products accumulate into fresh dicts only: an entry of the memo tables
+    # keeps its terms however many later products read it
+    ds = enumerate_diagrams(4)
+    ctx = AlgebraContext(4)
+
+    def batch(lo):
+        # two-term left factors, so that rmul_atom sums memo entries
+        for i in range(lo, lo + 40):
+            x = QBrauerElement.basis(ds[i % len(ds)]) + QBrauerElement.basis(
+                ds[(3 * i + 1) % len(ds)])
+            product(ctx, x, QBrauerElement.basis(ds[(11 * i + 5) % len(ds)]))
+
+    batch(0)
+    snapshot = {
+        name: {k: dict(v.terms) for k, v in getattr(ctx, name).items()}
+        for name in ("_core", "_rmul_atom")
+    }
+    assert snapshot["_core"] and snapshot["_rmul_atom"]
+    batch(40)
+    for name, entries in snapshot.items():
+        table = getattr(ctx, name)
+        for k, terms in entries.items():
+            assert table[k].terms == terms, (name, k)
+    x = product(ctx, QBrauerElement.basis(ds[3]), QBrauerElement.basis(ds[9]))
+    assert (x + x.scale(scalars.from_int(-1))).terms == {}
+    assert (x - x).terms == {}
 
 
 def test_straighten_trivial_cases():
@@ -275,8 +303,8 @@ def test_bilinearity():
 
 def test_layer_and_filtration():
     ctx = AlgebraContext(4)
-    assert layer(identity_diagram(4)) == 0
-    assert layer(e_k_diagram(4, 2)) == 2
+    assert identity_diagram(4).layer() == 0
+    assert e_k_diagram(4, 2).layer() == 2
     x = e_k_element(ctx, 1) + e_k_element(ctx, 2)
     assert filtration_component(x, 2) == e_k_element(ctx, 2)
     assert layer_component(x, 1) == e_k_element(ctx, 1)
@@ -349,9 +377,9 @@ def test_lmul_rmul_gen_dispatch():
     ctx = AlgebraContext(3)
     e = e_k_element(ctx, 1)
     assert lmul_gen(ctx, E_ATOM, ctx.unit()) == e
-    assert rmul_gen(ctx, ctx.unit(), E_ATOM) == e
-    assert rmul_gen(ctx, e, ("g", 1, 1)) == e.scale(q_scalar())
-    assert rmul_gen(ctx, e, ("g", 1, -1)) == e.scale(q_scalar().inv())
+    assert rmul_atom(ctx, ctx.unit(), E_ATOM) == e
+    assert rmul_atom(ctx, e, (1, 1)) == e.scale(q_scalar())
+    assert rmul_atom(ctx, e, (1, -1)) == e.scale(q_scalar().inv())
     # right absorption of an odd inner strand at level k
     ctx6 = AlgebraContext(6)
     e2 = e_k_element(ctx6, 2)

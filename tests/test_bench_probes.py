@@ -1,0 +1,39 @@
+"""The names the benchmark's tracer wraps, and the memo tables its cold-run
+check reads, exist on the package.  A renamed helper would otherwise break
+only traced benchmark runs."""
+
+import importlib.util
+import os
+
+from qbrauer import algebra, cellular, diagrams, hecke, scalars
+
+TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "qbench", "tracing.py")
+MODULES = {"algebra": algebra, "cellular": cellular, "diagrams": diagrams,
+           "hecke": hecke, "scalars": scalars}
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("qbench_tracing", TRACING)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_every_probe_resolves():
+    tracing = load_tracing()
+    probes = [(m, a) for m, a, _ in tracing.SPANS + tracing.COUNTS]
+    assert probes
+    for mod, attr in probes:
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            # the tracer wraps the method found in the class's own namespace
+            assert meth in vars(getattr(MODULES[mod], cls_name)), (mod, attr)
+        else:
+            assert callable(getattr(MODULES[mod], attr, None)), (mod, attr)
+
+
+def test_memo_tables_of_a_fresh_context():
+    ctx = algebra.AlgebraContext(3)
+    for name in ("_lmul_g", "_rmul_g", "_core", "_rmul_atom"):
+        assert getattr(ctx, name) == {}, name
+    assert isinstance(algebra._EXPR_CACHE, dict)

