@@ -451,15 +451,19 @@ def element_to_json(ctx: AlgebraContext, x: QBrauerElement) -> dict:
     }
 
 
-def element_from_json(obj: dict) -> QBrauerElement:
+def element_from_json(obj) -> QBrauerElement:
     """Read an element; every diagram must have the element's n, once."""
     from .diagrams import diagram_from_json
 
+    if not isinstance(obj, dict) or not isinstance(obj.get("terms"), list):
+        raise ValueError('an element must be {"n": n, "terms": [...], ...}')
     n = obj["n"]
     if type(n) is not int or n < 1:
         raise ValueError(f"bad rank n={n!r}")
     terms = {}
     for t in obj["terms"]:
+        if not isinstance(t, dict):
+            raise ValueError('a term must be {"diagram": ..., "coeff": ...}')
         d = diagram_from_json(t["diagram"])
         if d.n != n:
             raise SizeMismatch(f"a diagram has n={d.n} in an element of n={n}")

@@ -37,14 +37,15 @@ from .algebra import (
 )
 from .diagrams import (
     BrauerDiagram,
+    bottom_part,
     concat_many,
-    diagram_from_edges,
     enumerate_diagrams,
     enumerate_nocross,
     identity_perm,
     perm_inv,
     perm_to_diagram,
     star,
+    top_part,
 )
 from .hecke import (
     HeckeElement,
@@ -135,27 +136,10 @@ class CellModuleIndex:
     lam: tuple
 
 
-def _vstar_part(d: BrauerDiagram) -> BrauerDiagram:
-    """Top half: same top row as d, e_(k) bottom row, no crossings."""
-    n, k = d.n, d.layer()
-    edges = list(d.top_edges())
-    for i in range(1, k + 1):
-        edges.append((n + 2 * i - 1, n + 2 * i))
-    free_tops = [v for v in range(1, n + 1) if d.partner[v - 1] > n]
-    for i, ft in enumerate(free_tops):
-        edges.append((ft, n + 2 * k + i + 1))
-    return diagram_from_edges(n, edges)
-
-
-def _v_part(d: BrauerDiagram) -> BrauerDiagram:
-    """Bottom half: same bottom row as d, e_(k) top row, no crossings."""
-    return star(_vstar_part(star(d)))
-
-
 def to_inflation(ctx: AlgebraContext, d: BrauerDiagram) -> InflationCoords:
     ex = _expr(d)
     return InflationCoords(
-        ex.k, _vstar_part(d), _v_part(d), HeckeElement.basis(ex.wd)
+        ex.k, top_part(d), bottom_part(d), HeckeElement.basis(ex.wd)
     )
 
 
@@ -163,9 +147,9 @@ def _check_coords(ctx: AlgebraContext, c: InflationCoords) -> None:
     k = c.k
     if c.d1.layer() != k or c.d2.layer() != k:
         raise MalformedCoords("parts live in the wrong layer")
-    if _vstar_part(c.d1) != c.d1:
+    if top_part(c.d1) != c.d1:
         raise MalformedCoords("d1 is not a no-crossing top part")
-    if _v_part(c.d2) != c.d2:
+    if bottom_part(c.d2) != c.d2:
         raise MalformedCoords("d2 is not a no-crossing bottom part")
     if not in_subalgebra(c.h, k):
         raise MalformedCoords("h is not supported on the parabolic subgroup")
@@ -195,7 +179,7 @@ def phi_k(ctx: AlgebraContext, c: BrauerDiagram, d: BrauerDiagram) -> HeckeEleme
     and is read off through the inflation coordinates.
     """
     k = c.layer()
-    if d.layer() != k or _v_part(c) != c or _vstar_part(d) != d:
+    if d.layer() != k or bottom_part(c) != c or top_part(d) != d:
         raise MalformedCoords("phi_k needs a bottom part and a top part of one layer")
     P = product(ctx, basis_element(ctx, c), basis_element(ctx, d))
     n = ctx.n
@@ -243,8 +227,8 @@ def inflation_product_check(ctx: AlgebraContext, sample=None, seed: int = 0) -> 
         for c, d in all_pairs:
             pairs += 1
             cc, dc = to_inflation(ctx, c), to_inflation(ctx, d)
-            c2 = _v_part(c)
-            d1 = _vstar_part(d)
+            c2 = bottom_part(c)
+            d1 = top_part(d)
             form = phi_k(ctx, c2, d1)
             h = hecke_product(hecke_product(cc.h, form), dc.h)
             want = from_inflation(ctx, InflationCoords(k, cc.d1, dc.d2, h))

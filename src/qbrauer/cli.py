@@ -145,6 +145,11 @@ def cmd_mul(args) -> int:
     ctx = AlgebraContext(x.n, N if type(N) is int else None)
     if ctx.version != version:
         raise InputError(f"bad version {version!r}")
+    if ctx.N is not None and any(
+        c.den_r or c.den_rm1 or any(er for _, er in c.num.terms)
+        for c in [*x.terms.values(), *y.terms.values()]
+    ):
+        raise InputError("a coefficient carries r, which is q^N in the integral version")
     z = product(ctx, x, y)
     _write(args, json.dumps(element_to_json(ctx, z), indent=2) + "\n")
     return 0

@@ -15,9 +15,11 @@ Conventions (fixed once, used by every module and all serialized forms):
   concatenation of diagrams (top factor first) matches the product uv.
 
 This module provides the canonical factorization of a diagram through
-e_(k) (the diagram with k adjacent horizontal edges per row), the
-normal-form chain words for the no-crossing transversals, and the
-classical Brauer algebra with its loop-counting product.  The classical
+e_(k) (the diagram with k adjacent horizontal edges per row), read off
+the diagram's two rows by :func:`decompose`; the half-diagrams, the
+normal-form chain words for the no-crossing transversals and the
+transversal splits all go through it.  It also provides the classical
+Brauer algebra with its loop-counting product.  The classical
 algebra doubles as the q = 1 oracle for the deformed kernel, so it
 deliberately depends only on ``fractions.Fraction``, never on
 :mod:`qbrauer.scalars`.
@@ -209,15 +211,6 @@ class BrauerDiagram:
             if v < self.partner[v - 1]
         )
 
-    def vertical_edges(self):
-        """Pairs (top vertex, bottom vertex - n)."""
-        n = self.n
-        return sorted(
-            (v, self.partner[v - 1] - n)
-            for v in range(1, n + 1)
-            if self.partner[v - 1] > n
-        )
-
     def layer(self) -> int:
         """Number of horizontal edges per row."""
         return sum(
@@ -382,139 +375,43 @@ class ReducedExpression:
         return perm_length(self.w1) + perm_length(self.wd) + perm_length(self.w2)
 
 
-def _is_vstar_shape(d: BrauerDiagram) -> bool:
-    """Bottom row equal to the e_(k) row (crossings among verticals allowed)."""
-    k = d.layer()
-    want = [(2 * i - 1, 2 * i) for i in range(1, k + 1)]
-    return [(a - d.n, b - d.n) for a, b in d.bottom_edges()] == want
+def _row(d: BrauerDiagram, off: int):
+    """One row of ``d`` in slot order, its vertices numbered 1..n.
 
-
-def canon_word_nocross(d: BrauerDiagram) -> TWord:
-    """Normal-form chain word w with d = w . e_(k), for a no-crossing diagram.
-
-    Requires the bottom row of ``d`` to equal the e_(k) row and its vertical
-    edges to be non-crossing.  Verticals are peeled right to left, then the
-    horizontal edges are walked into place two columns at a time.
+    ``off`` is 0 for the top row and n for the bottom row.  Returns
+    ``(caps, free)``: ``caps`` lists each horizontal edge of the row as its
+    left then its right vertex, ordered by right vertex; ``free`` lists the
+    vertices on vertical edges left to right.
     """
-    n, k = d.n, d.layer()
-    if not _is_vstar_shape(d):
-        raise ValueError("bottom row is not the e_(k) row")
-    verts = d.vertical_edges()
-    if [b for _, b in verts] != sorted(b for _, b in verts):
-        raise ValueError("vertical edges cross")
-    factors = []
-    cur = d
-    for j in range(n - 1, 2 * k - 1, -1):
-        f = cur.partner[n + j]  # top vertex joined to bottom j+1
-        if f == j + 1:
-            continue
-        factors.append((f, j))
-        peel = perm_to_diagram(perm_inv(s_ij(n, f, j)))
-        cur, g = concat(peel, cur)
-        assert g == 0
-    for jj in range(2 * k - 2, 0, -2):
-        i = cur.partner[jj + 1]  # top partner of vertex jj + 2
-        if i == jj + 1:
-            continue
-        factors.append((i, jj))
-        peel = perm_to_diagram(perm_inv(s_ij(n, i, jj)))
-        cur, g = concat(peel, cur)
-        assert g == 0
-    assert cur == e_k_diagram(n, k)
-    return TWord(n, tuple(factors))
-
-
-def split_vstar_diagram(d: BrauerDiagram):
-    """Split a diagram with e_(k) bottom row into (w word, pi permutation).
-
-    ``w`` is the no-crossing normal form and ``pi`` (fixing 1..2k) encodes
-    how the verticals cross, so that d = (w pi) . e_(k) with additive length.
-    """
-    n, k = d.n, d.layer()
-    if not _is_vstar_shape(d):
-        raise ValueError("bottom row is not the e_(k) row")
-    free_tops = [t for t, _ in sorted(d.vertical_edges())]
-    pi = list(range(1, n + 1))
-    edges = list(d.top_edges())
-    for i in range(1, k + 1):
-        edges.append((n + 2 * i - 1, n + 2 * i))
-    for i, ft in enumerate(free_tops):
-        pi[2 * k + i] = d.partner[ft - 1] - n
-        edges.append((ft, n + 2 * k + i + 1))
-    uncrossed = diagram_from_edges(n, edges)
-    return canon_word_nocross(uncrossed), tuple(pi)
-
-
-def vstar_length(d: BrauerDiagram) -> int:
-    """Minimal word length of a diagram with e_(k) bottom row."""
-    w, pi = split_vstar_diagram(d)
-    return w.length() + perm_length(pi)
-
-
-def canon_transversal(sigma: Perm, k: int) -> TWord:
-    """The unique normal-form word rho with sigma . e_(k) = rho . e_(k) and
-    l(rho) equal to the diagram length."""
-    rho, _, _ = canon_transversal_split(sigma, k)
-    return t_word(rho)
-
-
-def canon_transversal_split(sigma: Perm, k: int):
-    """(rho, w, pi): rho = w pi, w no-crossing part, pi in S_{2k+1..n}."""
-    n = len(sigma)
-    d, g = concat(perm_to_diagram(sigma), e_k_diagram(n, k))
-    assert g == 0
-    wword, pi = split_vstar_diagram(d)
-    w = wword.eval()
-    return perm_mul(w, pi), w, pi
-
-
-def split_transversal(rho: Perm, k: int):
-    """Factor rho = w . pi with w no-crossing and pi fixing 1..2k; unique.
-
-    Raises NotInTransversal when rho is not length-minimal for its diagram.
-    """
-    n = len(rho)
-    d, _ = concat(perm_to_diagram(rho), e_k_diagram(n, k))
-    if vstar_length(d) != perm_length(rho):
-        raise NotInTransversal(f"{rho} is not minimal over its diagram")
-    wword, pi = split_vstar_diagram(d)
-    w = wword.eval()
-    if perm_mul(w, pi) != rho:
-        raise NotInTransversal(f"{rho} does not factor through the transversal")
-    return w, pi
+    n = d.n
+    caps, free = [], []
+    for v in range(1, n + 1):
+        u = d.partner[off + v - 1] - off
+        if not 1 <= u <= n:
+            free.append(v)
+        elif u < v:
+            caps += (u, v)
+    return caps, free
 
 
 def decompose(d: BrauerDiagram) -> ReducedExpression:
-    """The canonical (w1, wd, w2) of a diagram with 2k horizontal edges.
+    """The canonical (w1, wd, w2) of a diagram with 2k horizontal edges,
+    read off its two rows.
 
-    w1 carries the top horizontal edges, w2 the bottom ones, and wd (fixing
-    1..2k) carries the crossing pattern of the vertical edges, numbered by
-    free vertices left to right in both rows.
+    The slots of a row are its caps then its free vertices, as listed by
+    :func:`_row`.  w1 sends the i-th top slot to i and w2 sends i to the
+    i-th bottom slot, so e_(k) closes the caps pairwise; wd fixes 1..2k and
+    sends the slot of each free top vertex to the slot of its bottom
+    partner.  :func:`reconstruct` rebuilds d by concatenation, which checks
+    this read-off independently.
     """
-    n, k = d.n, d.layer()
-    free_tops = [v for v in range(1, n + 1) if d.partner[v - 1] > n]
-    free_bots = [v for v in range(1, n + 1) if d.partner[n + v - 1] <= n]
-
-    d1_edges = list(d.top_edges())
-    for i in range(1, k + 1):
-        d1_edges.append((n + 2 * i - 1, n + 2 * i))
-    for i, ft in enumerate(free_tops):
-        d1_edges.append((ft, n + 2 * k + i + 1))
-    w1 = canon_word_nocross(diagram_from_edges(n, d1_edges)).eval()
-
-    d2_edges = [(a, b) for a, b in d.bottom_edges()]
-    for i in range(1, k + 1):
-        d2_edges.append((2 * i - 1, 2 * i))
-    for j, fb in enumerate(free_bots):
-        d2_edges.append((2 * k + j + 1, n + fb))
-    d2 = diagram_from_edges(n, d2_edges)
-    w2 = perm_inv(canon_word_nocross(star(d2)).eval())
-
-    bot_slot = {fb: j for j, fb in enumerate(free_bots)}
-    wd = list(range(1, n + 1))
-    for i, ft in enumerate(free_tops):
-        wd[2 * k + i] = 2 * k + bot_slot[d.partner[ft - 1] - n] + 1
-    return ReducedExpression(k, w1, tuple(wd), w2)
+    n = d.n
+    tcaps, tfree = _row(d, 0)
+    bcaps, bfree = _row(d, n)
+    k = len(tcaps) // 2
+    slot = {v: i for i, v in enumerate(bfree, 2 * k + 1)}
+    wd = tuple(range(1, 2 * k + 1)) + tuple(slot[d.partner[t - 1] - n] for t in tfree)
+    return ReducedExpression(k, perm_inv(tcaps + tfree), wd, tuple(bcaps + bfree))
 
 
 def reconstruct(n: int, expr: ReducedExpression) -> BrauerDiagram:
@@ -530,6 +427,56 @@ def reconstruct(n: int, expr: ReducedExpression) -> BrauerDiagram:
 
 def diagram_length(d: BrauerDiagram) -> int:
     return decompose(d).length()
+
+
+def top_part(d: BrauerDiagram) -> BrauerDiagram:
+    """The diagram w1 . e_(k) of d: the top row of d, the e_(k) bottom row,
+    and the free top vertices joined to bottom 2k+1..n without crossings."""
+    n = d.n
+    caps, free = _row(d, 0)
+    k = len(caps) // 2
+    edges = [(caps[i], caps[i + 1]) for i in range(0, 2 * k, 2)]
+    edges += [(n + i, n + i + 1) for i in range(1, 2 * k, 2)]
+    edges += [(t, n + i) for i, t in enumerate(free, 2 * k + 1)]
+    return diagram_from_edges(n, edges)
+
+
+def bottom_part(d: BrauerDiagram) -> BrauerDiagram:
+    """The diagram e_(k) . w2 of d: the mirror image of :func:`top_part`."""
+    return star(top_part(star(d)))
+
+
+def canon_word_nocross(d: BrauerDiagram) -> TWord:
+    """Normal-form chain word w with d = w . e_(k), for a no-crossing diagram.
+
+    Requires the bottom row of ``d`` to equal the e_(k) row and its vertical
+    edges to be non-crossing, that is ``top_part(d) == d``.
+    """
+    if top_part(d) != d:
+        raise ValueError("not a no-crossing diagram with the e_(k) bottom row")
+    return t_word(decompose(d).w1)
+
+
+def canon_transversal(sigma: Perm, k: int) -> TWord:
+    """The unique normal-form word rho with sigma . e_(k) = rho . e_(k) and
+    l(rho) equal to the diagram length."""
+    d, _ = concat(perm_to_diagram(sigma), e_k_diagram(len(sigma), k))
+    ex = decompose(d)
+    return t_word(perm_mul(ex.w1, ex.wd))
+
+
+def split_transversal(rho: Perm, k: int):
+    """Factor rho = w . pi with w no-crossing and pi fixing 1..2k; unique.
+
+    Raises NotInTransversal when rho is not length-minimal for its diagram.
+    """
+    d, _ = concat(perm_to_diagram(rho), e_k_diagram(len(rho), k))
+    ex = decompose(d)
+    if ex.length() != perm_length(rho):
+        raise NotInTransversal(f"{rho} is not minimal over its diagram")
+    if perm_mul(ex.w1, ex.wd) != rho:
+        raise NotInTransversal(f"{rho} does not factor through the transversal")
+    return ex.w1, ex.wd
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +523,7 @@ def enumerate_nocross(n: int, k: int):
 
 def enumerate_transversal(n: int, k: int):
     """The n!/(2^k (n-2k)! k!) normal-form permutations for layer k."""
-    return [canon_word_nocross(d).eval() for d in enumerate_nocross(n, k)]
+    return [decompose(d).w1 for d in enumerate_nocross(n, k)]
 
 
 # ---------------------------------------------------------------------------
@@ -674,4 +621,15 @@ def diagram_to_json(d: BrauerDiagram) -> dict:
 
 
 def diagram_from_json(obj: dict) -> BrauerDiagram:
-    return diagram_from_edges(obj["n"], [tuple(e) for e in obj["edges"]])
+    """Read ``{"n": n, "edges": [[a, b], ...]}`` with every vertex in 1..2n;
+    raises ValueError on any other shape."""
+    if not isinstance(obj, dict) or type(obj.get("n")) is not int or obj["n"] < 1:
+        raise ValueError('a diagram must be {"n": n, "edges": [...]} with n >= 1')
+    n, edges = obj["n"], obj.get("edges")
+    if not isinstance(edges, list) or not all(
+        isinstance(e, list) and len(e) == 2
+        and all(type(v) is int and 1 <= v <= 2 * n for v in e)
+        for e in edges
+    ):
+        raise ValueError(f"edges must be a list of vertex pairs in 1..{2 * n}")
+    return diagram_from_edges(n, [tuple(e) for e in edges])

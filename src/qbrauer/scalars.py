@@ -552,11 +552,42 @@ class GFElem:
         return f"GF({self.p})({self.v})"
 
 
+# Miller-Rabin with the first 13 prime bases is deterministic below the least
+# strong pseudoprime to all of them (Sorenson & Webster, Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(p: int) -> bool:
+    """Deterministic primality test for p < _MR_LIMIT."""
+    if p >= _MR_LIMIT:
+        raise ValueError(f"{p} is beyond the deterministic primality test")
+    if p < 2:
+        return False
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
     """The prime field F_p, callable on integers."""
 
     def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+        if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
 
@@ -584,9 +615,13 @@ def scalar_to_json(s: Scalar) -> dict:
 def scalar_from_json(obj: dict) -> Scalar:
     """Read a scalar; every exponent must be a non-negative integer, so the
     numerator lies in Z[q, r] and the denominator is a monomial."""
-    num = IntPoly({(int(eq), int(er)): int(c) for c, eq, er in obj["num"]})
-    den = [obj["den"][k] for k in ("q", "r", "qm1", "rm1")]
-    exps = [e for m in num.terms for e in m] + den
+    num = obj.get("num") if isinstance(obj, dict) else None
+    if not (isinstance(num, list) and isinstance(obj.get("den"), dict) and all(
+        isinstance(t, list) and len(t) == 3 and type(t[0]) in (int, str) for t in num
+    )):
+        raise ValueError('a scalar must be {"num": [[c, eq, er], ...], "den": {...}}')
+    den = [obj["den"].get(k) for k in ("q", "r", "qm1", "rm1")]
+    exps = [e for t in num for e in t[1:]] + den
     if any(type(e) is not int or e < 0 for e in exps):
         raise ValueError("scalar exponents must be non-negative integers")
-    return Scalar(num, *den)
+    return Scalar(IntPoly({(eq, er): int(c) for c, eq, er in num}), *den)

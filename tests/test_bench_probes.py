@@ -37,3 +37,14 @@ def test_memo_tables_of_a_fresh_context():
     for name in ("_lmul_g", "_rmul_g", "_core", "_rmul_atom"):
         assert getattr(ctx, name) == {}, name
     assert isinstance(algebra._EXPR_CACHE, dict)
+
+
+def test_lengths_match_the_committed_n6_lengths():
+    """``qbench/n6.lengths`` holds the length of every n = 6 diagram, one
+    base-36 digit each in the order of the sorted partner tuples; it was
+    written before the factorization was read off the rows directly."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "qbench", "n6.lengths")
+    with open(path) as f:
+        digits = [line.strip() for line in f if not line.startswith("#")][0]
+    got = [diagrams.diagram_length(d) for d in diagrams.enumerate_diagrams(6)]
+    assert got == [int(c, 36) for c in digits]

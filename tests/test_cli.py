@@ -1,6 +1,9 @@
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qbrauer.algebra import AlgebraContext, e_k_element, element_to_json, product
 from qbrauer.cli import main, parse_perm
@@ -211,3 +214,89 @@ def test_operands_of_other_versions_exit_2(tmp_path, capsys):
     y = element_to_json(ictx, e_k_element(ictx, 1))
     assert y["version"] == {"N": 2}
     assert_input_error(capsys, "mul", *write_operands(tmp_path, x, y))
+
+
+def test_top_level_list_element_exits_2(tmp_path, capsys):
+    assert_input_error(capsys, "mul", *write_operands(tmp_path, [], []))
+
+
+def test_edge_beyond_2n_exits_2(tmp_path, capsys):
+    ctx = AlgebraContext(2)
+    x = element_to_json(ctx, e_k_element(ctx, 1))
+    bad = {"n": 2, "edges": [[1, 9], [2, 3]]}
+    x["terms"][0]["diagram"] = bad
+    assert_input_error(capsys, "mul", *write_operands(tmp_path, x, x))
+    assert_input_error(capsys, "decompose", json.dumps(bad))
+
+
+def test_integral_element_carrying_r_exits_2(tmp_path, capsys):
+    ctx = AlgebraContext(2, 2)
+    x = element_to_json(ctx, e_k_element(ctx, 1))
+    assert run(capsys, "mul", *write_operands(tmp_path, x, x))[0] == 0
+    bad = json.loads(json.dumps(x))
+    bad["terms"][0]["coeff"] = {"num": [["1", 0, 1]],
+                                "den": {"q": 0, "r": 0, "qm1": 0, "rm1": 0}}
+    assert_input_error(capsys, "mul", *write_operands(tmp_path, bad, x))
+
+
+def test_large_prime_field_and_composites(capsys):
+    argv = ("qh", "3", "--q0", "2", "--r0", "3", "--field")
+    code, out, _ = run(capsys, *argv, "1000000000000000003")
+    assert code == 0 and out == "true\n"
+    for composite in ("1000000000000000001", "561"):
+        assert_input_error(capsys, *argv, composite)
+
+
+WIRE_KEYS = ("n", "edges", "terms", "diagram", "coeff", "num", "den", "version",
+             "N", "generic", "q", "r", "qm1", "rm1")
+JSON_LEAVES = (st.none() | st.booleans() | st.integers(-3, 40)
+               | st.sampled_from(WIRE_KEYS + ("1", "-2", "x")))
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(WIRE_KEYS), inner, max_size=4),
+    max_leaves=12,
+)
+_CTX2 = AlgebraContext(2)
+VALID = element_to_json(_CTX2, e_k_element(_CTX2, 1).scale(b_scalar()) + _CTX2.unit())
+
+
+def _paths(obj, prefix=()):
+    yield prefix
+    if isinstance(obj, (dict, list)):
+        for key, v in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            yield from _paths(v, prefix + (key,))
+
+
+@st.composite
+def mutated(draw, base):
+    """``base`` with the value at one path replaced by a generated one, or
+    the key there deleted."""
+    obj = json.loads(json.dumps(base))
+    path = draw(st.sampled_from(list(_paths(obj))))
+    if not path:
+        return draw(JSON_VALUES)
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(JSON_LEAVES | JSON_VALUES)
+    return obj
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_VALUES | mutated(VALID), st.just(VALID) | mutated(VALID),
+       JSON_VALUES | mutated(VALID["terms"][0]["diagram"]))
+def test_json_readers_never_raise(x, y, diagram):
+    """Any JSON value reaching `mul` or `decompose` gives exit 0 or 2."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for name, obj in (("x.json", x), ("y.json", y), ("d.json", diagram)):
+            paths.append(os.path.join(tmp, name))
+            with open(paths[-1], "w") as fh:
+                json.dump(obj, fh)
+        assert main(["mul", paths[0], paths[1]]) in (0, 2)
+        text = json.dumps(diagram)
+        assert main(["decompose", text if text.startswith("{") else paths[2]]) in (0, 2)
