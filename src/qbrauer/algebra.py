@@ -61,7 +61,7 @@ from .diagrams import (
     top_swap,
 )
 from .hecke import HeckeElement, SparseElement, accumulate, asc, desc, inverse_action
-from .scalars import ONE, Scalar
+from .scalars import ONE, Q, QM1, Scalar
 
 # decomposition data is version-independent; shared across contexts
 _EXPR_CACHE: dict = {}
@@ -176,9 +176,9 @@ def _lmul_g_basis(ctx: AlgebraContext, j: int, d: BrauerDiagram):
             res = ((sjd, ONE),)
         elif delta == 0:
             assert sjd == d
-            res = ((d, scalars.q_scalar()),)
+            res = ((d, Q),)
         else:
-            res = ((d, scalars.qm1_scalar()), (sjd, scalars.q_scalar()))
+            res = ((d, QM1), (sjd, Q))
         ctx._lmul_g[key] = res
     return res
 
@@ -193,9 +193,9 @@ def _rmul_g_basis(ctx: AlgebraContext, d: BrauerDiagram, j: int):
             res = ((dsj, ONE),)
         elif delta == 0:
             assert dsj == d
-            res = ((d, scalars.q_scalar()),)
+            res = ((d, Q),)
         else:
-            res = ((d, scalars.qm1_scalar()), (dsj, scalars.q_scalar()))
+            res = ((d, QM1), (dsj, Q))
         ctx._rmul_g[key] = res
     return res
 
@@ -251,7 +251,6 @@ def _core(ctx: AlgebraContext, sigma: Perm, k: int) -> QBrauerElement:
 
 def _core_compute(ctx: AlgebraContext, sigma: Perm, k: int) -> QBrauerElement:
     n = ctx.n
-    q = scalars.q_scalar()
     if k == 0:
         z = QBrauerElement.basis(e_k_diagram(n, 1))
         for j in reduced_word(sigma):
@@ -262,11 +261,11 @@ def _core_compute(ctx: AlgebraContext, sigma: Perm, k: int) -> QBrauerElement:
 
     lds = left_descents(sigma)
     if 1 in lds:
-        return _core(ctx, lmul_s(1, sigma), k).scale(q)
+        return _core(ctx, lmul_s(1, sigma), k).scale(Q)
     rds = right_descents(sigma)
     for t in rds:
         if t % 2 == 1 and t < 2 * k:
-            return _core(ctx, rmul_s(sigma, t), k).scale(q)
+            return _core(ctx, rmul_s(sigma, t), k).scale(Q)
     for t in rds:
         if t >= 2 * k + 1:
             return rmul_g(ctx, _core(ctx, rmul_s(sigma, t), k), t)
@@ -293,12 +292,11 @@ def _core_compute(ctx: AlgebraContext, sigma: Perm, k: int) -> QBrauerElement:
         # e g^+_{2,2k+1} g^+_{1,2k} e_(k): letter-by-letter inversion of the
         # trailing chain against e g^+_{2,2k+1} g^-_{1,2k} e_(k) = e_(k+1)
         assert j2 == 2 * k + 1
-        out = {e_k_diagram(n, k + 1): q ** (2 * k)}
-        qm1 = scalars.qm1_scalar()
+        out = {e_k_diagram(n, k + 1): Q ** (2 * k)}
         for m in range(1, 2 * k + 1):
             word = asc(2, 2 * k + 1) + asc(1, m - 1, -1) + asc(m + 1, 2 * k)
             h = hecke.word_element(n, word)
-            accumulate(out, qm1 * q ** (m - 1), _sum_core(ctx, h, k).terms.items())
+            accumulate(out, QM1 * Q ** (m - 1), _sum_core(ctx, h, k).terms.items())
         return QBrauerElement._adopt(n, out)
 
     # j1 = 2j < 2k: the ascending chain g^+_{1,2j} equals the descending

@@ -401,7 +401,7 @@ def main(argv=None) -> int:
         if getattr(args, "n", 1) < 1:
             raise InputError("need n >= 1")
         return args.func(args)
-    except (InputError, FileNotFoundError, json.JSONDecodeError, KeyError,
+    except (InputError, OSError, json.JSONDecodeError, KeyError,
             ValueError) as exc:
         sys.stderr.write(json.dumps({"error": type(exc).__name__,
                                      "detail": str(exc)}) + "\n")

@@ -23,7 +23,7 @@ from .diagrams import (
     reduced_word,
     rmul_s,
 )
-from .scalars import ONE, Scalar
+from .scalars import ONE, Q, Q_INV, QM1, ZERO, Scalar
 
 
 def accumulate(out: dict, c: Scalar, pairs) -> dict:
@@ -42,10 +42,10 @@ def accumulate(out: dict, c: Scalar, pairs) -> dict:
         s = out.get(key)
         if s is not None:
             v = s + v
-            if v.is_zero():
+            if v is ZERO:
                 del out[key]
                 continue
-        elif v.is_zero():
+        elif v is ZERO:
             continue
         out[key] = v
     return out
@@ -96,8 +96,7 @@ class SparseElement:
 def inverse_action(gx: SparseElement, x: SparseElement) -> SparseElement:
     """g^{-1} acting on x, from gx, the action of g: the quadratic relation
     gives g^{-1} = q^{-1} g + (q^{-1} - 1)."""
-    qinv = scalars.q_scalar().inv()
-    return gx.scale(qinv) + x.scale(qinv - ONE)
+    return gx.scale(Q_INV) + x.scale(Q_INV - ONE)
 
 
 class HeckeElement(SparseElement):
@@ -125,11 +124,10 @@ def _gen_mul(x: HeckeElement, j: int, move) -> HeckeElement:
     permutation and whether the length rises."""
     if not 1 <= j <= x.n - 1:
         raise ValueError(f"generator index {j} out of range for n={x.n}")
-    q, qm1 = scalars.q_scalar(), scalars.qm1_scalar()
     out: dict = {}
     for w, c in x.terms.items():
         sw, rises = move(w)
-        accumulate(out, c, ((sw, ONE),) if rises else ((w, qm1), (sw, q)))
+        accumulate(out, c, ((sw, ONE),) if rises else ((w, QM1), (sw, Q)))
     return HeckeElement._adopt(x.n, out)
 
 

@@ -12,6 +12,16 @@ divisible by the corresponding prime.  Since the four primes are pairwise
 non-associated irreducibles of the UFD Z[q, r], the canonical form is unique
 and equality of ring elements is structural equality.
 
+Scalars are hash-consed: the constructor canonicalizes and then returns the
+one object kept for that canonical form, so equal values are the same object
+and ``==`` and ``hash`` are identity.  The results of ``*`` and ``+`` are kept
+by their operand pair, those of ``inv`` by their operand, and ``str`` caches
+its text.  Hence no ``Scalar`` and no ``IntPoly.terms`` may be changed in
+place, and a ``Scalar`` cannot be copied or pickled.  The tables are
+process-global and never shrink; one repetition of the benchmark's oracle-n6
+workload (300 products at n = 6) leaves 6,833 scalars, 7,137 products and
+7,130 sums in them.
+
 No floating point is used anywhere; specialization targets are exact fields
 (``fractions.Fraction`` or the prime fields provided here).
 
@@ -213,11 +223,16 @@ _DIVIDERS = {
 # ---------------------------------------------------------------------------
 
 class Scalar:
-    """Element of Z[q^{±1}, r^{±1}, (q-1)^{-1}, (r-1)^{-1}] in canonical form."""
+    """Element of Z[q^{±1}, r^{±1}, (q-1)^{-1}, (r-1)^{-1}] in canonical form.
 
-    __slots__ = ("num", "den_q", "den_r", "den_qm1", "den_rm1", "_hash")
+    Hash-consed: each value is one object, so ``==`` and ``hash`` are the
+    object defaults (identity), and ``*``, ``+``, ``inv`` and ``str`` are
+    computed once per operand and then looked up.
+    """
 
-    def __init__(self, num: IntPoly, den_q=0, den_r=0, den_qm1=0, den_rm1=0):
+    __slots__ = ("num", "den_q", "den_r", "den_qm1", "den_rm1", "_str")
+
+    def __new__(cls, num: IntPoly, den_q=0, den_r=0, den_qm1=0, den_rm1=0):
         if num.is_zero():
             den_q = den_r = den_qm1 = den_rm1 = 0
         else:
@@ -241,40 +256,39 @@ class Scalar:
                 if d is None:
                     break
                 num, den_rm1 = d, den_rm1 - 1
-        self.num = num
-        self.den_q = den_q
-        self.den_r = den_r
-        self.den_qm1 = den_qm1
-        self.den_rm1 = den_rm1
-        self._hash = None
+        key = (num, den_q, den_r, den_qm1, den_rm1)
+        self = _INTERN.get(key)
+        if self is None:
+            self = object.__new__(cls)
+            self.num = num
+            self.den_q = den_q
+            self.den_r = den_r
+            self.den_qm1 = den_qm1
+            self.den_rm1 = den_rm1
+            self._str = None
+            # setdefault keeps one object per value when threads race here
+            self = _INTERN.setdefault(key, self)
+        return self
 
     def _den(self) -> tuple:
         return (self.den_q, self.den_r, self.den_qm1, self.den_rm1)
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Scalar)
-            and self._den() == other._den()
-            and self.num == other.num
-        )
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.num, self._den()))
-        return self._hash
+        return self is ZERO
 
     def __add__(self, other: "Scalar") -> "Scalar":
-        # least common denominator monomial: pointwise max of exponents
-        a = max(self.den_q, other.den_q)
-        c = max(self.den_r, other.den_r)
-        u = max(self.den_qm1, other.den_qm1)
-        v = max(self.den_rm1, other.den_rm1)
-        ln = _lift(self, a, c, u, v)
-        rn = _lift(other, a, c, u, v)
-        return Scalar(ln + rn, a, c, u, v)
+        key = (self, other)
+        out = _ADD.get(key)
+        if out is None:
+            # least common denominator monomial: pointwise max of exponents
+            a = max(self.den_q, other.den_q)
+            c = max(self.den_r, other.den_r)
+            u = max(self.den_qm1, other.den_qm1)
+            v = max(self.den_rm1, other.den_rm1)
+            ln = _lift(self, a, c, u, v)
+            rn = _lift(other, a, c, u, v)
+            out = _ADD[key] = Scalar(ln + rn, a, c, u, v)
+        return out
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         return self + (-other)
@@ -283,13 +297,17 @@ class Scalar:
         return Scalar(-self.num, *self._den())
 
     def __mul__(self, other: "Scalar") -> "Scalar":
-        return Scalar(
-            self.num * other.num,
-            self.den_q + other.den_q,
-            self.den_r + other.den_r,
-            self.den_qm1 + other.den_qm1,
-            self.den_rm1 + other.den_rm1,
-        )
+        key = (self, other)
+        out = _MUL.get(key)
+        if out is None:
+            out = _MUL[key] = Scalar(
+                self.num * other.num,
+                self.den_q + other.den_q,
+                self.den_r + other.den_r,
+                self.den_qm1 + other.den_qm1,
+                self.den_rm1 + other.den_rm1,
+            )
+        return out
 
     def __pow__(self, k: int) -> "Scalar":
         if k < 0:
@@ -303,6 +321,9 @@ class Scalar:
         """Inverse; the numerator must be, up to sign, a monomial in the
         four primes q, r, q-1, r-1.
         """
+        out = _INV.get(self)
+        if out is not None:
+            return out
         if self.is_zero():
             raise NotAUnit("zero is not invertible")
         num = self.num
@@ -323,24 +344,33 @@ class Scalar:
             new_num = new_num * qm1
         for _ in range(self.den_rm1):
             new_num = new_num * rm1
-        return Scalar(new_num, exps["q"], exps["r"], exps["qm1"], exps["rm1"])
+        out = _INV[self] = Scalar(new_num, exps["q"], exps["r"], exps["qm1"], exps["rm1"])
+        return out
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
 
     def __str__(self) -> str:
-        den = []
-        for e, sym in zip(self._den(), ("q", "r", "(q-1)", "(r-1)")):
-            if e == 1:
-                den.append(sym)
-            elif e > 1:
-                den.append(f"{sym}^{e}")
-        num = str(self.num)
-        if not den:
-            return num
-        if len(self.num.terms) > 1:
-            num = f"({num})"
-        return f"{num} / {'*'.join(den)}"
+        if self._str is None:
+            den = []
+            for e, sym in zip(self._den(), ("q", "r", "(q-1)", "(r-1)")):
+                if e == 1:
+                    den.append(sym)
+                elif e > 1:
+                    den.append(f"{sym}^{e}")
+            num = str(self.num)
+            if den and len(self.num.terms) > 1:
+                num = f"({num})"
+            self._str = f"{num} / {'*'.join(den)}" if den else num
+        return self._str
+
+
+# Process-global tables: every Scalar by its canonical form, and the results
+# of *, + and inv by their operand objects.  Entries are never removed.
+_INTERN: dict = {}
+_MUL: dict = {}
+_ADD: dict = {}
+_INV: dict = {}
 
 
 def _lift(s: Scalar, a: int, c: int, u: int, v: int) -> IntPoly:
@@ -384,6 +414,12 @@ def qm1_scalar() -> Scalar:
 
 def rm1_scalar() -> Scalar:
     return Scalar(IntPoly({(0, 1): 1, (0, 0): -1}))
+
+
+# the coefficients of the generator rules, shared by the hot loops
+Q = q_scalar()
+QM1 = qm1_scalar()
+Q_INV = Q.inv()
 
 
 def b_scalar() -> Scalar:
@@ -614,7 +650,8 @@ def scalar_to_json(s: Scalar) -> dict:
 
 def scalar_from_json(obj: dict) -> Scalar:
     """Read a scalar; every exponent must be a non-negative integer, so the
-    numerator lies in Z[q, r] and the denominator is a monomial."""
+    numerator lies in Z[q, r] and the denominator is a monomial, and each
+    monomial of the numerator is listed once."""
     num = obj.get("num") if isinstance(obj, dict) else None
     if not (isinstance(num, list) and isinstance(obj.get("den"), dict) and all(
         isinstance(t, list) and len(t) == 3 and type(t[0]) in (int, str) for t in num
@@ -624,4 +661,7 @@ def scalar_from_json(obj: dict) -> Scalar:
     exps = [e for t in num for e in t[1:]] + den
     if any(type(e) is not int or e < 0 for e in exps):
         raise ValueError("scalar exponents must be non-negative integers")
-    return Scalar(IntPoly({(eq, er): int(c) for c, eq, er in num}), *den)
+    terms = {(eq, er): int(c) for c, eq, er in num}
+    if len(terms) != len(num):
+        raise ValueError("a monomial occurs twice in a scalar's num")
+    return Scalar(IntPoly(terms), *den)

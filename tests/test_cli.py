@@ -239,6 +239,24 @@ def test_integral_element_carrying_r_exits_2(tmp_path, capsys):
     assert_input_error(capsys, "mul", *write_operands(tmp_path, bad, x))
 
 
+def test_repeated_monomial_in_a_scalar_exits_2(tmp_path, capsys):
+    ctx = AlgebraContext(2)
+    x = element_to_json(ctx, e_k_element(ctx, 1))
+    x["terms"][0]["coeff"]["num"] = [["1", 0, 0], ["2", 0, 0]]
+    assert_input_error(capsys, "mul", *write_operands(tmp_path, x, x))
+
+
+def test_directory_path_exits_2(tmp_path, capsys):
+    ctx = AlgebraContext(2)
+    x = element_to_json(ctx, e_k_element(ctx, 1))
+    path = write_operands(tmp_path, x, x)[0]
+    assert_input_error(capsys, "mul", str(tmp_path), path)
+    assert_input_error(capsys, "mul", path, str(tmp_path))
+    assert_input_error(capsys, "decompose", str(tmp_path))
+    assert_input_error(capsys, "dim", "3", "--output", str(tmp_path))
+    assert_input_error(capsys, "mul", path, path, "--output", str(tmp_path))
+
+
 def test_large_prime_field_and_composites(capsys):
     argv = ("qh", "3", "--q0", "2", "--r0", "3", "--field")
     code, out, _ = run(capsys, *argv, "1000000000000000003")

@@ -4,6 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from qbrauer import scalars
+from qbrauer.algebra import AlgebraContext, QBrauerElement, product
+from qbrauer.diagrams import enumerate_diagrams
 from qbrauer.scalars import (
     IntPoly,
     NotAUnit,
@@ -52,8 +55,13 @@ def _raw_den(s):
     return den
 
 
+def fractions_equal(f, g):
+    """Compare (numerator, denominator) pairs of IntPoly by cross-multiplying."""
+    return f[0] * g[1] == g[0] * f[1]
+
+
 def scalars_equal_oracle(a, b):
-    return a.num * _raw_den(b) == b.num * _raw_den(a)
+    return fractions_equal((a.num, _raw_den(a)), (b.num, _raw_den(b)))
 
 
 def test_b_clears_defining_denominator():
@@ -202,3 +210,73 @@ def test_json_round_trip():
         assert scalar_from_json(scalar_to_json(x)) == x
     big = Scalar(IntPoly({(0, 0): 10 ** 40, (2, 1): -(3 ** 50)}), 1, 0, 2, 0)
     assert scalar_from_json(scalar_to_json(big)) == big
+
+
+# --- interning: one object per value, memoized ring operations ---
+
+QM1_POLY = IntPoly({(1, 0): 1, (0, 0): -1})
+RM1_POLY = IntPoly({(0, 1): 1, (0, 0): -1})
+
+
+def test_equal_values_are_one_object():
+    rng = random.Random(6)
+    for _ in range(100):
+        x = random_scalar(rng)
+        inflated = Scalar(
+            x.num * QM1_POLY * RM1_POLY * IntPoly.monomial(1, 2, 1),
+            x.den_q + 2, x.den_r + 1, x.den_qm1 + 1, x.den_rm1 + 1,
+        )
+        assert inflated is x
+        assert scalar_from_json(scalar_to_json(x)) is x
+    q = q_scalar()
+    assert (q + ONE) * (q - ONE) is q ** 2 - ONE
+    assert b_scalar() * qm1_scalar() is rm1_scalar()
+    assert Scalar(IntPoly()) is ZERO and from_int(1) is ONE
+    # equality is the object default, exact because values are interned
+    assert "__eq__" not in vars(Scalar) and "__hash__" not in vars(Scalar)
+
+
+_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-4, 4), max_size=4)
+_dens = st.tuples(*[st.integers(0, 2)] * 4)
+_scalars = st.builds(lambda t, d: Scalar(IntPoly(t), *d), _polys, _dens)
+
+
+def _unit(sign, exps, den):
+    num = IntPoly.monomial(sign, exps[0], exps[1])
+    for _ in range(exps[2]):
+        num = num * QM1_POLY
+    for _ in range(exps[3]):
+        num = num * RM1_POLY
+    return Scalar(num, *den)
+
+
+_units = st.builds(_unit, st.sampled_from((1, -1)), _dens, _dens)
+
+
+@given(_scalars, _scalars, _units)
+def test_memo_hits_agree_with_the_oracle(a, b, u):
+    da, db, du = _raw_den(a), _raw_den(b), _raw_den(u)
+    for _ in range(2):  # the second round reads the memo tables
+        p, s, i = a * b, a + b, u.inv()
+        assert fractions_equal((p.num, _raw_den(p)), (a.num * b.num, da * db))
+        assert fractions_equal((s.num, _raw_den(s)), (a.num * db + b.num * da, da * db))
+        assert fractions_equal((i.num, _raw_den(i)), (du, u.num))
+        assert scalars_equal_oracle(i * u, ONE)
+
+
+def test_interned_scalars_are_never_mutated():
+    # every product shares its coefficients with the intern table, the memo
+    # tables and other products: none of them may change after it is built;
+    # the tables are process-global, so earlier tests may have filled them
+    ds = enumerate_diagrams(4)
+    ctx = AlgebraContext(4)
+    product(ctx, QBrauerElement.basis(ds[0]), QBrauerElement.basis(ds[1]))
+    snapshot = [(k, x, scalar_to_json(x), str(x)) for k, x in scalars._INTERN.items()]
+    for i in range(60):
+        product(ctx, QBrauerElement.basis(ds[(7 * i + 2) % len(ds)]),
+                QBrauerElement.basis(ds[(11 * i + 5) % len(ds)]))
+    for k, x, wire, text in snapshot:
+        assert scalars._INTERN[k] is x
+        assert k == (x.num, *x._den())
+        assert scalar_to_json(x) == wire and str(x) == text
