@@ -14,7 +14,14 @@ Single-generator multiplication mirrors the Hecke rule, with the diagram
 playing the role of the permutation: comparing the minimal word length of
 s_j . d against that of d decides between a plain move (length up), a
 factor q (length equal, which forces s_j . d = d), and the two-term
-quadratic expansion (length down).
+quadratic expansion (length down).  ``rmul_atom`` and ``lmul_gen`` are the
+only single-atom multiplications; g_j^{-1} = q^{-1} g_j + (q^{-1} - 1) comes
+from the pairs of g_j through ``hecke.inverse_pairs``.  The memo tables of
+a context hold one action each, as a tuple of (diagram, coeff) pairs per
+basis element: ``_lmul_g`` and ``_rmul_g`` the g_j rule on the left and the
+right, ``_rmul_atom`` g_j^{-1} and e on the right.  ``_core`` holds the
+core products below, and the module-global ``_EXPR_CACHE`` each diagram's
+factorization.
 
 Multiplication by e reduces to the core products e g_sigma e_(k).  These
 are peeled by exact one-letter rules (e g_1 = q e; e g_i = g_i e for
@@ -60,7 +67,7 @@ from .diagrams import (
     star,
     top_swap,
 )
-from .hecke import HeckeElement, SparseElement, accumulate, asc, desc, inverse_action
+from .hecke import HeckeElement, SparseElement, accumulate, asc, desc, inverse_pairs
 from .scalars import ONE, Q, QM1, Scalar
 
 # decomposition data is version-independent; shared across contexts
@@ -170,6 +177,8 @@ def _lmul_g_basis(ctx: AlgebraContext, j: int, d: BrauerDiagram):
     key = (j, d)
     res = ctx._lmul_g.get(key)
     if res is None:
+        if not 1 <= j <= ctx.n - 1:
+            raise ValueError(f"generator index {j} out of range")
         sjd = top_swap(d, j)
         delta = _vstar_len(sjd) - _vstar_len(d)
         if delta == 1:
@@ -187,6 +196,8 @@ def _rmul_g_basis(ctx: AlgebraContext, d: BrauerDiagram, j: int):
     key = (d, j)
     res = ctx._rmul_g.get(key)
     if res is None:
+        if not 1 <= j <= ctx.n - 1:
+            raise ValueError(f"generator index {j} out of range")
         dsj = bottom_swap(d, j)
         delta = _v_len(dsj) - _v_len(d)
         if delta == 1:
@@ -200,32 +211,13 @@ def _rmul_g_basis(ctx: AlgebraContext, d: BrauerDiagram, j: int):
     return res
 
 
-def _combine(n: int, x: QBrauerElement, table) -> QBrauerElement:
-    """Linear extension over x of ``table(d)``, a tuple of (diagram, coeff)."""
+def _extend(n: int, x, action) -> QBrauerElement:
+    """Linear extension over the terms of x of ``action(basis)``, an iterable
+    of (diagram, coeff) pairs."""
     out: dict = {}
     for d, c in x.terms.items():
-        accumulate(out, c, table(d))
+        accumulate(out, c, action(d))
     return QBrauerElement._adopt(n, out)
-
-
-def lmul_g(ctx: AlgebraContext, j: int, x: QBrauerElement) -> QBrauerElement:
-    if not 1 <= j <= ctx.n - 1:
-        raise ValueError(f"generator index {j} out of range")
-    return _combine(ctx.n, x, lambda d: _lmul_g_basis(ctx, j, d))
-
-
-def rmul_g(ctx: AlgebraContext, x: QBrauerElement, j: int) -> QBrauerElement:
-    if not 1 <= j <= ctx.n - 1:
-        raise ValueError(f"generator index {j} out of range")
-    return _combine(ctx.n, x, lambda d: _rmul_g_basis(ctx, d, j))
-
-
-def lmul_g_inv(ctx: AlgebraContext, j: int, x: QBrauerElement) -> QBrauerElement:
-    return inverse_action(lmul_g(ctx, j, x), x)
-
-
-def rmul_g_inv(ctx: AlgebraContext, x: QBrauerElement, j: int) -> QBrauerElement:
-    return inverse_action(rmul_g(ctx, x, j), x)
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +225,7 @@ def rmul_g_inv(ctx: AlgebraContext, x: QBrauerElement, j: int) -> QBrauerElement
 # ---------------------------------------------------------------------------
 
 def _sum_core(ctx: AlgebraContext, h: HeckeElement, k: int) -> QBrauerElement:
-    out: dict = {}
-    for w, c in h.terms.items():
-        accumulate(out, c, _core(ctx, w, k).terms.items())
-    return QBrauerElement._adopt(ctx.n, out)
+    return _extend(ctx.n, h, lambda w: _core(ctx, w, k).terms.items())
 
 
 def _core(ctx: AlgebraContext, sigma: Perm, k: int) -> QBrauerElement:
@@ -253,9 +242,7 @@ def _core_compute(ctx: AlgebraContext, sigma: Perm, k: int) -> QBrauerElement:
     n = ctx.n
     if k == 0:
         z = QBrauerElement.basis(e_k_diagram(n, 1))
-        for j in reduced_word(sigma):
-            z = rmul_g(ctx, z, j)
-        return z
+        return word_element(ctx, [(j, +1) for j in reduced_word(sigma)], z)
     if sigma == identity_perm(n):
         return e_k_element(ctx, k).scale(ctx.b())
 
@@ -268,10 +255,10 @@ def _core_compute(ctx: AlgebraContext, sigma: Perm, k: int) -> QBrauerElement:
             return _core(ctx, rmul_s(sigma, t), k).scale(Q)
     for t in rds:
         if t >= 2 * k + 1:
-            return rmul_g(ctx, _core(ctx, rmul_s(sigma, t), k), t)
+            return rmul_atom(ctx, _core(ctx, rmul_s(sigma, t), k), (t, +1))
     for t in lds:
         if t >= 3:
-            return lmul_g(ctx, t, _core(ctx, lmul_s(t, sigma), k))
+            return lmul_gen(ctx, (t, +1), _core(ctx, lmul_s(t, sigma), k))
 
     # Irreducible shape: sigma = [x, y, rest ascending] = s_{2,y-1} s_{1,x-1}
     # with x odd, and y - 1 even <= 2k unless y = x + 1.
@@ -314,23 +301,12 @@ def s_chain(n: int, i: int, j: int) -> Perm:
     return s_ij(n, i, j)
 
 
-def lmul_e(ctx: AlgebraContext, x: QBrauerElement) -> QBrauerElement:
-    out: dict = {}
-    for d, c in x.terms.items():
-        accumulate(out, c, _lmul_e_basis(ctx, d).terms.items())
-    return QBrauerElement._adopt(ctx.n, out)
-
-
 def _lmul_e_basis(ctx: AlgebraContext, d: BrauerDiagram) -> QBrauerElement:
+    """e times the basis element of d: e g_{w1} g_{wd} e_(k) is a core
+    product, and g_{w2} follows on the right."""
     ex = _expr(d)
     res = _core(ctx, perm_mul(ex.w1, ex.wd), ex.k)
-    for j in reduced_word(ex.w2):
-        res = rmul_g(ctx, res, j)
-    return res
-
-
-def rmul_e(ctx: AlgebraContext, x: QBrauerElement) -> QBrauerElement:
-    return involution_i(lmul_e(ctx, involution_i(x)))
+    return word_element(ctx, [(j, +1) for j in reduced_word(ex.w2)], res)
 
 
 # ---------------------------------------------------------------------------
@@ -357,32 +333,45 @@ def generator_word(d: BrauerDiagram):
     return word
 
 
+def _rmul_fill(ctx: AlgebraContext, d: BrauerDiagram, atom) -> tuple:
+    """The pairs of the basis element of d times ``atom``, computed and
+    stored on a miss of ``rmul_atom``."""
+    if atom == E_ATOM:
+        # d e = i(e i(d)), i the involution
+        pairs = tuple((star(b), c) for b, c in _lmul_e_basis(ctx, star(d)).terms.items())
+    else:
+        pairs = _rmul_g_basis(ctx, d, atom[0])
+        if atom[1] > 0:
+            return pairs
+        pairs = inverse_pairs(pairs, d)
+    ctx._rmul_atom[(d, atom)] = pairs
+    return pairs
+
+
 def rmul_atom(ctx: AlgebraContext, x: QBrauerElement, atom) -> QBrauerElement:
-    """x times a single generator atom."""
+    """x times a single generator atom: g_j reads ``ctx._rmul_g``, g_j^{-1}
+    and e read ``ctx._rmul_atom``."""
+    if atom != E_ATOM and atom[1] > 0:
+        table, tag = ctx._rmul_g, atom[0]
+    else:
+        table, tag = ctx._rmul_atom, atom
     out: dict = {}
     for d, c in x.terms.items():
-        key = (d, atom)
-        res = ctx._rmul_atom.get(key)
-        if res is None:
-            y = QBrauerElement.basis(d)
-            if atom == E_ATOM:
-                res = rmul_e(ctx, y)
-            elif atom[1] > 0:
-                res = rmul_g(ctx, y, atom[0])
-            else:
-                res = rmul_g_inv(ctx, y, atom[0])
-            ctx._rmul_atom[key] = res
-        accumulate(out, c, res.terms.items())
+        pairs = table.get((d, tag))
+        if pairs is None:
+            pairs = _rmul_fill(ctx, d, atom)
+        accumulate(out, c, pairs)
     return QBrauerElement._adopt(ctx.n, out)
 
 
 def lmul_gen(ctx: AlgebraContext, atom, x: QBrauerElement) -> QBrauerElement:
-    """Left multiplication by a single generator atom."""
+    """The atom times x; only the pairs of g_j are memoized."""
     if atom == E_ATOM:
-        return lmul_e(ctx, x)
-    if atom[1] > 0:
-        return lmul_g(ctx, atom[0], x)
-    return lmul_g_inv(ctx, atom[0], x)
+        return _extend(ctx.n, x, lambda d: _lmul_e_basis(ctx, d).terms.items())
+    j, sign = atom
+    if sign > 0:
+        return _extend(ctx.n, x, lambda d: _lmul_g_basis(ctx, j, d))
+    return _extend(ctx.n, x, lambda d: inverse_pairs(_lmul_g_basis(ctx, j, d), d))
 
 
 def word_element(ctx: AlgebraContext, word, x: QBrauerElement | None = None) -> QBrauerElement:
@@ -397,10 +386,7 @@ def word_element(ctx: AlgebraContext, word, x: QBrauerElement | None = None) -> 
 def product(ctx: AlgebraContext, x: QBrauerElement, y: QBrauerElement) -> QBrauerElement:
     if x.n != y.n or x.n != ctx.n:
         raise SizeMismatch("mixed ranks in product")
-    out: dict = {}
-    for d, c in y.terms.items():
-        accumulate(out, c, word_element(ctx, generator_word(d), x).terms.items())
-    return QBrauerElement._adopt(ctx.n, out)
+    return _extend(ctx.n, y, lambda d: word_element(ctx, generator_word(d), x).terms.items())
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +408,7 @@ def straighten(ctx: AlgebraContext, sigma: Perm, k: int, order: str = "standard"
         raise ValueError(f"unknown order {order!r}")
     z = e_k_element(ctx, k)
     for j in reversed(letters):
-        z = lmul_g(ctx, j, z)
+        z = lmul_gen(ctx, (j, +1), z)
     out = []
     for d, c in z.terms.items():
         ex = _expr(d)

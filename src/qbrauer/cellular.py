@@ -106,6 +106,12 @@ def is_restricted(lam: tuple, e: int | None) -> bool:
     return all(padded[i] - padded[i + 1] < e for i in range(len(lam)))
 
 
+def transversal_count(n: int, k: int) -> int:
+    """n! / (2^k (n-2k)! k!): the one-row diagrams with k caps, which index
+    the no-crossing transversal of layer k."""
+    return factorial(n) // (2 ** k * factorial(n - 2 * k) * factorial(k))
+
+
 def double_factorial_odd(n: int) -> int:
     """(2n-1)!! = 1*3*5*...*(2n-1), the diagram count."""
     out = 1
@@ -343,7 +349,7 @@ def cell_module_dims(n: int) -> dict:
     """dim of each cell module: (rank of the layer column space) x f^lam."""
     dims = {}
     for k in range(n // 2 + 1):
-        vdim = factorial(n) // (2 ** k * factorial(n - 2 * k) * factorial(k))
+        vdim = transversal_count(n, k)
         for lam in partitions(n - 2 * k):
             dims[CellModuleIndex(k, lam)] = vdim * hook_count(lam)
     return dims

@@ -36,6 +36,7 @@ from .cellular import (
     phi_k,
     simple_module_index,
     double_factorial_odd,
+    transversal_count,
 )
 from .diagrams import (
     diagram_from_json,
@@ -53,6 +54,14 @@ from math import factorial
 
 class InputError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument errors raise InputError, so they exit 2 with a JSON error
+    like any other malformed input; subparsers inherit this class."""
+
+    def error(self, message):
+        raise InputError(message)
 
 
 def parse_perm(n: int, text: str):
@@ -122,7 +131,7 @@ def cmd_dim(args) -> int:
     n = args.n
     lines = [f"dim = {double_factorial_odd(n)}"]
     for k in range(n // 2 + 1):
-        tcount = factorial(n) // (2 ** k * factorial(n - 2 * k) * factorial(k))
+        tcount = transversal_count(n, k)
         lines.append(
             f"layer k={k}: transversal {tcount}, basis {tcount * tcount * factorial(n - 2 * k)}"
         )
@@ -317,7 +326,7 @@ def cmd_simples(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="qbrauer",
         description="exact kernel for the two-parameter deformation of the "
         "Brauer algebra: diagram basis, products, layer structure, "
@@ -325,31 +334,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, n=True):
-        if n:
+    def options(sp, *names):
+        """--output, which every command reads, and those of the rank n,
+        --integral, --format and --seed that ``names`` lists."""
+        if "n" in names:
             sp.add_argument("n", type=int)
-        sp.add_argument("--integral", type=int, default=None, metavar="N",
-                        help="specialize r = q^N symbolically")
+        if "integral" in names:
+            sp.add_argument("--integral", type=int, default=None, metavar="N",
+                            help="specialize r = q^N symbolically")
         sp.add_argument("--output", "-o", default=None)
-        sp.add_argument("--format", choices=("json", "text"), default="text")
-        sp.add_argument("--seed", type=int, default=0)
+        if "format" in names:
+            sp.add_argument("--format", choices=("json", "text"), default="text")
+        if "seed" in names:
+            sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("dim", help="dimension and per-layer counts")
-    common(sp)
+    options(sp, "n")
     sp.set_defaults(func=cmd_dim)
 
     sp = sub.add_parser("mul", help="multiply two element JSON files")
     sp.add_argument("x")
     sp.add_argument("y")
-    sp.add_argument("--output", "-o", default=None)
+    options(sp)
     sp.set_defaults(func=cmd_mul)
 
     sp = sub.add_parser("table", help="structure-constant table (CSV)")
-    common(sp)
+    options(sp, "n", "integral")
     sp.set_defaults(func=cmd_table)
 
     sp = sub.add_parser("straighten", help="normal form of g_sigma e_(k)")
-    common(sp)
+    options(sp, "n", "integral", "format")
     sp.add_argument("k", type=int)
     sp.add_argument("--sigma", required=True,
                     help='chain notation "s3,6 s2,5" or one-line "[3,1,2]"')
@@ -358,46 +372,40 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("decompose", help="canonical factorization of a diagram")
     sp.add_argument("diagram", help="diagram JSON (inline or a file path)")
-    sp.add_argument("--output", "-o", default=None)
-    sp.add_argument("--format", choices=("json", "text"), default="text")
+    options(sp, "format")
     sp.set_defaults(func=cmd_decompose)
 
     sp = sub.add_parser("phi", help="layer bilinear form table (CSV)")
-    common(sp)
+    options(sp, "n", "integral")
     sp.add_argument("k", type=int)
     sp.set_defaults(func=cmd_phi)
 
     sp = sub.add_parser("verify", help="run a verification suite")
     sp.add_argument("suite",
                     choices=("relations", "lemmas", "oracle", "cell", "involution"))
-    common(sp)
+    options(sp, "n", "integral", "format", "seed")
     sp.add_argument("--sample", type=int, default=None,
                     help="sample size for randomized suites (default exhaustive)")
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("qh", help="quasi-heredity decision")
-    sp.add_argument("n", type=int)
+    options(sp, "n", "format")
     sp.add_argument("--field", default="rationals", help='"rationals" or a prime p')
     sp.add_argument("--q0", required=True)
     sp.add_argument("--r0", required=True)
-    sp.add_argument("--output", "-o", default=None)
-    sp.add_argument("--format", choices=("json", "text"), default="text")
     sp.set_defaults(func=cmd_qh)
 
     sp = sub.add_parser("simples", help="simple-module index set")
-    sp.add_argument("n", type=int)
+    options(sp, "n", "format")
     sp.add_argument("--field", default="rationals")
     sp.add_argument("--q0", required=True)
-    sp.add_argument("--output", "-o", default=None)
-    sp.add_argument("--format", choices=("json", "text"), default="text")
     sp.set_defaults(func=cmd_simples)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if getattr(args, "n", 1) < 1:
             raise InputError("need n >= 1")
         return args.func(args)

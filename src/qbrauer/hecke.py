@@ -23,7 +23,7 @@ from .diagrams import (
     reduced_word,
     rmul_s,
 )
-from .scalars import ONE, Q, Q_INV, QM1, ZERO, Scalar
+from .scalars import ONE, Q, Q_INV, Q_INV_M1, QM1, ZERO, Scalar
 
 
 def accumulate(out: dict, c: Scalar, pairs) -> dict:
@@ -93,10 +93,12 @@ class SparseElement:
         )
 
 
-def inverse_action(gx: SparseElement, x: SparseElement) -> SparseElement:
-    """g^{-1} acting on x, from gx, the action of g: the quadratic relation
-    gives g^{-1} = q^{-1} g + (q^{-1} - 1)."""
-    return gx.scale(Q_INV) + x.scale(Q_INV - ONE)
+def inverse_pairs(pairs, key) -> tuple:
+    """g^{-1} acting on the basis element ``key``, from ``pairs``, the
+    (basis, coeff) pairs of g acting on it: the quadratic relation gives
+    g^{-1} = q^{-1} g + (q^{-1} - 1).  A key may occur twice; ``accumulate``
+    adds the two."""
+    return tuple((e, Q_INV * c) for e, c in pairs) + ((key, Q_INV_M1),)
 
 
 class HeckeElement(SparseElement):
@@ -119,31 +121,27 @@ class HeckeElement(SparseElement):
         return " + ".join(bits)
 
 
-def _gen_mul(x: HeckeElement, j: int, move) -> HeckeElement:
-    """Fold the generator rule over x; ``move(w)`` gives the moved
-    permutation and whether the length rises."""
+def _gen_mul(x: HeckeElement, j: int, sign: int, move) -> HeckeElement:
+    """Fold the rule of g_j (sign +1) or g_j^{-1} (sign -1) over x;
+    ``move(w)`` gives the moved permutation and whether the length rises."""
     if not 1 <= j <= x.n - 1:
         raise ValueError(f"generator index {j} out of range for n={x.n}")
     out: dict = {}
     for w, c in x.terms.items():
         sw, rises = move(w)
-        accumulate(out, c, ((sw, ONE),) if rises else ((w, QM1), (sw, Q)))
+        pairs = ((sw, ONE),) if rises else ((w, QM1), (sw, Q))
+        accumulate(out, c, pairs if sign > 0 else inverse_pairs(pairs, w))
     return HeckeElement._adopt(x.n, out)
 
 
 def gen_mul_left(j: int, x: HeckeElement) -> HeckeElement:
     """g_j * x."""
-    return _gen_mul(x, j, lambda w: (lmul_s(j, w), w[j - 1] < w[j]))
+    return _gen_mul(x, j, 1, lambda w: (lmul_s(j, w), w[j - 1] < w[j]))
 
 
-def gen_mul_right(x: HeckeElement, j: int) -> HeckeElement:
-    """x * g_j."""
-    return _gen_mul(x, j, lambda w: (rmul_s(w, j), w.index(j + 1) > w.index(j)))
-
-
-def gen_mul_right_inv(x: HeckeElement, j: int) -> HeckeElement:
-    """x * g_j^{-1}."""
-    return inverse_action(gen_mul_right(x, j), x)
+def gen_mul_right(x: HeckeElement, j: int, sign: int = 1) -> HeckeElement:
+    """x * g_j, or x * g_j^{-1} for sign -1."""
+    return _gen_mul(x, j, sign, lambda w: (rmul_s(w, j), w.index(j + 1) > w.index(j)))
 
 
 def product(x: HeckeElement, y: HeckeElement) -> HeckeElement:
@@ -173,7 +171,7 @@ def word_element(n: int, letters) -> HeckeElement:
     """Product of g_j^{±1} over (j, sign) pairs; sign -1 inverts."""
     z = HeckeElement.unit(n)
     for j, sign in letters:
-        z = gen_mul_right(z, j) if sign > 0 else gen_mul_right_inv(z, j)
+        z = gen_mul_right(z, j, sign)
     return z
 
 

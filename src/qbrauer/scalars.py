@@ -420,6 +420,7 @@ def rm1_scalar() -> Scalar:
 Q = q_scalar()
 QM1 = qm1_scalar()
 Q_INV = Q.inv()
+Q_INV_M1 = Q_INV - ONE
 
 
 def b_scalar() -> Scalar:

@@ -20,11 +20,9 @@ from .algebra import (
     basis_element,
     e_k_element,
     involution_i,
-    lmul_g,
-    lmul_g_inv,
+    lmul_gen,
     product,
-    rmul_g,
-    rmul_g_inv,
+    rmul_atom,
     straighten,
     word_element,
     E_ATOM,
@@ -68,7 +66,7 @@ def relations_suite(ctx: AlgebraContext) -> dict:
         if lhs != rhs:
             failures.append({"identity": tag})
 
-    g = {j: lmul_g(ctx, j, ctx.unit()) for j in range(1, n)}
+    g = {j: lmul_gen(ctx, (j, +1), ctx.unit()) for j in range(1, n)}
     e = word_element(ctx, [E_ATOM])
 
     for i in range(1, n - 1):
@@ -97,8 +95,8 @@ def relations_suite(ctx: AlgebraContext) -> dict:
     if n >= 2:
         check("absorb left g1", product(ctx, e, g[1]), e.scale(q))
         check("absorb right g1", product(ctx, g[1], e), e.scale(q))
-        check("absorb g1 inverse", rmul_g_inv(ctx, e, 1), e.scale(q.inv()))
-        check("absorb g1 inverse left", lmul_g_inv(ctx, 1, e), e.scale(q.inv()))
+        check("absorb g1 inverse", rmul_atom(ctx, e, (1, -1)), e.scale(q.inv()))
+        check("absorb g1 inverse left", lmul_gen(ctx, (1, -1), e), e.scale(q.inv()))
     if n >= 3:
         check(
             "sandwich g2",
@@ -107,7 +105,7 @@ def relations_suite(ctx: AlgebraContext) -> dict:
         )
         check(
             "sandwich g2 inverse",
-            product(ctx, rmul_g_inv(ctx, e, 2), e),
+            product(ctx, rmul_atom(ctx, e, (2, -1)), e),
             e.scale(q.inv()),
         )
     if n >= 4:
@@ -147,18 +145,18 @@ def lemmas_suite(ctx: AlgebraContext) -> dict:
     for k in range(1, K + 1):
         for j in range(k):
             t = 2 * j + 1
-            check(f"odd absorb L {t},{k}", lmul_g(ctx, t, ek[k]), ek[k].scale(q))
-            check(f"odd absorb R {t},{k}", rmul_g(ctx, ek[k], t), ek[k].scale(q))
-            check(f"odd absorb Li {t},{k}", lmul_g_inv(ctx, t, ek[k]), ek[k].scale(q.inv()))
-            check(f"odd absorb Ri {t},{k}", rmul_g_inv(ctx, ek[k], t), ek[k].scale(q.inv()))
+            check(f"odd absorb L {t},{k}", lmul_gen(ctx, (t, +1), ek[k]), ek[k].scale(q))
+            check(f"odd absorb R {t},{k}", rmul_atom(ctx, ek[k], (t, +1)), ek[k].scale(q))
+            check(f"odd absorb Li {t},{k}", lmul_gen(ctx, (t, -1), ek[k]), ek[k].scale(q.inv()))
+            check(f"odd absorb Ri {t},{k}", rmul_atom(ctx, ek[k], (t, -1)), ek[k].scale(q.inv()))
 
     for k in range(1, K + 1):
         for j in range(1, k + 1):
             if 2 * j > n - 1:
                 continue
             want = ek[k].scale(r * b ** (j - 1))
-            check(f"cap sandwich {j},{k}", product(ctx, rmul_g(ctx, ek[j], 2 * j), ek[k]), want)
-            check(f"cap sandwich' {j},{k}", product(ctx, rmul_g(ctx, ek[k], 2 * j), ek[j]), want)
+            check(f"cap sandwich {j},{k}", product(ctx, rmul_atom(ctx, ek[j], (2 * j, +1)), ek[k]), want)
+            check(f"cap sandwich' {j},{k}", product(ctx, rmul_atom(ctx, ek[k], (2 * j, +1)), ek[j]), want)
 
     for k in range(1, K + 1):
         for l in range(1, k):
@@ -176,13 +174,13 @@ def lemmas_suite(ctx: AlgebraContext) -> dict:
         for j in range(1, k):
             check(
                 f"pair slide {j},{k}",
-                lmul_g(ctx, 2 * j - 1, lmul_g(ctx, 2 * j, ek[k])),
-                lmul_g(ctx, 2 * j + 1, lmul_g(ctx, 2 * j, ek[k])),
+                lmul_gen(ctx, (2 * j - 1, +1), lmul_gen(ctx, (2 * j, +1), ek[k])),
+                lmul_gen(ctx, (2 * j + 1, +1), lmul_gen(ctx, (2 * j, +1), ek[k])),
             )
             check(
                 f"pair slide inv {j},{k}",
-                lmul_g_inv(ctx, 2 * j - 1, lmul_g_inv(ctx, 2 * j, ek[k])),
-                lmul_g_inv(ctx, 2 * j + 1, lmul_g_inv(ctx, 2 * j, ek[k])),
+                lmul_gen(ctx, (2 * j - 1, -1), lmul_gen(ctx, (2 * j, -1), ek[k])),
+                lmul_gen(ctx, (2 * j + 1, -1), lmul_gen(ctx, (2 * j, -1), ek[k])),
             )
 
     for k in range(1, K):
@@ -283,7 +281,7 @@ def plus_chain_absorption_suite(ctx: AlgebraContext) -> dict:
                 for l in range(1, k + 1):
                     tail = word_element(ctx, asc(2 * l + 2, j2) + asc(2 * l + 1, j1))
                     # (g_{2l+1} + 1) tail e_(k), one left factor at a time
-                    for left in (tail, lmul_g(ctx, 2 * l + 1, tail)):
+                    for left in (tail, lmul_gen(ctx, (2 * l + 1, +1), tail)):
                         piece = product(ctx, left, e_k_element(ctx, k))
                         accumulate(rhs, coef * q ** (2 * l - 2), piece.terms.items())
                 count += 1

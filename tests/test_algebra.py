@@ -15,16 +15,15 @@ from qbrauer.algebra import (
     generator_word,
     involution_i,
     layer_component,
-    lmul_g,
     lmul_gen,
     product,
     rmul_atom,
-    rmul_g,
     straighten,
     E_ATOM,
 )
 from qbrauer.diagrams import (
     brauer_product,
+    BrauerDiagram,
     BrauerElement,
     concat,
     diagram_from_edges,
@@ -36,7 +35,7 @@ from qbrauer.diagrams import (
     s_ij,
     star,
 )
-from qbrauer.scalars import ONE, brauer_limit, q_scalar, qm1_scalar
+from qbrauer.scalars import ONE, Scalar, brauer_limit, q_scalar, qm1_scalar
 
 
 def chain(n, *pairs):
@@ -112,7 +111,7 @@ def test_basis_element_peeling_example():
     z = e_k_element(ctx, 2)
     word = [3, 4, 5, 6, 2, 3, 4, 5, 1, 2, 3, 4, 2]
     for j in reversed(word):
-        z = lmul_g(ctx, j, z)
+        z = lmul_gen(ctx, (j, +1), z)
     assert z == basis_element(ctx, dstar)
     # and the involution sends it to the rotated diagram
     assert involution_i(z) == basis_element(ctx, star(dstar))
@@ -175,19 +174,59 @@ def test_memo_entries_are_never_mutated():
             product(ctx, x, QBrauerElement.basis(ds[(11 * i + 5) % len(ds)]))
 
     batch(0)
-    snapshot = {
-        name: {k: dict(v.terms) for k, v in getattr(ctx, name).items()}
-        for name in ("_core", "_rmul_atom")
-    }
-    assert snapshot["_core"] and snapshot["_rmul_atom"]
+    core = {k: dict(v.terms) for k, v in ctx._core.items()}
+    atoms = {k: tuple(v) for k, v in ctx._rmul_atom.items()}
+    assert core and atoms
     batch(40)
-    for name, entries in snapshot.items():
-        table = getattr(ctx, name)
-        for k, terms in entries.items():
-            assert table[k].terms == terms, (name, k)
+    for k, terms in core.items():
+        assert ctx._core[k].terms == terms, k
+    for k, pairs in atoms.items():
+        assert ctx._rmul_atom[k] == pairs, k
     x = product(ctx, QBrauerElement.basis(ds[3]), QBrauerElement.basis(ds[9]))
     assert (x + x.scale(scalars.from_int(-1))).terms == {}
     assert (x - x).terms == {}
+
+
+def test_one_table_per_atom_kind():
+    # g_j lives only in _rmul_g; every generator memo value is a tuple of
+    # (diagram, coeff) pairs
+    ds = enumerate_diagrams(4)
+    ctx = AlgebraContext(4)
+    for i in range(60):
+        product(ctx, QBrauerElement.basis(ds[i]), QBrauerElement.basis(ds[(7 * i + 2) % len(ds)]))
+    lmul_gen(ctx, (2, -1), QBrauerElement.basis(ds[5]))
+    assert ctx._rmul_g and ctx._lmul_g and ctx._rmul_atom
+    assert {atom for _, atom in ctx._rmul_atom} <= {E_ATOM} | {(j, -1) for j in range(1, 4)}
+    for table in (ctx._rmul_g, ctx._lmul_g, ctx._rmul_atom):
+        for pairs in table.values():
+            assert type(pairs) is tuple and pairs
+            for d, c in pairs:
+                assert type(d) is BrauerDiagram and type(c) is Scalar
+
+
+def test_generator_times_its_inverse_is_the_identity():
+    # the quadratic relation checked on every n = 4 basis element, on both sides
+    ctx = AlgebraContext(4)
+    for d in enumerate_diagrams(4):
+        x = QBrauerElement.basis(d)
+        for j in range(1, 4):
+            for first, second in (((j, +1), (j, -1)), ((j, -1), (j, +1))):
+                assert rmul_atom(ctx, rmul_atom(ctx, x, first), second) == x, (d, j, first)
+                assert lmul_gen(ctx, second, lmul_gen(ctx, first, x)) == x, (d, j, first)
+
+
+@pytest.mark.parametrize("atom", [(0, 1), (4, -1)])
+def test_atom_out_of_range_raises(atom):
+    ctx = AlgebraContext(4)
+    x = e_k_element(ctx, 1) + ctx.unit()
+    for _ in range(2):  # cold tables, then warm ones
+        with pytest.raises(ValueError):
+            rmul_atom(ctx, x, atom)
+        with pytest.raises(ValueError):
+            lmul_gen(ctx, atom, x)
+        for j in range(1, 4):
+            rmul_atom(ctx, x, (j, atom[1]))
+            lmul_gen(ctx, (j, atom[1]), x)
 
 
 def test_straighten_trivial_cases():
@@ -384,7 +423,7 @@ def test_lmul_rmul_gen_dispatch():
     ctx6 = AlgebraContext(6)
     e2 = e_k_element(ctx6, 2)
     for t in (1, 3):
-        assert rmul_g(ctx6, e2, t) == e2.scale(q_scalar())
+        assert rmul_atom(ctx6, e2, (t, +1)) == e2.scale(q_scalar())
 
 
 def test_size_mismatch():

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import tempfile
@@ -318,3 +320,99 @@ def test_json_readers_never_raise(x, y, diagram):
         assert main(["mul", paths[0], paths[1]]) in (0, 2)
         text = json.dumps(diagram)
         assert main(["decompose", text if text.startswith("{") else paths[2]]) in (0, 2)
+
+
+def test_argument_errors_exit_2(capsys):
+    # stderr holds one JSON object, so no usage text either
+    for argv in (("dim", "3", "--bogus"), ("straighten", "3", "1"), ("dim", "x"),
+                 ("verify", "nosuch", "3"), ("table", "2", "--seed", "1")):
+        assert_input_error(capsys, *argv)
+    with pytest.raises(SystemExit) as exc:
+        main(["dim", "-h"])
+    assert exc.value.code == 0
+    assert "usage: qbrauer dim" in capsys.readouterr().out
+
+
+# the positionals of each command, then the options it reads
+COMMANDS = {
+    "dim": (("n",), ()),
+    "mul": (("x", "y"), ()),
+    "table": (("n",), ("--integral",)),
+    "straighten": (("n", "k"), ("--integral", "--format", "--sigma", "--order")),
+    "decompose": (("diagram",), ("--format",)),
+    "phi": (("n", "k"), ("--integral",)),
+    "verify": (("suite", "n"), ("--integral", "--format", "--seed", "--sample")),
+    "qh": (("n",), ("--format", "--field", "--q0", "--r0")),
+    "simples": (("n",), ("--format", "--field", "--q0")),
+}
+REQUIRED = ("--sigma", "--q0", "--r0")
+FIELD_VALUES = st.integers(-3, 7).map(str) | st.sampled_from(("1/2", "-3/2", "1/0", "x"))
+ARG_VALUES = {
+    "n": st.integers(-2, 3).map(str),
+    "k": st.integers(-1, 3).map(str),
+    "suite": st.sampled_from(("relations", "lemmas", "oracle", "cell", "involution", "x")),
+    "diagram": st.sampled_from(('{"n": 2, "edges": [[1, 2], [3, 4]]}',
+                                '{"n": 1, "edges": [[1, 2]]}', "{", "[]")),
+    "--integral": st.integers(-3, 3).map(str),
+    "--format": st.sampled_from(("json", "text", "csv")),
+    "--seed": st.integers(-1, 3).map(str),
+    "--sample": st.integers(0, 20).map(str),
+    "--sigma": st.sampled_from(("s1", "s1,2", "[2,1,3]", "1", "s9", '["a",2,3]')),
+    "--order": st.sampled_from(("standard", "reversed", "x")),
+    "--field": st.sampled_from(("rationals", "2", "7", "6", "x")),
+    "--q0": FIELD_VALUES,
+    "--r0": FIELD_VALUES,
+}
+OPTIONS = sorted({o for _, opts in COMMANDS.values() for o in opts})
+# a junk token ends argv, so "--output" there never gets a path
+JUNK = ("--bogus", "x", "-1", "--", "--integral", "--output")
+
+
+@pytest.fixture(scope="module")
+def operand_paths(tmp_path_factory):
+    """Element files of ranks 1..3, a missing path and a directory."""
+    tmp = tmp_path_factory.mktemp("operands")
+    paths = [str(tmp / "missing.json"), str(tmp)]
+    for n in (1, 2, 3):
+        ctx = AlgebraContext(n)
+        paths.append(str(tmp / f"e{n}.json"))
+        with open(paths[-1], "w") as fh:
+            json.dump(element_to_json(ctx, e_k_element(ctx, n // 2) + ctx.unit()), fh)
+    return paths
+
+
+@st.composite
+def command_argv(draw, operands):
+    """argv for one command: its positionals, its own options (each required
+    one dropped now and then), options other commands read, and junk."""
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    positionals, own = COMMANDS[name]
+    argv = [name]
+    for arg in positionals:
+        argv.append(draw(st.sampled_from(operands) if arg in ("x", "y") else ARG_VALUES[arg]))
+    chosen = [o for o in own if o in REQUIRED and draw(st.integers(0, 9))]
+    if own:
+        chosen += draw(st.lists(st.sampled_from(own), max_size=2, unique=True))
+    rarely = st.integers(0, 3).map(lambda i: i == 0)
+    if draw(rarely):
+        chosen.append(draw(st.sampled_from(OPTIONS)))
+    for option in dict.fromkeys(chosen):
+        argv += [option, draw(ARG_VALUES[option])]
+    if draw(rarely):
+        argv.append(draw(st.sampled_from(JUNK)))
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_every_command_exits_0_1_or_2(operand_paths, data):
+    """Exit 1 only from `verify`; exit 2 with a JSON error; never a traceback."""
+    argv = data.draw(command_argv(operand_paths))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert code != 1 or argv[0] == "verify", argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 2:
+        assert json.loads(err.getvalue())["error"], argv
