@@ -121,7 +121,7 @@ class AlgebraContext:
         self.n = n
         self.N = N
         self._r = scalars.r_scalar() if N is None else scalars.r_power(N)
-        self._b = (self._r - ONE) * scalars.qm1_scalar().inv()
+        self._b = (self._r - ONE) * QM1.inv()
         self._lmul_g: dict = {}
         self._rmul_g: dict = {}
         self._core: dict = {}

@@ -155,8 +155,7 @@ def cmd_mul(args) -> int:
     if ctx.version != version:
         raise InputError(f"bad version {version!r}")
     if ctx.N is not None and any(
-        c.den_r or c.den_rm1 or any(er for _, er in c.num.terms)
-        for c in [*x.terms.values(), *y.terms.values()]
+        map(scalars.involves_r, [*x.terms.values(), *y.terms.values()])
     ):
         raise InputError("a coefficient carries r, which is q^N in the integral version")
     z = product(ctx, x, y)
@@ -267,6 +266,8 @@ def _run_reports(args, reports) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.sample is not None and args.sample < 1:
+        raise InputError("--sample must be at least 1")
     n = args.n
     ctx = _context(args)
     if args.suite == "relations":

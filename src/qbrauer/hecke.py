@@ -18,7 +18,6 @@ from .diagrams import (
     SizeMismatch,
     fixes_prefix,
     identity_perm,
-    lmul_s,
     perm_inv,
     reduced_word,
     rmul_s,
@@ -121,27 +120,17 @@ class HeckeElement(SparseElement):
         return " + ".join(bits)
 
 
-def _gen_mul(x: HeckeElement, j: int, sign: int, move) -> HeckeElement:
-    """Fold the rule of g_j (sign +1) or g_j^{-1} (sign -1) over x;
-    ``move(w)`` gives the moved permutation and whether the length rises."""
+def gen_mul_right(x: HeckeElement, j: int, sign: int = 1) -> HeckeElement:
+    """x * g_j, or x * g_j^{-1} for sign -1."""
     if not 1 <= j <= x.n - 1:
         raise ValueError(f"generator index {j} out of range for n={x.n}")
     out: dict = {}
     for w, c in x.terms.items():
-        sw, rises = move(w)
-        pairs = ((sw, ONE),) if rises else ((w, QM1), (sw, Q))
+        sw = rmul_s(w, j)
+        # the length rises when w places j before j + 1
+        pairs = ((sw, ONE),) if w.index(j + 1) > w.index(j) else ((w, QM1), (sw, Q))
         accumulate(out, c, pairs if sign > 0 else inverse_pairs(pairs, w))
     return HeckeElement._adopt(x.n, out)
-
-
-def gen_mul_left(j: int, x: HeckeElement) -> HeckeElement:
-    """g_j * x."""
-    return _gen_mul(x, j, 1, lambda w: (lmul_s(j, w), w[j - 1] < w[j]))
-
-
-def gen_mul_right(x: HeckeElement, j: int, sign: int = 1) -> HeckeElement:
-    """x * g_j, or x * g_j^{-1} for sign -1."""
-    return _gen_mul(x, j, sign, lambda w: (rmul_s(w, j), w.index(j + 1) > w.index(j)))
 
 
 def product(x: HeckeElement, y: HeckeElement) -> HeckeElement:

@@ -12,6 +12,13 @@ divisible by the corresponding prime.  Since the four primes are pairwise
 non-associated irreducibles of the UFD Z[q, r], the canonical form is unique
 and equality of ring elements is structural equality.
 
+The four primes are defined once, in ``PRIMES``: each entry holds the
+polynomial, the key of its exponent in the JSON ``"den"`` object and its
+printed symbol.  A ``Scalar`` stores ``num`` and ``den``, the tuple of the
+four exponents (a, c, u, v) in the order of ``PRIMES``, and every operation
+on the denominator is one loop over ``PRIMES`` and ``den``; no other module
+reads the exponents.
+
 Scalars are hash-consed: the constructor canonicalizes and then returns the
 one object kept for that canonical form, so equal values are the same object
 and ``==`` and ``hash`` are identity.  The results of ``*`` and ``+`` are kept
@@ -34,6 +41,8 @@ Fraction(3, 1)
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, sub
+from typing import NamedTuple
 
 
 class NotAUnit(ArithmeticError):
@@ -102,11 +111,6 @@ class IntPoly:
                     del out[m]
         return IntPoly(out)
 
-    def scale(self, c: int) -> "IntPoly":
-        if c == 0:
-            return IntPoly()
-        return IntPoly({m: c * v for m, v in self.terms.items()})
-
     def __eq__(self, other) -> bool:
         return isinstance(other, IntPoly) and self.terms == other.terms
 
@@ -115,64 +119,37 @@ class IntPoly:
             self._hash = hash(tuple(sorted(self.terms.items())))
         return self._hash
 
-    def divide_q(self):
-        """Exact division by q, or None."""
-        if any(eq == 0 for eq, _ in self.terms):
-            return None
-        return IntPoly({(eq - 1, er): c for (eq, er), c in self.terms.items()})
+    def divide(self, i: int):
+        """Exact division by the prime ``PRIMES[i]``, x - a, or None.
 
-    def divide_r(self):
-        if any(er == 0 for _, er in self.terms):
-            return None
-        return IntPoly({(eq, er - 1): c for (eq, er), c in self.terms.items()})
-
-    def divide_qm1(self):
-        """Exact division by (q - 1), or None.
-
-        Viewing the polynomial in q with coefficients in Z[r], synthetic
-        division gives quotient coefficients as suffix sums; the remainder is
-        the value at q = 1, which must vanish for exactness.
+        Viewing the polynomial in x with coefficients in the other variable,
+        synthetic division gives the quotient coefficients from the top,
+        b_{k-1} = c_k + a b_k; the remainder, the value at x = a, must vanish.
         """
-        by_r: dict = {}
-        for (eq, er), c in self.terms.items():
-            by_r.setdefault(er, {})[eq] = c
+        x, a = PRIMES[i].var, PRIMES[i].root
+        cols: dict = {}
+        for m, c in self.terms.items():
+            cols.setdefault(m[1 - x], {})[m[x]] = c
         out: dict = {}
-        for er, col in by_r.items():
-            if sum(col.values()) != 0:
-                return None
+        for y, col in cols.items():
             acc = 0
-            for eq in range(max(col), 0, -1):
-                acc += col.get(eq, 0)
+            for d in range(max(col), 0, -1):
+                acc = col.get(d, 0) + a * acc
                 if acc:
-                    out[(eq - 1, er)] = acc
+                    out[(d - 1, y) if x == 0 else (y, d - 1)] = acc
+            if col.get(0, 0) + a * acc:
+                return None
         return IntPoly(out)
 
-    def divide_rm1(self):
-        by_q: dict = {}
-        for (eq, er), c in self.terms.items():
-            by_q.setdefault(eq, {})[er] = c
-        out: dict = {}
-        for eq, col in by_q.items():
-            if sum(col.values()) != 0:
-                return None
-            acc = 0
-            for er in range(max(col), 0, -1):
-                acc += col.get(er, 0)
-                if acc:
-                    out[(eq, er - 1)] = acc
-        return IntPoly(out)
-
-    def subs_r_power(self, N: int) -> dict:
-        """Substitute r := q^N; returns a Laurent polynomial {deg_q: coeff}."""
+    def subs_r_power(self, N: int) -> "IntPoly":
+        """Substitute r := q^N and multiply by the power of q that makes the
+        least exponent 0; the result is a polynomial in q alone."""
         out: dict = {}
         for (eq, er), c in self.terms.items():
             d = eq + N * er
-            s = out.get(d, 0) + c
-            if s:
-                out[d] = s
-            else:
-                del out[d]
-        return out
+            out[d] = out.get(d, 0) + c
+        shift = min(out, default=0)
+        return IntPoly({(d - shift, 0): c for d, c in out.items()})
 
     def evaluate(self, q0, r0):
         """Evaluate at field elements q0, r0 (exact field arithmetic)."""
@@ -208,14 +185,34 @@ class IntPoly:
         return s[1:] if s.startswith("+") else s
 
 
+class Prime(NamedTuple):
+    """A prime x - a of the denominator, for x = q or r and a = 0 or 1."""
+
+    poly: IntPoly  # x - a
+    var: int  # the position of x's degree in a monomial (deg_q, deg_r)
+    root: int  # a
+    key: str  # the key of its exponent in the JSON "den" object
+    symbol: str  # how ``str`` prints it
+
+
+# the four primes of the localization, in the order of ``Scalar.den``
+PRIMES = (
+    Prime(IntPoly({(1, 0): 1}), 0, 0, "q", "q"),
+    Prime(IntPoly({(0, 1): 1}), 1, 0, "r", "r"),
+    Prime(IntPoly({(1, 0): 1, (0, 0): -1}), 0, 1, "qm1", "(q-1)"),
+    Prime(IntPoly({(0, 1): 1, (0, 0): -1}), 1, 1, "rm1", "(r-1)"),
+)
 _P_ZERO = IntPoly()
 _P_ONE = IntPoly.const(1)
-_DIVIDERS = {
-    "q": IntPoly.divide_q,
-    "r": IntPoly.divide_r,
-    "qm1": IntPoly.divide_qm1,
-    "rm1": IntPoly.divide_rm1,
-}
+
+
+def _power_product(exps) -> IntPoly:
+    """The product of ``PRIMES[i].poly ** exps[i]``."""
+    out = _P_ONE
+    for p, e in zip(PRIMES, exps):
+        for _ in range(e):
+            out = out * p.poly
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -223,55 +220,39 @@ _DIVIDERS = {
 # ---------------------------------------------------------------------------
 
 class Scalar:
-    """Element of Z[q^{±1}, r^{±1}, (q-1)^{-1}, (r-1)^{-1}] in canonical form.
+    """Element of Z[q^{±1}, r^{±1}, (q-1)^{-1}, (r-1)^{-1}] in canonical form:
+    ``num`` over the product of ``PRIMES[i].poly ** den[i]``.
+
+    ``den`` is the tuple of the four exponents (a, c, u, v) of q, r, q-1 and
+    r-1, the order of ``PRIMES``; ``Scalar(num, a, c, u, v)`` builds one.
 
     Hash-consed: each value is one object, so ``==`` and ``hash`` are the
     object defaults (identity), and ``*``, ``+``, ``inv`` and ``str`` are
     computed once per operand and then looked up.
     """
 
-    __slots__ = ("num", "den_q", "den_r", "den_qm1", "den_rm1", "_str")
+    __slots__ = ("num", "den", "_str")
 
-    def __new__(cls, num: IntPoly, den_q=0, den_r=0, den_qm1=0, den_rm1=0):
-        if num.is_zero():
-            den_q = den_r = den_qm1 = den_rm1 = 0
-        else:
-            while den_q > 0:
-                d = num.divide_q()
+    def __new__(cls, num: IntPoly, a: int = 0, c: int = 0, u: int = 0, v: int = 0):
+        # divide each prime out of num while its exponent is positive; zero
+        # ends with every exponent 0
+        den = [a, c, u, v]
+        for i, e in enumerate(den):
+            while e > 0:
+                d = num.divide(i)
                 if d is None:
                     break
-                num, den_q = d, den_q - 1
-            while den_r > 0:
-                d = num.divide_r()
-                if d is None:
-                    break
-                num, den_r = d, den_r - 1
-            while den_qm1 > 0:
-                d = num.divide_qm1()
-                if d is None:
-                    break
-                num, den_qm1 = d, den_qm1 - 1
-            while den_rm1 > 0:
-                d = num.divide_rm1()
-                if d is None:
-                    break
-                num, den_rm1 = d, den_rm1 - 1
-        key = (num, den_q, den_r, den_qm1, den_rm1)
+                num, e = d, e - 1
+            den[i] = e
+        den = tuple(den)
+        key = (num, den)
         self = _INTERN.get(key)
         if self is None:
             self = object.__new__(cls)
-            self.num = num
-            self.den_q = den_q
-            self.den_r = den_r
-            self.den_qm1 = den_qm1
-            self.den_rm1 = den_rm1
-            self._str = None
+            self.num, self.den, self._str = num, den, None
             # setdefault keeps one object per value when threads race here
             self = _INTERN.setdefault(key, self)
         return self
-
-    def _den(self) -> tuple:
-        return (self.den_q, self.den_r, self.den_qm1, self.den_rm1)
 
     def is_zero(self) -> bool:
         return self is ZERO
@@ -281,32 +262,21 @@ class Scalar:
         out = _ADD.get(key)
         if out is None:
             # least common denominator monomial: pointwise max of exponents
-            a = max(self.den_q, other.den_q)
-            c = max(self.den_r, other.den_r)
-            u = max(self.den_qm1, other.den_qm1)
-            v = max(self.den_rm1, other.den_rm1)
-            ln = _lift(self, a, c, u, v)
-            rn = _lift(other, a, c, u, v)
-            out = _ADD[key] = Scalar(ln + rn, a, c, u, v)
+            den = tuple(map(max, self.den, other.den))
+            out = _ADD[key] = Scalar(_lift(self, den) + _lift(other, den), *den)
         return out
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         return self + (-other)
 
     def __neg__(self) -> "Scalar":
-        return Scalar(-self.num, *self._den())
+        return Scalar(-self.num, *self.den)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         key = (self, other)
         out = _MUL.get(key)
         if out is None:
-            out = _MUL[key] = Scalar(
-                self.num * other.num,
-                self.den_q + other.den_q,
-                self.den_r + other.den_r,
-                self.den_qm1 + other.den_qm1,
-                self.den_rm1 + other.den_rm1,
-            )
+            out = _MUL[key] = Scalar(self.num * other.num, *map(add, self.den, other.den))
         return out
 
     def __pow__(self, k: int) -> "Scalar":
@@ -326,25 +296,16 @@ class Scalar:
             return out
         if self.is_zero():
             raise NotAUnit("zero is not invertible")
-        num = self.num
-        exps = {"q": 0, "r": 0, "qm1": 0, "rm1": 0}
-        for name, divider in _DIVIDERS.items():
-            while True:
-                d = divider(num)
-                if d is None:
-                    break
-                num, exps[name] = d, exps[name] + 1
+        num, exps = self.num, []
+        for i in range(len(PRIMES)):
+            e = 0
+            while (d := num.divide(i)) is not None:
+                num, e = d, e + 1
+            exps.append(e)
         if num.terms not in ({(0, 0): 1}, {(0, 0): -1}):
             raise NotAUnit(f"numerator {self.num} has a non-monomial factor")
-        sign = num.terms[(0, 0)]
-        new_num = IntPoly.monomial(sign, self.den_q, self.den_r)
-        qm1 = IntPoly({(1, 0): 1, (0, 0): -1})
-        rm1 = IntPoly({(0, 1): 1, (0, 0): -1})
-        for _ in range(self.den_qm1):
-            new_num = new_num * qm1
-        for _ in range(self.den_rm1):
-            new_num = new_num * rm1
-        out = _INV[self] = Scalar(new_num, exps["q"], exps["r"], exps["qm1"], exps["rm1"])
+        # num is the sign left over
+        out = _INV[self] = Scalar(num * _power_product(self.den), *exps)
         return out
 
     def __repr__(self) -> str:
@@ -353,11 +314,11 @@ class Scalar:
     def __str__(self) -> str:
         if self._str is None:
             den = []
-            for e, sym in zip(self._den(), ("q", "r", "(q-1)", "(r-1)")):
+            for p, e in zip(PRIMES, self.den):
                 if e == 1:
-                    den.append(sym)
+                    den.append(p.symbol)
                 elif e > 1:
-                    den.append(f"{sym}^{e}")
+                    den.append(f"{p.symbol}^{e}")
             num = str(self.num)
             if den and len(self.num.terms) > 1:
                 num = f"({num})"
@@ -365,27 +326,19 @@ class Scalar:
         return self._str
 
 
-# Process-global tables: every Scalar by its canonical form, and the results
-# of *, + and inv by their operand objects.  Entries are never removed.
+# Process-global tables: every Scalar by its canonical form (num, den), and
+# the results of *, + and inv by their operand objects.  Entries are never
+# removed.
 _INTERN: dict = {}
 _MUL: dict = {}
 _ADD: dict = {}
 _INV: dict = {}
 
 
-def _lift(s: Scalar, a: int, c: int, u: int, v: int) -> IntPoly:
-    """Numerator of ``s`` over the denominator q^a r^c (q-1)^u (r-1)^v."""
-    num = s.num
-    da, dc = a - s.den_q, c - s.den_r
-    if da or dc:
-        num = num * IntPoly.monomial(1, da, dc)
-    qm1 = IntPoly({(1, 0): 1, (0, 0): -1})
-    rm1 = IntPoly({(0, 1): 1, (0, 0): -1})
-    for _ in range(u - s.den_qm1):
-        num = num * qm1
-    for _ in range(v - s.den_rm1):
-        num = num * rm1
-    return num
+def _lift(s: Scalar, den: tuple) -> IntPoly:
+    """Numerator of ``s`` over the denominator with the exponents ``den``."""
+    f = _power_product(map(sub, den, s.den))
+    return s.num if f is _P_ONE else s.num * f
 
 
 ZERO = Scalar(_P_ZERO)
@@ -397,11 +350,11 @@ def from_int(c: int) -> Scalar:
 
 
 def q_scalar() -> Scalar:
-    return Scalar(IntPoly.monomial(1, 1, 0))
+    return Scalar(PRIMES[0].poly)
 
 
 def r_scalar() -> Scalar:
-    return Scalar(IntPoly.monomial(1, 0, 1))
+    return Scalar(PRIMES[1].poly)
 
 
 def one() -> Scalar:
@@ -409,11 +362,11 @@ def one() -> Scalar:
 
 
 def qm1_scalar() -> Scalar:
-    return Scalar(IntPoly({(1, 0): 1, (0, 0): -1}))
+    return Scalar(PRIMES[2].poly)
 
 
 def rm1_scalar() -> Scalar:
-    return Scalar(IntPoly({(0, 1): 1, (0, 0): -1}))
+    return Scalar(PRIMES[3].poly)
 
 
 # the coefficients of the generator rules, shared by the hot loops
@@ -425,7 +378,7 @@ Q_INV_M1 = Q_INV - ONE
 
 def b_scalar() -> Scalar:
     """The scalar (r-1)/(q-1)."""
-    return Scalar(IntPoly({(0, 1): 1, (0, 0): -1}), den_qm1=1)
+    return Scalar(PRIMES[3].poly, 0, 0, 1)
 
 
 def quantum_integer(m: int) -> Scalar:
@@ -439,7 +392,13 @@ def r_power(N: int) -> Scalar:
     """q^N as a scalar (used when r is specialized to q^N symbolically)."""
     if N >= 0:
         return Scalar(IntPoly.monomial(1, N, 0))
-    return Scalar(_P_ONE, den_q=-N)
+    return Scalar(_P_ONE, -N)
+
+
+def involves_r(s: Scalar) -> bool:
+    """Whether r occurs in ``s``, in its numerator or in its denominator."""
+    return any(er for _, er in s.num.terms) or any(
+        e and p.var == 1 for p, e in zip(PRIMES, s.den))
 
 
 # ---------------------------------------------------------------------------
@@ -455,53 +414,37 @@ def specialize(s: Scalar, q0, r0):
     if q0 == zero or r0 == zero:
         raise PoleAtSpecialization("q and r must be nonzero")
     den = q0 ** 0
-    if s.den_q:
-        den = den * q0 ** s.den_q
-    if s.den_r:
-        den = den * r0 ** s.den_r
-    if s.den_qm1:
-        f = q0 - 1 * q0 ** 0
-        if f == zero:
-            raise PoleAtSpecialization("(q-1) vanishes at the specialization")
-        den = den * f ** s.den_qm1
-    if s.den_rm1:
-        f = r0 - 1 * r0 ** 0
-        if f == zero:
-            raise PoleAtSpecialization("(r-1) vanishes at the specialization")
-        den = den * f ** s.den_rm1
+    for p, e in zip(PRIMES, s.den):
+        if e:
+            f = p.poly.evaluate(q0, r0)
+            if f == zero:
+                raise PoleAtSpecialization(f"{p.symbol} vanishes at the specialization")
+            den = den * f ** e
     return s.num.evaluate(q0, r0) / den
 
 
 def brauer_limit(s: Scalar, N: int) -> Fraction:
     """Exact value at q = 1 after the substitution r := q^N.
 
-    The substituted element is a univariate rational function in q whose
-    denominator is q^a (q-1)^u (q^N-1)^v; all (q-1) factors must cancel into
-    the numerator, otherwise the limit does not exist in the ring.
+    A prime x - a becomes a Laurent polynomial in q.  For a = 0 it is 1 at
+    q = 1; for a = 1 it is (q-1) times one whose value at q = 1 is dx/dq
+    there, 1 for x = q and N for x = r.  So the substituted element is a
+    Laurent polynomial over (q-1)^u times an integer; all (q-1) factors must
+    cancel into the numerator, otherwise the limit does not exist in the ring.
+    A power of q is 1 at q = 1, so ``subs_r_power`` may shift the numerator.
     """
     if N == 0:
         raise ValueError("N must be a nonzero integer")
-    laurent = s.num.subs_r_power(N)
-    if not laurent:
-        return Fraction(0)
-    # denominator: q^{den_q + N den_r} (q-1)^{den_qm1} (q^N - 1)^{den_rm1};
-    # for N < 0, q^N - 1 = -q^N (q^{|N|} - 1), and q-powers are 1 at q = 1.
-    u = s.den_qm1 + s.den_rm1
-    sign = -1 if (N < 0 and s.den_rm1 % 2) else 1
-    shift = min(laurent)
-    coeffs = [0] * (max(laurent) - shift + 1)
-    for d, c in laurent.items():
-        coeffs[d - shift] = c
+    num = s.num.subs_r_power(N)
+    u, den = 0, 1
+    for p, e in zip(PRIMES, s.den):
+        if p.root:
+            u, den = u + e, den * (N if p.var else 1) ** e
     for _ in range(u):
-        if sum(coeffs) != 0:
+        num = num.divide(2)  # by PRIMES[2], q - 1
+        if num is None:
             raise PoleAtSpecialization("a (q-1) factor does not cancel at q=1")
-        acc = 0
-        quot = [0] * (len(coeffs) - 1)
-        for i in range(len(coeffs) - 1, 0, -1):
-            acc += coeffs[i]
-            quot[i - 1] = acc
-        coeffs = quot if quot else [0]
-    return Fraction(sum(coeffs), sign * abs(N) ** s.den_rm1)
+    return Fraction(sum(num.terms.values()), den)
 
 
 # ---------------------------------------------------------------------------
@@ -631,9 +574,6 @@ class PrimeField:
     def __call__(self, v: int) -> GFElem:
         return GFElem(self.p, v)
 
-    def elements(self):
-        return [GFElem(self.p, v) for v in range(self.p)]
-
     def __repr__(self):
         return f"PrimeField({self.p})"
 
@@ -645,7 +585,7 @@ class PrimeField:
 def scalar_to_json(s: Scalar) -> dict:
     return {
         "num": [[str(c), eq, er] for (eq, er), c in sorted(s.num.terms.items())],
-        "den": {"q": s.den_q, "r": s.den_r, "qm1": s.den_qm1, "rm1": s.den_rm1},
+        "den": {p.key: e for p, e in zip(PRIMES, s.den)},
     }
 
 
@@ -658,7 +598,7 @@ def scalar_from_json(obj: dict) -> Scalar:
         isinstance(t, list) and len(t) == 3 and type(t[0]) in (int, str) for t in num
     )):
         raise ValueError('a scalar must be {"num": [[c, eq, er], ...], "den": {...}}')
-    den = [obj["den"].get(k) for k in ("q", "r", "qm1", "rm1")]
+    den = [obj["den"].get(p.key) for p in PRIMES]
     exps = [e for t in num for e in t[1:]] + den
     if any(type(e) is not int or e < 0 for e in exps):
         raise ValueError("scalar exponents must be non-negative integers")

@@ -34,7 +34,7 @@ from .diagrams import (
     perm_mul,
     perm_to_diagram,
 )
-from .scalars import brauer_limit, q_scalar, qm1_scalar
+from .scalars import Q, Q_INV, QM1, brauer_limit
 
 
 def report(check: str, ctx: AlgebraContext, params: dict, pairs: int, failures: list) -> dict:
@@ -56,7 +56,6 @@ def report(check: str, ctx: AlgebraContext, params: dict, pairs: int, failures: 
 def relations_suite(ctx: AlgebraContext) -> dict:
     """The defining relations of the algebra, as element identities."""
     n = ctx.n
-    q = q_scalar()
     failures = []
     count = 0
 
@@ -86,17 +85,17 @@ def relations_suite(ctx: AlgebraContext) -> dict:
         check(
             f"quadratic g{i}",
             product(ctx, g[i], g[i]),
-            g[i].scale(qm1_scalar()) + ctx.unit().scale(q),
+            g[i].scale(QM1) + ctx.unit().scale(Q),
         )
 
     check("idempotent square", product(ctx, e, e), e.scale(ctx.b()))
     for i in range(3, n):
         check(f"idempotent commute g{i}", product(ctx, e, g[i]), product(ctx, g[i], e))
     if n >= 2:
-        check("absorb left g1", product(ctx, e, g[1]), e.scale(q))
-        check("absorb right g1", product(ctx, g[1], e), e.scale(q))
-        check("absorb g1 inverse", rmul_atom(ctx, e, (1, -1)), e.scale(q.inv()))
-        check("absorb g1 inverse left", lmul_gen(ctx, (1, -1), e), e.scale(q.inv()))
+        check("absorb left g1", product(ctx, e, g[1]), e.scale(Q))
+        check("absorb right g1", product(ctx, g[1], e), e.scale(Q))
+        check("absorb g1 inverse", rmul_atom(ctx, e, (1, -1)), e.scale(Q_INV))
+        check("absorb g1 inverse left", lmul_gen(ctx, (1, -1), e), e.scale(Q_INV))
     if n >= 3:
         check(
             "sandwich g2",
@@ -106,7 +105,7 @@ def relations_suite(ctx: AlgebraContext) -> dict:
         check(
             "sandwich g2 inverse",
             product(ctx, rmul_atom(ctx, e, (2, -1)), e),
-            e.scale(q.inv()),
+            e.scale(Q_INV),
         )
     if n >= 4:
         twist = word_element(ctx, [(2, 1), (3, 1), (1, -1), (2, -1)])
@@ -126,7 +125,7 @@ def lemmas_suite(ctx: AlgebraContext) -> dict:
     their absorptions, over every valid index range."""
     n = ctx.n
     K = n // 2
-    q, b, r = q_scalar(), ctx.b(), ctx.r()
+    b, r = ctx.b(), ctx.r()
     ek = {k: e_k_element(ctx, k) for k in range(K + 1)}
     failures = []
     count = 0
@@ -145,10 +144,10 @@ def lemmas_suite(ctx: AlgebraContext) -> dict:
     for k in range(1, K + 1):
         for j in range(k):
             t = 2 * j + 1
-            check(f"odd absorb L {t},{k}", lmul_gen(ctx, (t, +1), ek[k]), ek[k].scale(q))
-            check(f"odd absorb R {t},{k}", rmul_atom(ctx, ek[k], (t, +1)), ek[k].scale(q))
-            check(f"odd absorb Li {t},{k}", lmul_gen(ctx, (t, -1), ek[k]), ek[k].scale(q.inv()))
-            check(f"odd absorb Ri {t},{k}", rmul_atom(ctx, ek[k], (t, -1)), ek[k].scale(q.inv()))
+            check(f"odd absorb L {t},{k}", lmul_gen(ctx, (t, +1), ek[k]), ek[k].scale(Q))
+            check(f"odd absorb R {t},{k}", rmul_atom(ctx, ek[k], (t, +1)), ek[k].scale(Q))
+            check(f"odd absorb Li {t},{k}", lmul_gen(ctx, (t, -1), ek[k]), ek[k].scale(Q_INV))
+            check(f"odd absorb Ri {t},{k}", rmul_atom(ctx, ek[k], (t, -1)), ek[k].scale(Q_INV))
 
     for k in range(1, K + 1):
         for j in range(1, k + 1):
@@ -258,7 +257,6 @@ def plus_chain_absorption_suite(ctx: AlgebraContext) -> dict:
     """
     n = ctx.n
     K = n // 2
-    q = q_scalar()
     failures = []
     count = 0
     for k in range(1, K):
@@ -276,14 +274,14 @@ def plus_chain_absorption_suite(ctx: AlgebraContext) -> dict:
                     e_k_element(ctx, k + 1),
                     word_element(ctx, asc(2 * k + 2, j2) + asc(2 * k + 1, j1)),
                 )
-                rhs = accumulate({}, q ** (2 * k), head.terms.items())
-                coef = ctx.r() * q * qm1_scalar()
+                rhs = accumulate({}, Q ** (2 * k), head.terms.items())
+                coef = ctx.r() * Q * QM1
                 for l in range(1, k + 1):
                     tail = word_element(ctx, asc(2 * l + 2, j2) + asc(2 * l + 1, j1))
                     # (g_{2l+1} + 1) tail e_(k), one left factor at a time
                     for left in (tail, lmul_gen(ctx, (2 * l + 1, +1), tail)):
                         piece = product(ctx, left, e_k_element(ctx, k))
-                        accumulate(rhs, coef * q ** (2 * l - 2), piece.terms.items())
+                        accumulate(rhs, coef * Q ** (2 * l - 2), piece.terms.items())
                 count += 1
                 if lhs.terms != rhs:
                     failures.append({"identity": f"chain absorb plus {j1},{j2},{k}"})

@@ -48,3 +48,17 @@ def test_lengths_match_the_committed_n6_lengths():
         digits = [line.strip() for line in f if not line.startswith("#")][0]
     got = [diagrams.diagram_length(d) for d in diagrams.enumerate_diagrams(6)]
     assert got == [int(c, 36) for c in digits]
+
+
+def test_product_output_reads_the_terms_of_a_product():
+    """The tracer's per-product statistics read ``x.terms`` of the product
+    and ``c.num.terms`` of each of its coefficients."""
+    tracer = load_tracing().Tracer()
+    ctx = algebra.AlgebraContext(4)
+    ds = diagrams.enumerate_diagrams(4)
+    basis = algebra.QBrauerElement.basis
+    x = algebra.product(ctx, basis(ds[40]), basis(ds[97]))
+    assert x.terms
+    tracer._product_output(x)
+    assert (tracer.out_count, tracer.out_terms) == (1, len(x.terms))
+    assert tracer.max_terms == max(len(c.num.terms) for c in x.terms.values()) > 0

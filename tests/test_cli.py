@@ -239,6 +239,19 @@ def test_integral_element_carrying_r_exits_2(tmp_path, capsys):
     bad["terms"][0]["coeff"] = {"num": [["1", 0, 1]],
                                 "den": {"q": 0, "r": 0, "qm1": 0, "rm1": 0}}
     assert_input_error(capsys, "mul", *write_operands(tmp_path, bad, x))
+    # r in the denominator, as r or as r - 1; q and q - 1 there are fine
+    for key in ("r", "rm1", "q", "qm1"):
+        den = {"q": 0, "r": 0, "qm1": 0, "rm1": 0, key: 1}
+        bad["terms"][0]["coeff"] = {"num": [["1", 0, 0]], "den": den}
+        want = 2 if key in ("r", "rm1") else 0
+        assert run(capsys, "mul", *write_operands(tmp_path, bad, x))[0] == want, key
+
+
+def test_sample_below_one_exits_2(capsys):
+    # a sample of no pairs would pass without testing anything
+    for argv in (("oracle", "3", "--sample", "0"), ("oracle", "3", "--sample", "-5"),
+                 ("cell", "3", "--sample", "0"), ("involution", "3", "--sample", "0")):
+        assert_input_error(capsys, "verify", *argv)
 
 
 def test_repeated_monomial_in_a_scalar_exits_2(tmp_path, capsys):

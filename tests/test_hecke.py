@@ -5,7 +5,6 @@ from qbrauer.diagrams import identity_perm, perm_mul, s_ij
 from qbrauer.hecke import (
     HeckeElement,
     chain_element,
-    gen_mul_left,
     hecke_from_json,
     hecke_to_json,
     in_subalgebra,
@@ -66,9 +65,9 @@ def test_gen_mul_left_rule():
     n = 4
     w = s_ij(n, 2, 2)
     x = HeckeElement.basis(w)
-    up = gen_mul_left(1, x)
+    up = product(g(n, 1), x)
     assert up == HeckeElement.basis(perm_mul(s_ij(n, 1, 1), w))
-    down = gen_mul_left(2, x)
+    down = product(g(n, 2), x)
     assert down == x.scale(qm1_scalar()) + HeckeElement.unit(n).scale(q_scalar())
 
 

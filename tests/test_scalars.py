@@ -45,12 +45,19 @@ def random_scalar(rng):
 
 # --- naive oracle: compare fractions by cross-multiplying raw polynomials ---
 
+def _exps(s):
+    """The denominator exponents of q, r, q-1 and r-1, read off the wire."""
+    den = scalar_to_json(s)["den"]
+    return den["q"], den["r"], den["qm1"], den["rm1"]
+
+
 def _raw_den(s):
+    a, c, u, v = _exps(s)
     den = IntPoly.const(1)
-    den = den * IntPoly.monomial(1, s.den_q, s.den_r)
-    for _ in range(s.den_qm1):
+    den = den * IntPoly.monomial(1, a, c)
+    for _ in range(u):
         den = den * IntPoly({(1, 0): 1, (0, 0): -1})
-    for _ in range(s.den_rm1):
+    for _ in range(v):
         den = den * IntPoly({(0, 1): 1, (0, 0): -1})
     return den
 
@@ -106,13 +113,14 @@ def test_canonical_form_unique_under_renormalization():
     rng = random.Random(2)
     for _ in range(100):
         x = random_scalar(rng)
+        a, c, u, v = _exps(x)
         lift = Scalar(
             x.num * _raw_den(from_int(1)) * IntPoly({(1, 0): 1, (0, 0): -1})
             * IntPoly({(0, 1): 1, (0, 0): -1}) * IntPoly.monomial(1, 2, 1),
-            x.den_q + 2,
-            x.den_r + 1,
-            x.den_qm1 + 1,
-            x.den_rm1 + 1,
+            a + 2,
+            c + 1,
+            u + 1,
+            v + 1,
         )
         assert lift == x
 
@@ -121,14 +129,9 @@ def test_canonical_invariant_no_divisible_numerator():
     rng = random.Random(3)
     for _ in range(200):
         x = random_scalar(rng)
-        if x.den_q:
-            assert x.num.divide_q() is None
-        if x.den_r:
-            assert x.num.divide_r() is None
-        if x.den_qm1:
-            assert x.num.divide_qm1() is None
-        if x.den_rm1:
-            assert x.num.divide_rm1() is None
+        for i, e in enumerate(x.den):
+            if e:
+                assert x.num.divide(i) is None
 
 
 @given(
@@ -178,6 +181,36 @@ def test_specialize():
         assert specialize(x + y, q0, r0) == specialize(x, q0, r0) + specialize(y, q0, r0)
 
 
+def _naive_value(poly, q0, r0):
+    return sum((c * q0 ** eq * r0 ** er for (eq, er), c in poly.terms.items()), 0 * q0)
+
+
+def test_specialize_is_the_naive_quotient_and_poles_are_exact():
+    # den comes from this file's own polynomials and the exponents on the
+    # wire; at nonzero q0, r0 only q - 1 and r - 1 can vanish
+    rng = random.Random(9)
+    F7 = PrimeField(7)
+    points = [(Fraction(q0), Fraction(r0)) for q0, r0 in
+              ((1, 1), (1, 2), (2, 1), (-1, 1), (Fraction(1, 2), 3), (3, Fraction(-2, 3)))]
+    points += [(F7(q0), F7(r0)) for q0, r0 in ((1, 1), (1, 3), (4, 1), (2, 5), (6, 6))]
+    poles = set()
+    for _ in range(60):
+        x = random_scalar(rng)
+        _, _, u, v = _exps(x)
+        for q0, r0 in points:
+            pole = (u > 0 and q0 == 1, v > 0 and r0 == 1)
+            if any(pole):
+                poles.add(pole)
+                with pytest.raises(PoleAtSpecialization):
+                    specialize(x, q0, r0)
+            else:
+                want = _naive_value(x.num, q0, r0) / _naive_value(_raw_den(x), q0, r0)
+                assert specialize(x, q0, r0) == want
+    assert poles == {(True, False), (False, True), (True, True)}
+    with pytest.raises(PoleAtSpecialization):
+        specialize(b_scalar().inv(), Fraction(2), Fraction(1))
+
+
 def test_brauer_limit():
     assert brauer_limit(b_scalar(), 3) == Fraction(3)
     assert brauer_limit(r_scalar(), 2) == Fraction(1)
@@ -222,9 +255,10 @@ def test_equal_values_are_one_object():
     rng = random.Random(6)
     for _ in range(100):
         x = random_scalar(rng)
+        a, c, u, v = _exps(x)
         inflated = Scalar(
             x.num * QM1_POLY * RM1_POLY * IntPoly.monomial(1, 2, 1),
-            x.den_q + 2, x.den_r + 1, x.den_qm1 + 1, x.den_rm1 + 1,
+            a + 2, c + 1, u + 1, v + 1,
         )
         assert inflated is x
         assert scalar_from_json(scalar_to_json(x)) is x
@@ -278,5 +312,5 @@ def test_interned_scalars_are_never_mutated():
                 QBrauerElement.basis(ds[(11 * i + 5) % len(ds)]))
     for k, x, wire, text in snapshot:
         assert scalars._INTERN[k] is x
-        assert k == (x.num, *x._den())
+        assert k == (x.num, x.den)
         assert scalar_to_json(x) == wire and str(x) == text
