@@ -1,5 +1,6 @@
 """Exact computational kernel for the q-Brauer algebra and its cellular
-structure, with the classical Brauer algebra as a built-in oracle."""
+structure, with diagram concatenation and its loop count as the built-in
+classical oracle."""
 
 from .algebra import AlgebraContext, QBrauerElement
 from .diagrams import BrauerDiagram

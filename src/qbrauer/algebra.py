@@ -145,11 +145,6 @@ class AlgebraContext:
         return f"AlgebraContext(n={self.n}, {tag})"
 
 
-def filtration_component(x: QBrauerElement, k: int) -> QBrauerElement:
-    """Restrict to the terms with at least k horizontal edges per row."""
-    return QBrauerElement(x.n, {d: c for d, c in x.terms.items() if d.layer() >= k})
-
-
 def layer_component(x: QBrauerElement, k: int) -> QBrauerElement:
     return QBrauerElement(x.n, {d: c for d, c in x.terms.items() if d.layer() == k})
 

@@ -266,7 +266,7 @@ def involution_symmetry_check(ctx: AlgebraContext, sample=None, seed: int = 0) -
             rhs = phi_k(ctx, star(d), star(c))
             if lhs != rhs:
                 failures.append({"k": k, "c": c.edges(), "d": d.edges()})
-    for d in enumerate_diagrams(n) if n <= 4 else []:
+    for d in enumerate_diagrams(n):
         ex = _expr(d)
         sx = _expr(star(d))
         if (sx.w1, sx.wd, sx.w2) != (
@@ -353,9 +353,3 @@ def cell_module_dims(n: int) -> dict:
         for lam in partitions(n - 2 * k):
             dims[CellModuleIndex(k, lam)] = vdim * hook_count(lam)
     return dims
-
-
-def cell_dimension_checksum(n: int) -> bool:
-    """Sum of squared cell dimensions equals the diagram count (2n-1)!!."""
-    total = sum(v * v for v in cell_module_dims(n).values())
-    return total == double_factorial_odd(n)

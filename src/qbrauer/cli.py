@@ -268,7 +268,6 @@ def _run_reports(args, reports) -> int:
 def cmd_verify(args) -> int:
     if args.sample is not None and args.sample < 1:
         raise InputError("--sample must be at least 1")
-    n = args.n
     ctx = _context(args)
     if args.suite == "relations":
         reports = [suites.relations_suite(ctx)]
@@ -277,7 +276,7 @@ def cmd_verify(args) -> int:
         if ctx.N is not None:
             reports.append(suites.plus_chain_absorption_suite(ctx))
     elif args.suite == "oracle":
-        reports = [suites.oracle_suite(n, sample=args.sample, seed=args.seed)]
+        reports = [suites.oracle_suite(ctx, sample=args.sample, seed=args.seed)]
     elif args.suite == "cell":
         reports = [
             inflation_bijection_check(ctx),
@@ -287,7 +286,7 @@ def cmd_verify(args) -> int:
     elif args.suite == "involution":
         reports = [
             involution_symmetry_check(ctx, sample=args.sample, seed=args.seed),
-            suites.involution_antihom_suite(n, count=args.sample or 200, seed=args.seed),
+            suites.involution_antihom_suite(ctx, count=args.sample or 200, seed=args.seed),
         ]
     else:
         raise InputError(f"unknown suite {args.suite!r}")

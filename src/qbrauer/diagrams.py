@@ -16,28 +16,22 @@ Conventions (fixed once, used by every module and all serialized forms):
 
 This module provides the canonical factorization of a diagram through
 e_(k) (the diagram with k adjacent horizontal edges per row), read off
-the diagram's two rows by :func:`decompose`; the half-diagrams, the
-normal-form chain words for the no-crossing transversals and the
-transversal splits all go through it.  It also provides the classical
-Brauer algebra with its loop-counting product.  The classical
-algebra doubles as the q = 1 oracle for the deformed kernel, so it
-deliberately depends only on ``fractions.Fraction``, never on
-:mod:`qbrauer.scalars`.
+the diagram's two rows by :func:`decompose`; the half-diagrams go through
+it too.  The loop count that :func:`concat` returns is the classical
+Brauer product: at r = q^N, q = 1 the deformed product of two basis
+elements is N to that count times their concatenation, so ``concat`` is
+the q = 1 oracle for the deformed kernel.  There is no classical element
+type, and this module never imports :mod:`qbrauer.scalars`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 
 class SizeMismatch(ValueError):
     """Operands live in algebras of different rank n."""
-
-
-class NotInTransversal(ValueError):
-    """The permutation is not a member of the requested transversal."""
 
 
 # ---------------------------------------------------------------------------
@@ -123,17 +117,7 @@ class TWord:
     of the permutation is the sum of the chain lengths.
     """
 
-    n: int
     factors: tuple
-
-    def eval(self) -> Perm:
-        w = identity_perm(self.n)
-        for i, j in self.factors:
-            w = perm_mul(w, s_ij(self.n, i, j))
-        return w
-
-    def length(self) -> int:
-        return sum(j - i + 1 for i, j in self.factors)
 
     def letters(self) -> list:
         """A reduced word, as a list of generator indices."""
@@ -163,16 +147,11 @@ def t_word(w: Perm) -> TWord:
             continue
         factors.append((i, j))
         cur = perm_mul(perm_inv(s_ij(n, i, j)), cur)
-    return TWord(n, tuple(factors))
+    return TWord(tuple(factors))
 
 
 def reduced_word(w: Perm) -> list:
     return t_word(w).letters()
-
-
-def tword_fits_transversal_shape(tw: TWord, k: int) -> bool:
-    """Shape of the e_(k) transversal words: below index 2k only even t_j."""
-    return all(j >= 2 * k or j % 2 == 0 for _, j in tw.factors)
 
 
 # ---------------------------------------------------------------------------
@@ -194,22 +173,6 @@ class BrauerDiagram:
             u = self.partner[v - 1]
             if u == v or not 1 <= u <= n2 or self.partner[u - 1] != v:
                 raise ValueError("partner is not a fixed-point-free involution")
-
-    def top_edges(self):
-        n = self.n
-        return sorted(
-            (v, self.partner[v - 1])
-            for v in range(1, n + 1)
-            if v < self.partner[v - 1] <= n
-        )
-
-    def bottom_edges(self):
-        n = self.n
-        return sorted(
-            (v, self.partner[v - 1])
-            for v in range(n + 1, 2 * n + 1)
-            if v < self.partner[v - 1]
-        )
 
     def layer(self) -> int:
         """Number of horizontal edges per row."""
@@ -446,39 +409,6 @@ def bottom_part(d: BrauerDiagram) -> BrauerDiagram:
     return star(top_part(star(d)))
 
 
-def canon_word_nocross(d: BrauerDiagram) -> TWord:
-    """Normal-form chain word w with d = w . e_(k), for a no-crossing diagram.
-
-    Requires the bottom row of ``d`` to equal the e_(k) row and its vertical
-    edges to be non-crossing, that is ``top_part(d) == d``.
-    """
-    if top_part(d) != d:
-        raise ValueError("not a no-crossing diagram with the e_(k) bottom row")
-    return t_word(decompose(d).w1)
-
-
-def canon_transversal(sigma: Perm, k: int) -> TWord:
-    """The unique normal-form word rho with sigma . e_(k) = rho . e_(k) and
-    l(rho) equal to the diagram length."""
-    d, _ = concat(perm_to_diagram(sigma), e_k_diagram(len(sigma), k))
-    ex = decompose(d)
-    return t_word(perm_mul(ex.w1, ex.wd))
-
-
-def split_transversal(rho: Perm, k: int):
-    """Factor rho = w . pi with w no-crossing and pi fixing 1..2k; unique.
-
-    Raises NotInTransversal when rho is not length-minimal for its diagram.
-    """
-    d, _ = concat(perm_to_diagram(rho), e_k_diagram(len(rho), k))
-    ex = decompose(d)
-    if ex.length() != perm_length(rho):
-        raise NotInTransversal(f"{rho} is not minimal over its diagram")
-    if perm_mul(ex.w1, ex.wd) != rho:
-        raise NotInTransversal(f"{rho} does not factor through the transversal")
-    return ex.w1, ex.wd
-
-
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
@@ -519,75 +449,6 @@ def enumerate_nocross(n: int, k: int):
             out.append(diagram_from_edges(n, edges))
     out.sort(key=lambda d: d.partner)
     return out
-
-
-def enumerate_transversal(n: int, k: int):
-    """The n!/(2^k (n-2k)! k!) normal-form permutations for layer k."""
-    return [decompose(d).w1 for d in enumerate_nocross(n, k)]
-
-
-# ---------------------------------------------------------------------------
-# the classical Brauer algebra over Q, with integer loop parameter N
-# ---------------------------------------------------------------------------
-
-class BrauerElement:
-    """Finitely supported map diagram -> Fraction."""
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms=None):
-        self.n = n
-        self.terms = {}
-        if terms:
-            for d, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    self.terms[d] = c
-
-    @classmethod
-    def basis(cls, d: BrauerDiagram) -> "BrauerElement":
-        return cls(d.n, {d: Fraction(1)})
-
-    def __add__(self, other: "BrauerElement") -> "BrauerElement":
-        out = dict(self.terms)
-        for d, c in other.terms.items():
-            s = out.get(d, 0) + c
-            if s:
-                out[d] = s
-            else:
-                out.pop(d, None)
-        return BrauerElement(self.n, out)
-
-    def scale(self, c) -> "BrauerElement":
-        c = Fraction(c)
-        return BrauerElement(self.n, {d: c * v for d, v in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BrauerElement)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
-
-    def __repr__(self) -> str:
-        return f"BrauerElement(n={self.n}, {len(self.terms)} terms)"
-
-
-def brauer_product(x: BrauerElement, y: BrauerElement, N: int) -> BrauerElement:
-    """Bilinear extension of concatenation, with loop factor N^gamma."""
-    if x.n != y.n:
-        raise SizeMismatch("mixed ranks in brauer_product")
-    out: dict = {}
-    for d1, c1 in x.terms.items():
-        for d2, c2 in y.terms.items():
-            d, g = concat(d1, d2)
-            c = c1 * c2 * Fraction(N) ** g
-            s = out.get(d, 0) + c
-            if s:
-                out[d] = s
-            else:
-                out.pop(d, None)
-    return BrauerElement(x.n, out)
 
 
 # ---------------------------------------------------------------------------

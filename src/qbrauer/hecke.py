@@ -164,20 +164,9 @@ def word_element(n: int, letters) -> HeckeElement:
     return z
 
 
-def inverse_basis(w: Perm) -> HeckeElement:
-    """g_w^{-1}, as the reversed product of generator inverses."""
-    return word_element(len(w), [(j, -1) for j in reversed(reduced_word(w))])
-
-
 def involution_i(x: HeckeElement) -> HeckeElement:
     """The anti-automorphism determined by g_w -> g_{w^{-1}}."""
     return HeckeElement(x.n, {perm_inv(w): c for w, c in x.terms.items()})
-
-
-def chain_element(n: int, sign: int, l: int, k: int) -> HeckeElement:
-    """g^+_{l,k} (sign +1) or g^-_{l,k} (sign -1): the generator chain from
-    l to k, ascending or descending as l <= k or l > k."""
-    return word_element(n, asc(l, k, sign) if l <= k else desc(l, k, sign))
 
 
 def in_subalgebra(x: HeckeElement, k: int) -> bool:
@@ -190,13 +179,3 @@ def hecke_to_json(x: HeckeElement) -> list:
         {"perm": list(w), "coeff": scalars.scalar_to_json(c)}
         for w, c in sorted(x.terms.items())
     ]
-
-
-def hecke_from_json(n: int, obj: list) -> HeckeElement:
-    return HeckeElement(
-        n,
-        {
-            tuple(t["perm"]): scalars.scalar_from_json(t["coeff"])
-            for t in obj
-        },
-    )

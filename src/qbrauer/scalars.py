@@ -32,9 +32,12 @@ workload (300 products at n = 6) leaves 6,833 scalars, 7,137 products and
 No floating point is used anywhere; specialization targets are exact fields
 (``fractions.Fraction`` or the prime fields provided here).
 
->>> b_scalar() * (q_scalar() - one()) == r_scalar() - one()
+>>> b = Scalar(PRIMES[3].poly, 0, 0, 1)  # (r-1)/(q-1), the loop value
+>>> print(b)
+(r-1) / (q-1)
+>>> b * QM1 is r_scalar() - ONE
 True
->>> brauer_limit(b_scalar(), 3)
+>>> brauer_limit(b, 3)
 Fraction(3, 1)
 """
 
@@ -61,7 +64,8 @@ class IntPoly:
     """Sparse polynomial in Z[q, r] with arbitrary-precision coefficients.
 
     Invariant: no stored coefficient is zero; the zero polynomial is the
-    empty map.
+    empty map.  ``IntPoly(terms)`` drops zeros from any dict; the ring
+    operations build zero-free dicts and wrap them with ``_adopt``.
     """
 
     __slots__ = ("terms", "_hash")
@@ -71,6 +75,13 @@ class IntPoly:
             terms = {}
         self.terms = {m: c for m, c in terms.items() if c}
         self._hash = None
+
+    @classmethod
+    def _adopt(cls, terms: dict) -> "IntPoly":
+        """Wrap a fresh dict that holds no zero coefficient."""
+        p = cls.__new__(cls)
+        p.terms, p._hash = terms, None
+        return p
 
     @classmethod
     def const(cls, c: int) -> "IntPoly":
@@ -91,10 +102,10 @@ class IntPoly:
                 out[m] = s
             else:
                 out.pop(m, None)
-        return IntPoly(out)
+        return IntPoly._adopt(out)
 
     def __neg__(self) -> "IntPoly":
-        return IntPoly({m: -c for m, c in self.terms.items()})
+        return IntPoly._adopt({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "IntPoly") -> "IntPoly":
         return self + (-other)
@@ -109,7 +120,7 @@ class IntPoly:
                     out[m] = s
                 else:
                     del out[m]
-        return IntPoly(out)
+        return IntPoly._adopt(out)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntPoly) and self.terms == other.terms
@@ -139,7 +150,7 @@ class IntPoly:
                     out[(d - 1, y) if x == 0 else (y, d - 1)] = acc
             if col.get(0, 0) + a * acc:
                 return None
-        return IntPoly(out)
+        return IntPoly._adopt(out)
 
     def subs_r_power(self, N: int) -> "IntPoly":
         """Substitute r := q^N and multiply by the power of q that makes the
@@ -345,10 +356,6 @@ ZERO = Scalar(_P_ZERO)
 ONE = Scalar(_P_ONE)
 
 
-def from_int(c: int) -> Scalar:
-    return Scalar(IntPoly.const(c))
-
-
 def q_scalar() -> Scalar:
     return Scalar(PRIMES[0].poly)
 
@@ -357,16 +364,8 @@ def r_scalar() -> Scalar:
     return Scalar(PRIMES[1].poly)
 
 
-def one() -> Scalar:
-    return ONE
-
-
 def qm1_scalar() -> Scalar:
     return Scalar(PRIMES[2].poly)
-
-
-def rm1_scalar() -> Scalar:
-    return Scalar(PRIMES[3].poly)
 
 
 # the coefficients of the generator rules, shared by the hot loops
@@ -374,18 +373,6 @@ Q = q_scalar()
 QM1 = qm1_scalar()
 Q_INV = Q.inv()
 Q_INV_M1 = Q_INV - ONE
-
-
-def b_scalar() -> Scalar:
-    """The scalar (r-1)/(q-1)."""
-    return Scalar(PRIMES[3].poly, 0, 0, 1)
-
-
-def quantum_integer(m: int) -> Scalar:
-    """1 + q + ... + q^{m-1}; zero for m = 0."""
-    if m < 0:
-        raise ValueError("quantum_integer needs m >= 0")
-    return Scalar(IntPoly({(i, 0): 1 for i in range(m)}))
 
 
 def r_power(N: int) -> Scalar:

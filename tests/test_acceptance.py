@@ -5,14 +5,16 @@ sizes it ran at.  Everything is exact; there are no tolerances anywhere.
 Run with ``pytest -s tests/test_acceptance.py -v`` to see the lines.
 """
 
+import random
 from fractions import Fraction
 from math import factorial
 
 from qbrauer import suites
-from qbrauer.algebra import AlgebraContext, straighten
+from qbrauer.algebra import AlgebraContext, QBrauerElement, product, straighten
 from qbrauer.cellular import (
     cell_chain_check,
-    cell_dimension_checksum,
+    cell_module_dims,
+    double_factorial_odd,
     e_of_q,
     inflation_bijection_check,
     inflation_product_check,
@@ -22,17 +24,20 @@ from qbrauer.cellular import (
     simple_module_index,
 )
 from qbrauer.diagrams import (
-    canon_word_nocross,
+    concat,
     decompose,
     diagram_from_edges,
     e_k_diagram,
     enumerate_diagrams,
-    enumerate_transversal,
+    enumerate_nocross,
     identity_perm,
     perm_mul,
+    perm_to_diagram,
     s_ij,
+    t_word,
+    top_part,
 )
-from qbrauer.scalars import PrimeField, b_scalar, q_scalar, qm1_scalar
+from qbrauer.scalars import PrimeField, brauer_limit, q_scalar, qm1_scalar
 
 
 def chain(n, *pairs):
@@ -48,7 +53,8 @@ def test_criterion_01_dimensions():
         assert len(enumerate_diagrams(n)) == count
         for k in range(n // 2 + 1):
             formula = factorial(n) // (2 ** k * factorial(n - 2 * k) * factorial(k))
-            assert len(enumerate_transversal(n, k)) == formula
+            # the transversal: w1 of each no-crossing diagram, all distinct
+            assert len({decompose(d).w1 for d in enumerate_nocross(n, k)}) == formula
     print("[PASS] criterion 1: diagram counts and per-layer transversal counts, n=2..6")
 
 
@@ -82,10 +88,10 @@ def test_criterion_04_cap_element_consistency():
 
 def test_criterion_05_classical_oracle():
     for n in (2, 3, 4):
-        rep = suites.oracle_suite(n, Ns=(1, 2, 3))
-        assert rep["failures"] == [], rep
-    rep = suites.oracle_suite(5, Ns=(1, 2, 3), sample=1000, seed=42)
-    assert rep["failures"] == [], rep
+        rep = suites.oracle_suite(AlgebraContext(n))
+        assert rep["params"]["Ns"] == [1, 2, 3] and rep["failures"] == [], rep
+    rep = suites.oracle_suite(AlgebraContext(5), sample=1000, seed=42)
+    assert rep["params"]["Ns"] == [1, 2, 3] and rep["failures"] == [], rep
     print(
         "[PASS] criterion 5: q->1, r=q^N limits of all structure constants match "
         "the classical diagram product (exhaustive n<=4, 1000 random pairs n=5)"
@@ -110,7 +116,8 @@ def test_criterion_06_worked_examples():
     dstar = diagram_from_edges(
         7, [(4, 6), (5, 7), (8, 9), (10, 11), (1, 12), (2, 13), (3, 14)]
     )
-    assert str(canon_word_nocross(dstar)) == "s3,6 s2,5 s1,4 s2"
+    assert top_part(dstar) == dstar
+    assert str(t_word(decompose(dstar).w1)) == "s3,6 s2,5 s1,4 s2"
 
     # three-term straightening at n=8, k=3
     n, k = 8, 3
@@ -144,7 +151,7 @@ def test_criterion_07_cellularity_suite():
         ctx = AlgebraContext(n)
         for k in range(n // 2 + 1):
             ek = e_k_diagram(n, k)
-            assert phi_k(ctx, ek, ek).terms == {identity_perm(n): b_scalar() ** k}
+            assert phi_k(ctx, ek, ek).terms == {identity_perm(n): ctx.b() ** k}
     for n in (2, 3, 4):
         rep = involution_symmetry_check(AlgebraContext(n))
         assert rep["failures"] == [], rep
@@ -162,8 +169,12 @@ def test_criterion_07_cellularity_suite():
 
 def test_criterion_08_associativity():
     for n in (3, 4, 5):
-        rep = suites.associativity_suite(n, count=200, seed=n)
-        assert rep["failures"] == [], rep
+        ctx = AlgebraContext(n)
+        diagrams = enumerate_diagrams(n)
+        rng = random.Random(n)
+        for _ in range(200):
+            a, b, c = (QBrauerElement.basis(rng.choice(diagrams)) for _ in range(3))
+            assert product(ctx, product(ctx, a, b), c) == product(ctx, a, product(ctx, b, c))
     print("[PASS] criterion 8: associativity on 200 random basis triples, n in {3,4,5}")
 
 
@@ -235,7 +246,7 @@ def test_criterion_09_quasi_heredity():
             assert got == want, (n, q0)
 
     for n in range(1, 9):
-        assert cell_dimension_checksum(n), n
+        assert sum(v * v for v in cell_module_dims(n).values()) == double_factorial_odd(n), n
     print(
         "[PASS] criterion 9: quasi-heredity decision vs brute force (Q and F_p), "
         "simple-module index sets n<=5, dimension checksums n<=8"
@@ -243,9 +254,26 @@ def test_criterion_09_quasi_heredity():
 
 
 def test_criterion_10_straightening_robustness():
+    # straightening is independent of the reduced word used, and collapses
+    # at q = 1, r = q^1 to the single classical diagram
     for n, seed in ((5, 7), (6, 8)):
-        rep = suites.straighten_robustness_suite(n, count=500, seed=seed)
-        assert rep["failures"] == [], rep
+        ctx = AlgebraContext(n)
+        rng = random.Random(seed)
+        for _ in range(500):
+            k = rng.randint(0, n // 2)
+            sigma = list(range(1, n + 1))
+            rng.shuffle(sigma)
+            sigma = tuple(sigma)
+            out = straighten(ctx, sigma, k, order="standard")
+            assert straighten(ctx, sigma, k, order="reversed") == out, (sigma, k)
+            target, loops = concat(perm_to_diagram(sigma), e_k_diagram(n, k))
+            assert loops == 0
+            classical = {}
+            for coeff, w, pi in out:
+                d, _ = concat(perm_to_diagram(perm_mul(w, pi)), e_k_diagram(n, k))
+                classical[d] = classical.get(d, Fraction(0)) + brauer_limit(coeff, 1)
+            classical = {d: c for d, c in classical.items() if c}
+            assert classical == {target: Fraction(1)}, (sigma, k)
     print(
         "[PASS] criterion 10: straightening order-independence and q=1 collapse, "
         "500 random words each at n=5 and n=6"

@@ -11,7 +11,6 @@ from qbrauer.algebra import (
     e_k_element,
     element_from_json,
     element_to_json,
-    filtration_component,
     generator_word,
     involution_i,
     layer_component,
@@ -22,9 +21,7 @@ from qbrauer.algebra import (
     E_ATOM,
 )
 from qbrauer.diagrams import (
-    brauer_product,
     BrauerDiagram,
-    BrauerElement,
     concat,
     diagram_from_edges,
     e_k_diagram,
@@ -35,7 +32,15 @@ from qbrauer.diagrams import (
     s_ij,
     star,
 )
-from qbrauer.scalars import ONE, Scalar, brauer_limit, q_scalar, qm1_scalar, scalar_to_json
+from qbrauer.scalars import (
+    ONE,
+    IntPoly,
+    Scalar,
+    brauer_limit,
+    q_scalar,
+    qm1_scalar,
+    scalar_to_json,
+)
 
 
 def chain(n, *pairs):
@@ -183,7 +188,7 @@ def test_memo_entries_are_never_mutated():
     for k, pairs in atoms.items():
         assert ctx._rmul_atom[k] == pairs, k
     x = product(ctx, QBrauerElement.basis(ds[3]), QBrauerElement.basis(ds[9]))
-    assert (x + x.scale(scalars.from_int(-1))).terms == {}
+    assert (x + x.scale(-ONE)).terms == {}
     assert (x - x).terms == {}
 
 
@@ -271,8 +276,17 @@ def test_straighten_coefficients_are_plain_q_polynomials():
 
 
 def test_oracle_exhaustive_rank3():
-    rep = suites.oracle_suite(3)
+    rep = suites.oracle_suite(AlgebraContext(3))
+    assert rep["params"]["Ns"] == [1, 2, 3]
     assert rep["failures"] == []
+
+
+@pytest.mark.parametrize("N", [2, -1, 3])
+def test_oracle_integral_version(N):
+    # in the integral version the limit is taken at the context's own N
+    rep = suites.oracle_suite(AlgebraContext(4, N), sample=300, seed=N)
+    assert rep["version"] == {"N": N} and rep["params"]["Ns"] == [N]
+    assert rep["pairs_tested"] == 300 and rep["failures"] == []
 
 
 def test_integral_version_matches_substitution():
@@ -324,8 +338,7 @@ def test_bilinearity():
     ctx = AlgebraContext(3)
     rng = random.Random(11)
     ds = enumerate_diagrams(3)
-    coeffs = [scalars.b_scalar(), q_scalar() ** -1, scalars.from_int(3),
-              qm1_scalar().inv()]
+    coeffs = [ctx.b(), q_scalar() ** -1, Scalar(IntPoly.const(3)), qm1_scalar().inv()]
     for _ in range(30):
         x = QBrauerElement.basis(rng.choice(ds)).scale(rng.choice(coeffs)) + (
             QBrauerElement.basis(rng.choice(ds)).scale(rng.choice(coeffs))
@@ -345,14 +358,23 @@ def test_layer_and_filtration():
     assert identity_diagram(4).layer() == 0
     assert e_k_diagram(4, 2).layer() == 2
     x = e_k_element(ctx, 1) + e_k_element(ctx, 2)
-    assert filtration_component(x, 2) == e_k_element(ctx, 2)
+    assert layer_component(x, 2) == e_k_element(ctx, 2)
     assert layer_component(x, 1) == e_k_element(ctx, 1)
+    assert layer_component(x, 0).is_zero()
 
 
 def test_layer_preservation_exhaustive():
+    # products of two layer-k basis elements have no part below layer k
     for n in (3, 4):
-        rep = suites.layer_preservation_suite(n)
-        assert rep["failures"] == []
+        ctx = AlgebraContext(n)
+        by_layer = {}
+        for d in enumerate_diagrams(n):
+            by_layer.setdefault(d.layer(), []).append(d)
+        for k, ds in by_layer.items():
+            for d1 in ds:
+                for d2 in ds:
+                    P = product(ctx, QBrauerElement.basis(d1), QBrauerElement.basis(d2))
+                    assert all(dd.layer() >= k for dd in P.terms), (d1, d2)
 
 
 def test_involution_permutes_basis():
@@ -370,13 +392,17 @@ def test_involution_antiautomorphism_exhaustive():
             assert involution_i(product(ctx, x, y)) == product(
                 ctx, involution_i(y), involution_i(x)
             )
-    rep = suites.involution_antihom_suite(4, count=300, seed=0)
+    rep = suites.involution_antihom_suite(AlgebraContext(4), count=300, seed=0)
     assert rep["failures"] == []
 
 
 def test_associativity_small():
-    rep = suites.associativity_suite(3, count=150, seed=1)
-    assert rep["failures"] == []
+    ctx = AlgebraContext(3)
+    ds = enumerate_diagrams(3)
+    rng = random.Random(1)
+    for _ in range(150):
+        a, b, c = (QBrauerElement.basis(rng.choice(ds)) for _ in range(3))
+        assert product(ctx, product(ctx, a, b), c) == product(ctx, a, product(ctx, b, c))
 
 
 def test_product_against_classical_random_rank4():
@@ -386,21 +412,19 @@ def test_product_against_classical_random_rank4():
     for _ in range(60):
         d1, d2 = rng.choice(ds), rng.choice(ds)
         P = product(ctx, QBrauerElement.basis(d1), QBrauerElement.basis(d2))
+        dd, loops = concat(d1, d2)
         for N in (1, 2, 3):
-            classical = brauer_product(
-                BrauerElement.basis(d1), BrauerElement.basis(d2), N
-            )
             got = {}
             for d, c in P.terms.items():
                 v = brauer_limit(c, N)
                 if v:
                     got[d] = v
-            assert got == classical.terms
+            assert got == {dd: Fraction(N) ** loops}
 
 
 def test_element_json_round_trip():
     ctx = AlgebraContext(4)
-    x = e_k_element(ctx, 2).scale(scalars.b_scalar()) + ctx.unit().scale(
+    x = e_k_element(ctx, 2).scale(ctx.b()) + ctx.unit().scale(
         q_scalar() ** -2
     )
     obj = element_to_json(ctx, x)

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from qbrauer.algebra import AlgebraContext, e_k_element, element_to_json, product
 from qbrauer.cli import main, parse_perm
 from qbrauer.diagrams import diagram_to_json, e_k_diagram, s_ij
-from qbrauer.scalars import b_scalar
 
 
 def run(capsys, *argv):
@@ -50,7 +49,7 @@ def test_mul_round_trip(tmp_path, capsys):
     from qbrauer.algebra import element_from_json
 
     assert element_from_json(obj) == product(ctx, x, y)
-    assert element_from_json(obj) == x.scale(b_scalar())
+    assert element_from_json(obj) == x.scale(ctx.b())
 
 
 def test_mul_bad_input(tmp_path, capsys):
@@ -134,6 +133,26 @@ def test_verify_pass_and_exit_codes(capsys):
     assert code == 0
     code, out, _ = run(capsys, "verify", "involution", "3", "--sample", "50")
     assert code == 0
+
+
+def test_verify_oracle_and_involution_read_integral(capsys):
+    # --integral M runs the integral version r = q^M and reports it
+    for M in (2, -1):
+        code, out, _ = run(capsys, "verify", "oracle", "3", "--integral", str(M),
+                           "--format", "json")
+        assert code == 0
+        (rep,) = json.loads(out)
+        assert rep["version"] == {"N": M} and rep["params"]["Ns"] == [M]
+        assert rep["pairs_tested"] == 225 and rep["failures"] == []
+        code, out, _ = run(capsys, "verify", "involution", "3", "--integral", str(M),
+                           "--sample", "20", "--format", "json")
+        assert code == 0
+        reports = json.loads(out)
+        assert [r["version"] for r in reports] == [{"N": M}, {"N": M}]
+        assert all(r["failures"] == [] for r in reports)
+    code, out, _ = run(capsys, "verify", "oracle", "3", "--format", "json")
+    (rep,) = json.loads(out)
+    assert rep["version"] == {"generic": True} and rep["params"]["Ns"] == [1, 2, 3]
 
 
 def test_qh(capsys):
@@ -291,7 +310,7 @@ JSON_VALUES = st.recursive(
     max_leaves=12,
 )
 _CTX2 = AlgebraContext(2)
-VALID = element_to_json(_CTX2, e_k_element(_CTX2, 1).scale(b_scalar()) + _CTX2.unit())
+VALID = element_to_json(_CTX2, e_k_element(_CTX2, 1).scale(_CTX2.b()) + _CTX2.unit())
 
 
 def _paths(obj, prefix=()):

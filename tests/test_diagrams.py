@@ -6,13 +6,9 @@ from hypothesis import given, strategies as st
 
 from qbrauer.diagrams import (
     BrauerDiagram,
-    BrauerElement,
-    NotInTransversal,
     SizeMismatch,
-    brauer_product,
-    canon_transversal,
-    canon_word_nocross,
     concat,
+    concat_many,
     decompose,
     diagram_from_edges,
     diagram_from_json,
@@ -21,7 +17,6 @@ from qbrauer.diagrams import (
     e_k_diagram,
     enumerate_diagrams,
     enumerate_nocross,
-    enumerate_transversal,
     identity_diagram,
     identity_perm,
     perm_inv,
@@ -30,10 +25,9 @@ from qbrauer.diagrams import (
     perm_to_diagram,
     reconstruct,
     s_ij,
-    split_transversal,
     star,
     t_word,
-    tword_fits_transversal_shape,
+    top_part,
 )
 
 
@@ -42,6 +36,24 @@ def chain(n, *pairs):
     for i, j in pairs:
         w = perm_mul(w, s_ij(n, i, j))
     return w
+
+
+def transversal(n, k):
+    """The no-crossing transversal of layer k: the w1 of each no-crossing
+    diagram with the e_(k) bottom row."""
+    return [decompose(d).w1 for d in enumerate_nocross(n, k)]
+
+
+def through_cap(rho, k):
+    """The factorization of the diagram rho . e_(k)."""
+    d, loops = concat(perm_to_diagram(rho), e_k_diagram(len(rho), k))
+    assert loops == 0
+    return decompose(d)
+
+
+def fits_transversal_shape(tw, k):
+    """Shape of the e_(k) transversal words: below index 2k only even t_j."""
+    return all(j >= 2 * k or j % 2 == 0 for _, j in tw.factors)
 
 
 # --- permutations and t-words ---
@@ -68,8 +80,8 @@ def test_t_word_single_generator():
 def test_t_word_round_trip(p):
     w = tuple(p)
     tw = t_word(w)
-    assert tw.eval() == w
-    assert tw.length() == perm_length(w)
+    assert chain(len(w), *tw.factors) == w
+    assert len(tw.letters()) == perm_length(w)
     # chain indices strictly decreasing
     js = [j for _, j in tw.factors]
     assert js == sorted(js, reverse=True)
@@ -81,7 +93,7 @@ def test_t_word_round_trip_random_s6():
         p = list(range(1, 7))
         rng.shuffle(p)
         w = tuple(p)
-        assert t_word(w).eval() == w
+        assert chain(6, *t_word(w).factors) == w
 
 
 # --- diagrams and concatenation ---
@@ -174,13 +186,14 @@ def test_peeling_algorithm_worked_example():
     dstar = diagram_from_edges(
         7, [(4, 6), (5, 7), (8, 9), (10, 11), (1, 12), (2, 13), (3, 14)]
     )
-    tw = canon_word_nocross(dstar)
+    assert top_part(dstar) == dstar
+    ex = decompose(dstar)
+    tw = t_word(ex.w1)
     assert tw.factors == ((3, 6), (2, 5), (1, 4), (2, 2))
     assert str(tw) == "s3,6 s2,5 s1,4 s2"
     # as a full factorization: everything sits in the top part
-    ex = decompose(dstar)
     ident = identity_perm(7)
-    assert (ex.k, ex.w1, ex.wd, ex.w2) == (2, tw.eval(), ident, ident)
+    assert (ex.k, ex.w1, ex.wd, ex.w2) == (2, chain(7, *tw.factors), ident, ident)
 
 
 def test_decompose_bijection_small_ranks():
@@ -192,53 +205,66 @@ def test_decompose_bijection_small_ranks():
             assert key not in seen
             seen.add(key)
             assert reconstruct(n, ex) == d
-            assert tword_fits_transversal_shape(t_word(ex.w1), ex.k)
-            assert tword_fits_transversal_shape(t_word(perm_inv(ex.w2)), ex.k)
+            assert fits_transversal_shape(t_word(ex.w1), ex.k)
+            assert fits_transversal_shape(t_word(perm_inv(ex.w2)), ex.k)
 
 
 def test_canon_transversal_shorter_word():
+    # the normal form of sigma . e_(k) is the shortest rho with the same
+    # diagram: rho = w1 wd of that diagram
     sigma = chain(5, (3, 3), (2, 2))  # s_3 s_2
-    tw = canon_transversal(sigma, 2)
-    assert tw.eval() == chain(5, (1, 2))
+    ex = through_cap(sigma, 2)
+    assert perm_mul(ex.w1, ex.wd) == chain(5, (1, 2))
     # a member of the transversal is its own normal form
     rho = chain(5, (1, 2))
-    assert canon_transversal(rho, 2).eval() == rho
+    ex = through_cap(rho, 2)
+    assert perm_mul(ex.w1, ex.wd) == rho
 
 
 def test_canon_transversal_crossed_example_rank8():
     om = chain(8, (7, 7), (5, 6), (4, 5), (1, 4), (2, 2))
     pi = chain(8, (6, 7), (5, 5))
-    rho = canon_transversal(perm_mul(om, pi), 2)
-    assert rho.eval() == chain(8, (4, 7), (6, 6), (1, 5), (3, 4), (2, 2))
-    assert rho.length() == 13
+    ex = through_cap(perm_mul(om, pi), 2)
+    rho = perm_mul(ex.w1, ex.wd)
+    assert rho == chain(8, (4, 7), (6, 6), (1, 5), (3, 4), (2, 2))
+    assert perm_length(rho) == ex.length() == 13
 
 
 def test_split_transversal_examples():
+    # rho = w . pi with w no-crossing and pi fixing 1..2k is read off as
+    # (w1, wd) of rho . e_(k), when rho is minimal over that diagram
     n = 8
     ident = identity_perm(n)
-    assert split_transversal(ident, 2) == (ident, ident)
+    ex = through_cap(ident, 2)
+    assert (ex.w1, ex.wd) == (ident, ident)
     sigp = chain(n, (4, 7), (6, 6), (3, 4), (2, 2))
-    w, pi = split_transversal(sigp, 3)
-    assert w == chain(n, (7, 7), (4, 6), (3, 4), (2, 2))
-    assert pi == s_ij(n, 7, 7)
-    with pytest.raises(NotInTransversal):
-        split_transversal(chain(5, (3, 3), (2, 2)), 2)
+    ex = through_cap(sigp, 3)
+    assert ex.length() == perm_length(sigp)
+    assert ex.w1 == chain(n, (7, 7), (4, 6), (3, 4), (2, 2))
+    assert ex.wd == s_ij(n, 7, 7)
+    assert perm_mul(ex.w1, ex.wd) == sigp
+    # s_3 s_2 is not in the transversal at k = 2: its diagram's normal form
+    # is s_1 s_2
+    rho = chain(5, (3, 3), (2, 2))
+    ex = through_cap(rho, 2)
+    assert perm_mul(ex.w1, ex.wd) == chain(5, (1, 2)) != rho
 
 
 def test_split_round_trip_over_transversals():
     for n in (4, 5, 6):
         for k in range(n // 2 + 1):
             rng = random.Random(n * 10 + k)
-            members = enumerate_transversal(n, k)
+            members = transversal(n, k)
             fixers = [w for w in _parabolic(n, k)]
             for _ in range(20):
                 w = rng.choice(members)
                 pi = rng.choice(fixers)
                 rho = perm_mul(w, pi)
                 assert perm_length(rho) == perm_length(w) + perm_length(pi)
-                got = canon_transversal(rho, k).eval()
-                assert got == rho
-                assert split_transversal(rho, k) == (w, pi)
+                ex = through_cap(rho, k)
+                assert ex.length() == perm_length(rho)
+                assert perm_mul(ex.w1, ex.wd) == rho
+                assert (ex.w1, ex.wd) == (w, pi)
 
 
 def _parabolic(n, k):
@@ -259,8 +285,8 @@ def test_transversal_counts():
     for n in range(2, 7):
         for k in range(n // 2 + 1):
             want = factorial(n) // (2 ** k * factorial(n - 2 * k) * factorial(k))
-            assert len(enumerate_transversal(n, k)) == want
-            assert len(set(enumerate_transversal(n, k))) == want
+            assert len(transversal(n, k)) == want
+            assert len(set(transversal(n, k))) == want
 
 
 def test_diagram_counts():
@@ -277,7 +303,7 @@ def test_transversal_word_contiguity():
     for n in (4, 5, 6):
         for k in range(n // 2 + 1):
             for d in enumerate_nocross(n, k):
-                tw = canon_word_nocross(d)
+                tw = t_word(decompose(d).w1)
                 present = {j for _, j in tw.factors if j >= 2 * k}
                 if present:
                     assert present == set(range(2 * k, max(present) + 1))
@@ -326,7 +352,7 @@ def test_star_conjugates_transversal_parts():
     for n in (3, 4, 5):
         for k in range(n // 2 + 1):
             ek = e_k_diagram(n, k)
-            for w in enumerate_transversal(n, k):
+            for w in transversal(n, k):
                 left, g = concat(perm_to_diagram(w), ek)
                 right, g2 = concat(ek, perm_to_diagram(perm_inv(w)))
                 assert g == g2 == 0
@@ -354,19 +380,19 @@ def test_diagram_length_minimality_small_rank():
         assert best == diagram_length(d)
 
 
-# --- the classical algebra ---
+# --- the classical algebra: concatenation with its loop count ---
 
 def test_brauer_relations():
+    # the classical product of two diagrams is N^loops times their
+    # concatenation, so each relation is a diagram and a loop count
     n = 4
-    e1 = BrauerElement.basis(e_k_diagram(n, 1))
-    e2 = BrauerElement.basis(e_k_diagram(n, 2))
-    for N in (1, 2, 3):
-        assert brauer_product(e1, e1, N) == e1.scale(N)
-        assert brauer_product(e2, e1, N) == e2.scale(N)
-        assert brauer_product(e2, e2, N) == e2.scale(N * N)
-        s2 = BrauerElement.basis(perm_to_diagram(s_ij(n, 2, 2)))
-        mid = brauer_product(brauer_product(e1, s2, N), e1, N)
-        assert mid == e1  # loopless rewiring; coefficient N^0
+    e1 = e_k_diagram(n, 1)
+    e2 = e_k_diagram(n, 2)
+    assert concat(e1, e1) == (e1, 1)
+    assert concat(e2, e1) == (e2, 1)
+    assert concat(e2, e2) == (e2, 2)
+    s2 = perm_to_diagram(s_ij(n, 2, 2))
+    assert concat_many(e1, s2, e1) == (e1, 0)  # loopless rewiring
 
     # layer filtration never drops under products
     for d1 in enumerate_diagrams(3):
@@ -376,14 +402,14 @@ def test_brauer_relations():
 
 
 def test_brauer_associativity_random():
+    # equal diagrams and equal loop counts, hence equal products for every N
     rng = random.Random(9)
     ds = enumerate_diagrams(4)
-    for N in (2, 3):
-        for _ in range(250):
-            a, b, c = (BrauerElement.basis(rng.choice(ds)) for _ in range(3))
-            assert brauer_product(brauer_product(a, b, N), c, N) == brauer_product(
-                a, brauer_product(b, c, N), N
-            )
+    for _ in range(2 * 250):
+        a, b, c = (rng.choice(ds) for _ in range(3))
+        bc, loops_bc = concat(b, c)
+        abc, loops_a_bc = concat(a, bc)
+        assert concat_many(a, b, c) == (abc, loops_bc + loops_a_bc)
 
 
 def test_classical_ideal_closure():

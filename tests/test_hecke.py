@@ -1,19 +1,17 @@
 import random
 
-from qbrauer import scalars
-from qbrauer.diagrams import identity_perm, perm_mul, s_ij
+from qbrauer.diagrams import identity_perm, perm_mul, reduced_word, s_ij
 from qbrauer.hecke import (
     HeckeElement,
-    chain_element,
-    hecke_from_json,
+    asc,
+    desc,
     hecke_to_json,
     in_subalgebra,
-    inverse_basis,
     involution_i,
     product,
     word_element,
 )
-from qbrauer.scalars import ONE, q_scalar, qm1_scalar
+from qbrauer.scalars import ONE, IntPoly, Scalar, q_scalar, qm1_scalar, scalar_from_json
 
 
 def g(n, j):
@@ -27,7 +25,7 @@ def random_element(rng, n, size=3):
     terms = {}
     for _ in range(size):
         w = rng.choice(perms)
-        c = scalars.from_int(rng.randint(-3, 3))
+        c = Scalar(IntPoly.const(rng.randint(-3, 3)))
         if not c.is_zero():
             terms[w] = c
     return HeckeElement(n, terms)
@@ -72,6 +70,10 @@ def test_gen_mul_left_rule():
 
 
 def test_inverse_basis():
+    def inverse_basis(w):
+        # g_w^{-1}: the generator inverses of a reduced word, reversed
+        return word_element(len(w), [(j, -1) for j in reversed(reduced_word(w))])
+
     n = 4
     unit = HeckeElement.unit(n)
     assert inverse_basis(identity_perm(n)) == unit
@@ -122,11 +124,14 @@ def test_involution():
 
 def test_chain_element():
     n = 5
-    assert chain_element(n, +1, 2, 2) == g(n, 2)
-    assert chain_element(n, +1, 1, 3) == HeckeElement.basis(s_ij(n, 1, 3))
+    assert word_element(n, asc(2, 2)) == g(n, 2)
+    assert word_element(n, asc(1, 3)) == HeckeElement.basis(s_ij(n, 1, 3))
+    assert word_element(n, desc(3, 1)) == HeckeElement.basis(s_ij(n, 3, 1))
     # descending inverse chain
-    manual = word_element(n, [(3, -1), (2, -1), (1, -1)])
-    assert chain_element(n, -1, 3, 1) == manual
+    assert desc(3, 1, -1) == [(3, -1), (2, -1), (1, -1)]
+    g3i, g2i, g1i = (word_element(n, [(j, -1)]) for j in (3, 2, 1))
+    manual = product(product(g3i, g2i), g1i)
+    assert word_element(n, desc(3, 1, -1)) == manual
 
 
 def test_in_subalgebra():
@@ -140,7 +145,12 @@ def test_in_subalgebra():
 
 
 def test_json_round_trip():
+    # one entry per term, sorted by permutation, each coefficient read back
+    # to the same scalar
     rng = random.Random(3)
     for _ in range(30):
         x = random_element(rng, 4, 3)
-        assert hecke_from_json(4, hecke_to_json(x)) == x
+        obj = hecke_to_json(x)
+        perms = [tuple(t["perm"]) for t in obj]
+        assert perms == sorted(x.terms)
+        assert all(scalar_from_json(t["coeff"]) is x.terms[w] for w, t in zip(perms, obj))

@@ -15,19 +15,28 @@ from qbrauer.scalars import (
     Scalar,
     ONE,
     ZERO,
-    b_scalar,
     brauer_limit,
-    from_int,
-    one,
     q_scalar,
     qm1_scalar,
-    quantum_integer,
     r_scalar,
-    rm1_scalar,
     scalar_from_json,
     scalar_to_json,
     specialize,
 )
+
+QM1_POLY = IntPoly({(1, 0): 1, (0, 0): -1})
+RM1_POLY = IntPoly({(0, 1): 1, (0, 0): -1})
+# b = (r-1)/(q-1), the value of a closed loop, and r - 1
+B = Scalar(RM1_POLY, 0, 0, 1)
+RM1 = Scalar(RM1_POLY)
+
+
+def q_sum(m):
+    """1 + q + ... + q^{m-1}, summed."""
+    out = ZERO
+    for i in range(m):
+        out = out + q_scalar() ** i
+    return out
 
 
 def random_scalar(rng):
@@ -72,8 +81,10 @@ def scalars_equal_oracle(a, b):
 
 
 def test_b_clears_defining_denominator():
-    assert b_scalar() * (q_scalar() - one()) == r_scalar() - one()
-    assert b_scalar() ** 2 * qm1_scalar() ** 2 == rm1_scalar() ** 2
+    assert B * (q_scalar() - ONE) == r_scalar() - ONE
+    assert B ** 2 * qm1_scalar() ** 2 == RM1 ** 2
+    # the context's loop value is this b, whichever way it is built
+    assert AlgebraContext(2).b() is B
 
 
 def test_additive_identities():
@@ -90,7 +101,7 @@ def test_units():
     q = q_scalar()
     assert q * q.inv() == ONE
     assert (q ** 2 * r_scalar()).inv() == q ** -2 * r_scalar() ** -1
-    assert b_scalar().inv() == qm1_scalar() * rm1_scalar().inv()
+    assert B.inv() == qm1_scalar() * RM1.inv()
     with pytest.raises(NotAUnit):
         (q + r_scalar()).inv()
     with pytest.raises(NotAUnit):
@@ -115,7 +126,7 @@ def test_canonical_form_unique_under_renormalization():
         x = random_scalar(rng)
         a, c, u, v = _exps(x)
         lift = Scalar(
-            x.num * _raw_den(from_int(1)) * IntPoly({(1, 0): 1, (0, 0): -1})
+            x.num * _raw_den(ONE) * IntPoly({(1, 0): 1, (0, 0): -1})
             * IntPoly({(0, 1): 1, (0, 0): -1}) * IntPoly.monomial(1, 2, 1),
             a + 2,
             c + 1,
@@ -156,16 +167,26 @@ def test_poly_ring_axioms(aterms, bterms):
     assert (a - a).is_zero()
 
 
+def test_subs_r_power_drops_cancelled_terms():
+    # r := q^N can cancel terms: q - r is 0 at N = 1, and only the constant
+    # of q^2 - r + 3 survives at N = 2
+    q_minus_r = IntPoly({(1, 0): 1, (0, 1): -1})
+    assert q_minus_r.subs_r_power(1).terms == {}
+    assert q_minus_r.subs_r_power(1) == IntPoly()
+    assert IntPoly({(2, 0): 1, (0, 1): -1, (0, 0): 3}).subs_r_power(2).terms == {(0, 0): 3}
+    assert brauer_limit(Scalar(q_minus_r), 1) == 0
+
+
 def test_quantum_integer():
-    assert quantum_integer(0) == ZERO
-    assert quantum_integer(1) == ONE
-    assert quantum_integer(3) == ONE + q_scalar() + q_scalar() ** 2
+    assert q_sum(0) == ZERO
+    assert q_sum(1) == ONE
+    assert q_sum(3) == Scalar(IntPoly({(0, 0): 1, (1, 0): 1, (2, 0): 1}))
     for m in range(7):
-        assert qm1_scalar() * quantum_integer(m) == q_scalar() ** m - ONE
+        assert qm1_scalar() * q_sum(m) == q_scalar() ** m - ONE
 
 
 def test_specialize():
-    b = b_scalar()
+    b = B
     assert specialize(b, Fraction(2), Fraction(3)) == Fraction(2)
     assert specialize(q_scalar() ** -1, Fraction(2), Fraction(5)) == Fraction(1, 2)
     with pytest.raises(PoleAtSpecialization):
@@ -208,19 +229,19 @@ def test_specialize_is_the_naive_quotient_and_poles_are_exact():
                 assert specialize(x, q0, r0) == want
     assert poles == {(True, False), (False, True), (True, True)}
     with pytest.raises(PoleAtSpecialization):
-        specialize(b_scalar().inv(), Fraction(2), Fraction(1))
+        specialize(B.inv(), Fraction(2), Fraction(1))
 
 
 def test_brauer_limit():
-    assert brauer_limit(b_scalar(), 3) == Fraction(3)
+    assert brauer_limit(B, 3) == Fraction(3)
     assert brauer_limit(r_scalar(), 2) == Fraction(1)
     # loop coefficient of a cap sandwich at level 2
-    assert brauer_limit(r_scalar() * b_scalar(), 4) == Fraction(4)
+    assert brauer_limit(r_scalar() * B, 4) == Fraction(4)
     for N in range(1, 7):
-        assert brauer_limit(quantum_integer(N), N) == N
-        assert brauer_limit(b_scalar(), N) == N
+        assert brauer_limit(q_sum(N), N) == N
+        assert brauer_limit(B, N) == N
     for N in (-1, -2, -3):
-        assert brauer_limit(b_scalar(), N) == N
+        assert brauer_limit(B, N) == N
         assert brauer_limit(r_scalar(), N) == 1
     with pytest.raises(PoleAtSpecialization):
         brauer_limit(qm1_scalar().inv(), 2)
@@ -247,10 +268,6 @@ def test_json_round_trip():
 
 # --- interning: one object per value, memoized ring operations ---
 
-QM1_POLY = IntPoly({(1, 0): 1, (0, 0): -1})
-RM1_POLY = IntPoly({(0, 1): 1, (0, 0): -1})
-
-
 def test_equal_values_are_one_object():
     rng = random.Random(6)
     for _ in range(100):
@@ -264,8 +281,8 @@ def test_equal_values_are_one_object():
         assert scalar_from_json(scalar_to_json(x)) is x
     q = q_scalar()
     assert (q + ONE) * (q - ONE) is q ** 2 - ONE
-    assert b_scalar() * qm1_scalar() is rm1_scalar()
-    assert Scalar(IntPoly()) is ZERO and from_int(1) is ONE
+    assert B * qm1_scalar() is RM1
+    assert Scalar(IntPoly()) is ZERO and Scalar(IntPoly.const(1)) is ONE
     # equality is the object default, exact because values are interned
     assert "__eq__" not in vars(Scalar) and "__hash__" not in vars(Scalar)
 
