@@ -21,7 +21,7 @@ a context hold one action each, as a tuple of (diagram, coeff) pairs per
 basis element: ``_lmul_g`` and ``_rmul_g`` the g_j rule on the left and the
 right, ``_rmul_atom`` g_j^{-1} and e on the right.  ``_core`` holds the
 core products below, and the module-global ``_EXPR_CACHE`` each diagram's
-factorization.
+factorization with its three lengths.
 
 Multiplication by e reduces to the core products e g_sigma e_(k).  These
 are peeled by exact one-letter rules (e g_1 = q e; e g_i = g_i e for
@@ -58,7 +58,6 @@ from .diagrams import (
     left_descents,
     lmul_s,
     perm_inv,
-    perm_length,
     perm_mul,
     reduced_word,
     right_descents,
@@ -84,12 +83,12 @@ def _expr(d: BrauerDiagram) -> ReducedExpression:
 
 def _vstar_len(d: BrauerDiagram) -> int:
     e = _expr(d)
-    return perm_length(e.w1) + perm_length(e.wd)
+    return e.l1 + e.ld
 
 
 def _v_len(d: BrauerDiagram) -> int:
     e = _expr(d)
-    return perm_length(e.wd) + perm_length(e.w2)
+    return e.ld + e.l2
 
 
 class QBrauerElement(SparseElement):

@@ -217,6 +217,18 @@ def inflation_bijection_check(ctx: AlgebraContext) -> dict:
     return report("inflation_bijection", ctx, {}, count, failures)
 
 
+def _pairs(rng: random.Random, left: list, right: list, sample):
+    """All pairs (c, d) of ``left`` x ``right``, or ``sample`` of them drawn
+    by ``rng`` when there are more.  The draw is by index into the pairs in
+    row-major order, which picks the same pairs as sampling the full list
+    without building it."""
+    m = len(right)
+    total = len(left) * m
+    if sample is None or total <= sample:
+        return [(c, d) for c in left for d in right]
+    return [(left[i // m], right[i % m]) for i in rng.sample(range(total), sample)]
+
+
 def inflation_product_check(ctx: AlgebraContext, sample=None, seed: int = 0) -> dict:
     """Layer products are governed by phi_k modulo lower layers:
     g_c g_d = c1 x d2 x (g_{w(c)} phi_k(c2, d1) g_{w(d)}) modulo the span of
@@ -225,12 +237,10 @@ def inflation_product_check(ctx: AlgebraContext, sample=None, seed: int = 0) -> 
     n = ctx.n
     failures = []
     pairs = 0
+    diagrams = enumerate_diagrams(n)
     for k in range(n // 2 + 1):
-        layer_diags = [d for d in enumerate_diagrams(n) if d.layer() == k]
-        all_pairs = [(c, d) for c in layer_diags for d in layer_diags]
-        if sample is not None and len(all_pairs) > sample:
-            all_pairs = rng.sample(all_pairs, sample)
-        for c, d in all_pairs:
+        layer_diags = [d for d in diagrams if d.layer() == k]
+        for c, d in _pairs(rng, layer_diags, layer_diags, sample):
             pairs += 1
             cc, dc = to_inflation(ctx, c), to_inflation(ctx, d)
             c2 = bottom_part(c)
@@ -249,7 +259,9 @@ def inflation_product_check(ctx: AlgebraContext, sample=None, seed: int = 0) -> 
 def involution_symmetry_check(ctx: AlgebraContext, sample=None, seed: int = 0) -> dict:
     """The involution swaps the two arguments of phi_k through inversion:
     i(phi_k(c, d)) = phi_k(star d, star c); also its basis image is the
-    rotated diagram with inverted coordinates."""
+    rotated diagram with inverted coordinates.  ``sample`` caps the phi_k
+    pairs of each layer; ``pairs_tested`` counts those pairs plus the
+    (2n-1)!! basis images."""
     rng = random.Random(seed)
     n = ctx.n
     failures = []
@@ -257,16 +269,14 @@ def involution_symmetry_check(ctx: AlgebraContext, sample=None, seed: int = 0) -
     for k in range(n // 2 + 1):
         tops = enumerate_nocross(n, k)
         bots = [star(t) for t in tops]
-        all_pairs = [(c, d) for c in bots for d in tops]
-        if sample is not None and len(all_pairs) > sample:
-            all_pairs = rng.sample(all_pairs, sample)
-        for c, d in all_pairs:
+        for c, d in _pairs(rng, bots, tops, sample):
             pairs += 1
             lhs = hecke_involution(phi_k(ctx, c, d))
             rhs = phi_k(ctx, star(d), star(c))
             if lhs != rhs:
                 failures.append({"k": k, "c": c.edges(), "d": d.edges()})
     for d in enumerate_diagrams(n):
+        pairs += 1
         ex = _expr(d)
         sx = _expr(star(d))
         if (sx.w1, sx.wd, sx.w2) != (

@@ -385,7 +385,10 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=("relations", "lemmas", "oracle", "cell", "involution"))
     options(sp, "n", "integral", "format", "seed")
     sp.add_argument("--sample", type=int, default=None,
-                    help="sample size for randomized suites (default exhaustive)")
+                    help="oracle: pairs drawn in all; cell: pairs per layer; "
+                         "involution: phi_k pairs per layer and antihomomorphism "
+                         "pairs in all (default exhaustive, but 200 for the "
+                         "antihomomorphism pairs)")
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("qh", help="quasi-heredity decision")

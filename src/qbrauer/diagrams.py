@@ -10,7 +10,7 @@ Conventions (fixed once, used by every module and all serialized forms):
   s_i s_{i-1} ... s_j for i > j, where s_t swaps t and t+1.
 * A Brauer diagram on 2n vertices numbers the top row 1..n left to right
   and the bottom row n+1..2n left to right.  It is stored as the
-  fixed-point-free involution ``partner``.
+  fixed-point-free involution ``partner``, one object per diagram.
 * A permutation is drawn as the diagram joining top i to bottom (i)w, so
   concatenation of diagrams (top factor first) matches the product uv.
 
@@ -59,8 +59,12 @@ def perm_inv(u: Perm) -> Perm:
 
 def perm_length(w: Perm) -> int:
     """Inversion count #{(i,j) : i < j, (j)w < (i)w}."""
-    n = len(w)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if w[j] < w[i])
+    count = 0
+    for i, x in enumerate(w):
+        for y in w[i + 1:]:
+            if y < x:
+                count += 1
+    return count
 
 
 def s_ij(n: int, i: int, j: int) -> Perm:
@@ -158,27 +162,38 @@ def reduced_word(w: Perm) -> list:
 # Brauer diagrams
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class BrauerDiagram:
-    """Perfect matching on 2n vertices; ``partner`` is the involution."""
+    """Perfect matching on 2n vertices; ``partner`` is the involution.
 
-    n: int
-    partner: tuple
+    Hash-consed: ``BrauerDiagram(n, partner)`` validates a new matching once
+    and returns the one object kept for it, so ``==`` and ``hash`` are the
+    object defaults (identity) and the layer is counted once.  No diagram
+    may be changed in place, copied or pickled.
+    """
 
-    def __post_init__(self):
-        n2 = 2 * self.n
-        if len(self.partner) != n2:
-            raise ValueError("partner array has wrong length")
-        for v in range(1, n2 + 1):
-            u = self.partner[v - 1]
-            if u == v or not 1 <= u <= n2 or self.partner[u - 1] != v:
-                raise ValueError("partner is not a fixed-point-free involution")
+    __slots__ = ("n", "partner", "_layer")
+
+    def __new__(cls, n: int, partner: tuple):
+        key = (n, partner)
+        self = _DIAGRAMS.get(key)
+        if self is None:
+            n2 = 2 * n
+            if len(partner) != n2:
+                raise ValueError("partner array has wrong length")
+            for v in range(1, n2 + 1):
+                u = partner[v - 1]
+                if u == v or not 1 <= u <= n2 or partner[u - 1] != v:
+                    raise ValueError("partner is not a fixed-point-free involution")
+            self = object.__new__(cls)
+            self.n, self.partner = n, partner
+            self._layer = sum(1 for u in partner[:n] if u <= n) // 2
+            # setdefault keeps one object per diagram when threads race here
+            self = _DIAGRAMS.setdefault(key, self)
+        return self
 
     def layer(self) -> int:
         """Number of horizontal edges per row."""
-        return sum(
-            1 for v in range(1, self.n + 1) if self.partner[v - 1] <= self.n
-        ) // 2
+        return self._layer
 
     def edges(self):
         return sorted(
@@ -187,8 +202,15 @@ class BrauerDiagram:
             if v < self.partner[v - 1]
         )
 
+    def __repr__(self) -> str:
+        return f"BrauerDiagram(n={self.n!r}, partner={self.partner!r})"
+
     def __str__(self) -> str:
         return render_diagram(self)
+
+
+# Process-global: every diagram by (n, partner).  Entries are never removed.
+_DIAGRAMS: dict = {}
 
 
 def diagram_from_edges(n: int, edges) -> BrauerDiagram:
@@ -243,10 +265,13 @@ def bottom_swap(d: BrauerDiagram, j: int) -> BrauerDiagram:
 
 
 def _vertex_swap(d: BrauerDiagram, a: int, b: int) -> BrauerDiagram:
-    m = {a: b, b: a}
-    partner = [0] * (2 * d.n)
-    for v in range(1, 2 * d.n + 1):
-        partner[m.get(v, v) - 1] = m.get(d.partner[v - 1], d.partner[v - 1])
+    """Relabel vertices a and b: only their two edges change."""
+    pa, pb = d.partner[a - 1], d.partner[b - 1]
+    if pa == b:
+        return d
+    partner = list(d.partner)
+    partner[a - 1], partner[b - 1] = pb, pa
+    partner[pa - 1], partner[pb - 1] = b, a
     return BrauerDiagram(d.n, tuple(partner))
 
 
@@ -333,9 +358,13 @@ class ReducedExpression:
     w1: Perm
     wd: Perm
     w2: Perm
+    # the lengths of w1, wd and w2, counted once by decompose
+    l1: int
+    ld: int
+    l2: int
 
     def length(self) -> int:
-        return perm_length(self.w1) + perm_length(self.wd) + perm_length(self.w2)
+        return self.l1 + self.ld + self.l2
 
 
 def _row(d: BrauerDiagram, off: int):
@@ -374,7 +403,8 @@ def decompose(d: BrauerDiagram) -> ReducedExpression:
     k = len(tcaps) // 2
     slot = {v: i for i, v in enumerate(bfree, 2 * k + 1)}
     wd = tuple(range(1, 2 * k + 1)) + tuple(slot[d.partner[t - 1] - n] for t in tfree)
-    return ReducedExpression(k, perm_inv(tcaps + tfree), wd, tuple(bcaps + bfree))
+    w1, w2 = perm_inv(tcaps + tfree), tuple(bcaps + bfree)
+    return ReducedExpression(k, w1, wd, w2, perm_length(w1), perm_length(wd), perm_length(w2))
 
 
 def reconstruct(n: int, expr: ReducedExpression) -> BrauerDiagram:

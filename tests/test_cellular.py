@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -163,6 +164,38 @@ def test_inflation_product_congruence():
     for n in (2, 3):
         rep = inflation_product_check(AlgebraContext(n))
         assert rep["failures"] == []
+
+
+def test_sampled_inflation_product_pairs(monkeypatch):
+    """Drawing indices picks, layer by layer, the pairs that sampling the
+    full list of same-layer pairs would pick."""
+    from qbrauer import cellular
+    from qbrauer.diagrams import bottom_part, enumerate_diagrams, top_part
+
+    forms, coords = [], []
+    phi, to_inf = cellular.phi_k, cellular.to_inflation
+
+    def record_phi(ctx, c, d):
+        forms.append((c, d))
+        return phi(ctx, c, d)
+
+    def record_to(ctx, d):
+        coords.append(d)
+        return to_inf(ctx, d)
+
+    monkeypatch.setattr(cellular, "phi_k", record_phi)
+    monkeypatch.setattr(cellular, "to_inflation", record_to)
+    rep = inflation_product_check(AlgebraContext(4), sample=50, seed=3)
+    rng = random.Random(3)
+    want = []
+    for k in range(3):
+        layer = [d for d in enumerate_diagrams(4) if d.layer() == k]
+        all_pairs = [(c, d) for c in layer for d in layer]
+        assert len(all_pairs) > 50
+        want += rng.sample(all_pairs, 50)
+    assert rep["pairs_tested"] == 150 and rep["failures"] == []
+    assert coords == [x for pair in want for x in pair]
+    assert forms == [(bottom_part(c), top_part(d)) for c, d in want]
 
 
 def test_involution_symmetry():

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from qbrauer.algebra import AlgebraContext, e_k_element, element_to_json, product
 from qbrauer.cli import main, parse_perm
-from qbrauer.diagrams import diagram_to_json, e_k_diagram, s_ij
+from qbrauer.diagrams import diagram_to_json, e_k_diagram, enumerate_nocross, s_ij
 
 
 def run(capsys, *argv):
@@ -148,11 +148,23 @@ def test_verify_oracle_and_involution_read_integral(capsys):
                            "--sample", "20", "--format", "json")
         assert code == 0
         reports = json.loads(out)
-        assert [r["version"] for r in reports] == [{"N": M}, {"N": M}]
-        assert all(r["failures"] == [] for r in reports)
+        assert len(reports) == 2
+        for r in reports:
+            assert r["failures"] == [] and r["version"] == {"N": M}
     code, out, _ = run(capsys, "verify", "oracle", "3", "--format", "json")
     (rep,) = json.loads(out)
     assert rep["version"] == {"generic": True} and rep["params"]["Ns"] == [1, 2, 3]
+
+
+def test_involution_counts_the_basis_images(capsys):
+    # the phi_k pairs of each layer, plus one basis-image check for each of
+    # the 15 diagrams of rank 3
+    code, out, _ = run(capsys, "verify", "involution", "3", "--format", "json")
+    assert code == 0
+    symmetry, _ = json.loads(out)
+    forms = sum(len(enumerate_nocross(3, k)) ** 2 for k in (0, 1))
+    assert forms == 10
+    assert symmetry["pairs_tested"] == forms + 15
 
 
 def test_qh(capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from qbrauer.diagrams import (
     BrauerDiagram,
     SizeMismatch,
+    bottom_swap,
     concat,
     concat_many,
     decompose,
@@ -28,6 +29,7 @@ from qbrauer.diagrams import (
     star,
     t_word,
     top_part,
+    top_swap,
 )
 
 
@@ -103,6 +105,51 @@ def test_diagram_validation():
         BrauerDiagram(2, (1, 2, 3, 4))
     with pytest.raises(ValueError):
         BrauerDiagram(2, (2, 1, 3, 4))  # 3 fixed
+
+
+def test_diagrams_are_hash_consed():
+    for d in enumerate_diagrams(4):
+        assert BrauerDiagram(4, d.partner) is d
+        assert BrauerDiagram(4, tuple(list(d.partner))) is d
+    p = (4, 5, 6, 1, 2, 3)
+    assert BrauerDiagram(3, p) is BrauerDiagram(3, p) is identity_diagram(3)
+    assert repr(identity_diagram(2)) == "BrauerDiagram(n=2, partner=(3, 4, 1, 2))"
+
+
+def test_validation_after_interning():
+    # every n = 3 diagram is interned, and a bad partner still raises each time
+    enumerate_diagrams(3)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            BrauerDiagram(3, (2, 1, 3, 5, 4, 6))
+        with pytest.raises(ValueError):
+            BrauerDiagram(3, (2, 1, 7, 6, 5, 4))
+        # a valid n = 3 partner is the wrong length for n = 2
+        with pytest.raises(ValueError):
+            BrauerDiagram(2, identity_diagram(3).partner)
+
+
+def test_swaps_relabel_two_vertices():
+    """top_swap and bottom_swap edit four partner entries; relabelling every
+    vertex through the transposition is the reference."""
+    for n in (2, 3, 4):
+        for d in enumerate_diagrams(n):
+            for j in range(1, n):
+                for a, got in ((j, top_swap(d, j)), (n + j, bottom_swap(d, j))):
+                    m = {a: a + 1, a + 1: a}
+                    want = [0] * (2 * n)
+                    for v in range(1, 2 * n + 1):
+                        want[m.get(v, v) - 1] = m.get(d.partner[v - 1], d.partner[v - 1])
+                    assert got is BrauerDiagram(n, tuple(want))
+
+
+def test_stored_lengths():
+    for n in range(1, 6):
+        for d in enumerate_diagrams(n):
+            ex = decompose(d)
+            assert (ex.l1, ex.ld, ex.l2) == (
+                perm_length(ex.w1), perm_length(ex.wd), perm_length(ex.w2))
+            assert ex.length() == ex.l1 + ex.ld + ex.l2
 
 
 def test_e_k_diagram():
