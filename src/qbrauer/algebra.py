@@ -144,10 +144,6 @@ class AlgebraContext:
         return f"AlgebraContext(n={self.n}, {tag})"
 
 
-def layer_component(x: QBrauerElement, k: int) -> QBrauerElement:
-    return QBrauerElement(x.n, {d: c for d, c in x.terms.items() if d.layer() == k})
-
-
 def basis_element(ctx: AlgebraContext, d: BrauerDiagram) -> QBrauerElement:
     if d.n != ctx.n:
         raise SizeMismatch(f"diagram has n={d.n}, context n={ctx.n}")

@@ -8,10 +8,11 @@ k = 0..[n/2]; the layer-k basis elements correspond to triples
 non-crossing verticals, d2 is the mirror image shape, and w fixes 1..2k.
 Multiplication of two layer-k elements is governed, modulo the lower
 layers, by a bilinear form phi_k with values in the parabolic Hecke
-algebra on the generators g_{2k+1}..g_{n-1}; this module computes phi_k
-through the algebra product and filtration extraction, and verifies the
-ideal/form/involution conditions that make the layer decomposition a cell
-chain.
+algebra on the generators g_{2k+1}..g_{n-1}.  The cell coordinates of a
+layer-k diagram are its factorization (w1, wd, w2): w1 fixes d1, w2 fixes
+d2 and wd is h; phi_k and the product check read them through one reader,
+:func:`_layer_form`.  The module also verifies the ideal, form and
+involution conditions that make the layer decomposition a cell chain.
 
 Simple modules are indexed combinatorially: pairs (k, lam) with lam an
 e(q)-restricted partition of n - 2k, where e(q) is the order-of-unity
@@ -28,7 +29,6 @@ from .algebra import (
     AlgebraContext,
     QBrauerElement,
     basis_element,
-    layer_component,
     lmul_gen,
     product,
     rmul_atom,
@@ -37,6 +37,7 @@ from .algebra import (
 )
 from .diagrams import (
     BrauerDiagram,
+    Perm,
     bottom_part,
     concat_many,
     enumerate_diagrams,
@@ -176,27 +177,34 @@ def from_inflation(ctx: AlgebraContext, c: InflationCoords) -> QBrauerElement:
 # the layer bilinear form phi_k
 # ---------------------------------------------------------------------------
 
+def _layer_form(x: QBrauerElement, k: int, w1: Perm, w2: Perm) -> HeckeElement | None:
+    """Sum c g_wd over the layer-k terms c d of ``x``, d = w1 e_(k) wd e_(k) w2;
+    None as soon as a layer-k term has other outer factors than (w1, w2)."""
+    out: dict = {}
+    for d, coeff in x.terms.items():
+        if d.layer() == k:
+            ex = _expr(d)
+            if ex.w1 != w1 or ex.w2 != w2:
+                return None
+            accumulate(out, coeff, ((ex.wd, ONE),))
+    return HeckeElement._adopt(x.n, out)
+
+
 def phi_k(ctx: AlgebraContext, c: BrauerDiagram, d: BrauerDiagram) -> HeckeElement:
     """The parabolic Hecke element governing (e_(k) w2-part) * (w1-part e_(k)).
 
     ``c`` must be a bottom part (e_(k) top row), ``d`` a top part (e_(k)
-    bottom row), both of layer k; the product of their basis elements,
-    restricted to layer exactly k, is supported on permuted e_(k) diagrams
-    and is read off through the inflation coordinates.
+    bottom row), both of layer k; the layer-k terms of the product of their
+    basis elements are permuted e_(k) diagrams, so their outer factors are
+    both the identity, and phi_k is their :func:`_layer_form`.
     """
     k = c.layer()
     if d.layer() != k or bottom_part(c) != c or top_part(d) != d:
         raise MalformedCoords("phi_k needs a bottom part and a top part of one layer")
     P = product(ctx, basis_element(ctx, c), basis_element(ctx, d))
-    n = ctx.n
-    out: dict = {}
-    ident = identity_perm(n)
-    for dd, coeff in layer_component(P, k).terms.items():
-        ex = _expr(dd)
-        assert ex.w1 == ident and ex.w2 == ident
-        accumulate(out, coeff, ((ex.wd, ONE),))
-    h = HeckeElement._adopt(n, out)
-    assert in_subalgebra(h, k)
+    ident = identity_perm(ctx.n)
+    h = _layer_form(P, k, ident, ident)
+    assert h is not None and in_subalgebra(h, k)
     return h
 
 
@@ -230,9 +238,14 @@ def _pairs(rng: random.Random, left: list, right: list, sample):
 
 
 def inflation_product_check(ctx: AlgebraContext, sample=None, seed: int = 0) -> dict:
-    """Layer products are governed by phi_k modulo lower layers:
-    g_c g_d = c1 x d2 x (g_{w(c)} phi_k(c2, d1) g_{w(d)}) modulo the span of
-    the deeper layers, for all pairs of one layer."""
+    """Layer products are governed by phi_k modulo lower layers: for all
+    pairs of one layer, the layer-k terms of g_c g_d have the cell
+    coordinates (w1(c), h, w2(d)) with
+    h = g_{wd(c)} phi_k(bottom_part(c), top_part(d)) g_{wd(d)}.
+    Comparing coordinates is as strong as comparing diagrams, because
+    :func:`inflation_bijection_check`, which ``verify cell`` runs first,
+    rebuilds every diagram from its coordinates through ``concat``, which
+    shares no code with ``decompose``."""
     rng = random.Random(seed)
     n = ctx.n
     failures = []
@@ -242,16 +255,12 @@ def inflation_product_check(ctx: AlgebraContext, sample=None, seed: int = 0) -> 
         layer_diags = [d for d in diagrams if d.layer() == k]
         for c, d in _pairs(rng, layer_diags, layer_diags, sample):
             pairs += 1
-            cc, dc = to_inflation(ctx, c), to_inflation(ctx, d)
-            c2 = bottom_part(c)
-            d1 = top_part(d)
-            form = phi_k(ctx, c2, d1)
-            h = hecke_product(hecke_product(cc.h, form), dc.h)
-            want = from_inflation(ctx, InflationCoords(k, cc.d1, dc.d2, h))
-            got = layer_component(
-                product(ctx, QBrauerElement.basis(c), QBrauerElement.basis(d)), k
-            )
-            if got != want:
+            ec, ed = _expr(c), _expr(d)
+            form = phi_k(ctx, bottom_part(c), top_part(d))
+            want = hecke_product(HeckeElement.basis(ec.wd), form)
+            want = hecke_product(want, HeckeElement.basis(ed.wd))
+            x, y = QBrauerElement.basis(c), QBrauerElement.basis(d)
+            if _layer_form(product(ctx, x, y), k, ec.w1, ed.w2) != want:
                 failures.append({"c": c.edges(), "d": d.edges()})
     return report("inflation_product", ctx, {"sample": sample}, pairs, failures)
 
@@ -328,15 +337,19 @@ def e_of_q(q0, cap: int = 64):
     return None
 
 
+def _check_q_not_one(q0) -> None:
+    """At q = 1 the parameter (r-1)/(q-1) of the algebra is undefined."""
+    if q0 == q0 ** 0:
+        raise ValueError("q = 1 leaves (r-1)/(q-1) undefined")
+
+
 def is_quasi_hereditary(n: int, q0, r0):
     """(decision, explanation) per the order-of-unity criterion e(q) > n."""
     zero = 0 * q0
     if q0 == zero or r0 == zero:
         raise ValueError("q and r must be nonzero in the field")
-    one = q0 ** 0
-    if q0 == one:
-        raise ValueError("q = 1 leaves (r-1)/(q-1) undefined")
-    if r0 == one:
+    _check_q_not_one(q0)
+    if r0 == r0 ** 0:
         raise ValueError("(r-1)/(q-1) must be nonzero")
     e = e_of_q(q0, cap=n + 1)
     if e is None or e > n:
@@ -346,6 +359,7 @@ def is_quasi_hereditary(n: int, q0, r0):
 
 def simple_module_index(n: int, q0) -> list:
     """All (k, lam) with lam an e(q)-restricted partition of n - 2k."""
+    _check_q_not_one(q0)
     e = e_of_q(q0, cap=n + 1)
     out = []
     for k in range(n // 2 + 1):
@@ -356,7 +370,8 @@ def simple_module_index(n: int, q0) -> list:
 
 
 def cell_module_dims(n: int) -> dict:
-    """dim of each cell module: (rank of the layer column space) x f^lam."""
+    """dim of each cell module: the number of layer-k top parts
+    (transversal_count) times f^lam (hook_count)."""
     dims = {}
     for k in range(n // 2 + 1):
         vdim = transversal_count(n, k)

@@ -278,62 +278,43 @@ def _vertex_swap(d: BrauerDiagram, a: int, b: int) -> BrauerDiagram:
 def concat(d1: BrauerDiagram, d2: BrauerDiagram):
     """Stack d1 on top of d2; return (composite diagram, closed-loop count).
 
-    Each middle vertex carries one edge from d1 and one from d2, so the glued
-    graph decomposes into paths between outer vertices plus alternating
-    cycles confined to the middle row; the cycles are the removed loops.
+    Middle vertex m is the bottom vertex n+m of d1 and the top vertex m of
+    d2, so it carries one edge from each: the glued graph decomposes into
+    paths between outer vertices plus alternating cycles confined to the
+    middle row.  Each path is walked from an outer vertex through the two
+    ``partner`` tuples; the middle vertices that no path meets form the
+    cycles, which are the removed loops.
     """
     n = d1.n
     if d2.n != n:
         raise SizeMismatch(f"cannot concat diagrams with n={n} and n={d2.n}")
-    link1 = {}
-    link2 = {}
+    p1, p2 = d1.partner, d2.partner
+    partner = [0] * (2 * n)
+    met = [False] * (n + 1)
     for v in range(1, 2 * n + 1):
-        u = d1.partner[v - 1]
-        a = ("t", v) if v <= n else ("m", v - n)
-        b = ("t", u) if u <= n else ("m", u - n)
-        link1[a] = b
-    for v in range(1, 2 * n + 1):
-        u = d2.partner[v - 1]
-        a = ("m", v) if v <= n else ("b", v - n)
-        b = ("m", u) if u <= n else ("b", u - n)
-        link2[a] = b
-
-    edges = []
-    mid_seen = set()
-    done = set()
-    for kind in ("t", "b"):
-        for i in range(1, n + 1):
-            start = (kind, i)
-            if start in done:
-                continue
-            node = start
-            use1 = kind == "t"
-            while True:
-                node = (link1 if use1 else link2)[node]
-                if node[0] != "m":
-                    break
-                mid_seen.add(node[1])
-                use1 = not use1
-            done.add(start)
-            done.add(node)
-            a = start[1] if start[0] == "t" else n + start[1]
-            b = node[1] if node[0] == "t" else n + node[1]
-            edges.append((min(a, b), max(a, b)))
-
+        if partner[v - 1]:
+            continue
+        # a top vertex starts in d1, a bottom vertex in d2; in d1 the middle
+        # vertices are n+1..2n, in d2 they are 1..n
+        in1 = v <= n
+        u = (p1 if in1 else p2)[v - 1]
+        while (u > n) == in1:
+            m = u - n if in1 else u
+            met[m] = True
+            in1 = not in1
+            u = p1[n + m - 1] if in1 else p2[m - 1]
+        partner[v - 1], partner[u - 1] = u, v
     loops = 0
-    remaining = set(range(1, n + 1)) - mid_seen
-    while remaining:
-        m0 = remaining.pop()
-        node = ("m", m0)
-        use1 = True
-        while True:
-            node = (link1 if use1 else link2)[node]
-            use1 = not use1
-            if node == ("m", m0) and use1:
-                break
-            remaining.discard(node[1])
-        loops += 1
-    return diagram_from_edges(n, edges), loops
+    for m0 in range(1, n + 1):
+        if not met[m0]:
+            loops += 1
+            m = m0
+            while not met[m]:
+                met[m] = True
+                m = p1[n + m - 1] - n
+                met[m] = True
+                m = p2[m - 1]
+    return BrauerDiagram(n, tuple(partner)), loops
 
 
 def concat_many(*diagrams):

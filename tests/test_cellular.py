@@ -166,25 +166,45 @@ def test_inflation_product_congruence():
         assert rep["failures"] == []
 
 
+def _watch_checked_products(monkeypatch, doctor=lambda x, y, P: P):
+    """Wrap ``phi_k`` and ``product`` in ``cellular``: the products phi_k
+    makes pass through, and the product P of each pair under check comes
+    back as ``doctor(x, y, P)``.  Returns the phi_k arguments and, for each
+    checked pair, its two basis diagrams and whether ``doctor`` changed P,
+    in call order."""
+    from qbrauer import cellular
+
+    phi, prod = cellular.phi_k, cellular.product
+    forms, checked, in_phi = [], [], []
+
+    def wrapped_phi(ctx, c, d):
+        forms.append((c, d))
+        in_phi.append(True)
+        try:
+            return phi(ctx, c, d)
+        finally:
+            in_phi.pop()
+
+    def wrapped_product(ctx, x, y):
+        P = prod(ctx, x, y)
+        if in_phi:
+            return P
+        out = doctor(x, y, P)
+        (c,), (d,) = x.terms, y.terms
+        checked.append((c, d, out != P))
+        return out
+
+    monkeypatch.setattr(cellular, "phi_k", wrapped_phi)
+    monkeypatch.setattr(cellular, "product", wrapped_product)
+    return forms, checked
+
+
 def test_sampled_inflation_product_pairs(monkeypatch):
     """Drawing indices picks, layer by layer, the pairs that sampling the
     full list of same-layer pairs would pick."""
-    from qbrauer import cellular
     from qbrauer.diagrams import bottom_part, enumerate_diagrams, top_part
 
-    forms, coords = [], []
-    phi, to_inf = cellular.phi_k, cellular.to_inflation
-
-    def record_phi(ctx, c, d):
-        forms.append((c, d))
-        return phi(ctx, c, d)
-
-    def record_to(ctx, d):
-        coords.append(d)
-        return to_inf(ctx, d)
-
-    monkeypatch.setattr(cellular, "phi_k", record_phi)
-    monkeypatch.setattr(cellular, "to_inflation", record_to)
+    forms, checked = _watch_checked_products(monkeypatch)
     rep = inflation_product_check(AlgebraContext(4), sample=50, seed=3)
     rng = random.Random(3)
     want = []
@@ -194,8 +214,51 @@ def test_sampled_inflation_product_pairs(monkeypatch):
         assert len(all_pairs) > 50
         want += rng.sample(all_pairs, 50)
     assert rep["pairs_tested"] == 150 and rep["failures"] == []
-    assert coords == [x for pair in want for x in pair]
+    assert [(c, d) for c, d, _ in checked] == want
     assert forms == [(bottom_part(c), top_part(d)) for c, d in want]
+
+
+def _layer_term(x, P):
+    """A term (diagram, coeff) of P in the layer of the basis element x."""
+    (c,) = x.terms
+    return next(((d, v) for d, v in P.terms.items() if d.layer() == c.layer()), None)
+
+
+def _assert_check_fails_on(monkeypatch, doctor):
+    """inflation_product_check fails on exactly the pairs whose checked
+    product ``doctor`` changed, and there are some."""
+    _, checked = _watch_checked_products(monkeypatch, doctor)
+    rep = inflation_product_check(AlgebraContext(3))
+    doctored = [{"c": c.edges(), "d": d.edges()} for c, d, changed in checked if changed]
+    assert doctored and rep["failures"] == doctored
+
+
+def test_product_check_sees_a_changed_coefficient(monkeypatch):
+    def doctor(x, y, P):
+        term = _layer_term(x, P)
+        if term is None:
+            return P
+        d, v = term
+        return P + QBrauerElement.basis(d).scale(v)  # v becomes 2v
+
+    _assert_check_fails_on(monkeypatch, doctor)
+
+
+def test_product_check_sees_a_moved_top_part(monkeypatch):
+    from qbrauer.diagrams import top_part, top_swap
+
+    def doctor(x, y, P):
+        term = _layer_term(x, P)
+        if term is None:
+            return P
+        d, v = term
+        moved = [top_swap(d, j) for j in range(1, d.n)]
+        other = next((e for e in moved if top_part(e) != top_part(d)), None)
+        if other is None:  # layer 0: every diagram has the same top part
+            return P
+        return P - QBrauerElement.basis(d).scale(v) + QBrauerElement.basis(other).scale(v)
+
+    _assert_check_fails_on(monkeypatch, doctor)
 
 
 def test_involution_symmetry():

@@ -186,6 +186,16 @@ def test_simples(capsys):
     assert got == {(0, (1, 1)), (1, ())}
 
 
+def test_simples_refuses_q_one(capsys):
+    # q0 = 8 is 1 in F_7; qh refuses the same values
+    for argv in (("simples", "3", "--q0", "1"),
+                 ("simples", "3", "--field", "7", "--q0", "8")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "Traceback" not in err
+        assert json.loads(err)["detail"] == "q = 1 leaves (r-1)/(q-1) undefined"
+
+
 def test_output_file(tmp_path, capsys):
     path = tmp_path / "out.txt"
     code, out, _ = run(capsys, "dim", "3", "-o", str(path))

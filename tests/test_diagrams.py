@@ -194,6 +194,49 @@ def test_concat_size_mismatch():
         concat(identity_diagram(2), identity_diagram(3))
 
 
+def _glued(d1, d2):
+    """``concat`` by union-find over the glued graph on 3n vertices: top
+    1..n, middle n+1..2n, bottom 2n+1..3n.  Each component holding outer
+    vertices holds two, which the composite joins; the others are loops."""
+    n = d1.n
+    parent = list(range(3 * n + 1))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for d, shift in ((d1, 0), (d2, n)):
+        for a, b in d.edges():
+            parent[find(a + shift)] = find(b + shift)
+    comps = {}
+    for v in range(1, 3 * n + 1):
+        comps.setdefault(find(v), []).append(v)
+    edges, loops = [], 0
+    for vs in comps.values():
+        outer = [v if v <= n else v - n for v in vs if not n < v <= 2 * n]
+        if outer:
+            assert len(outer) == 2
+            edges.append(tuple(outer))
+        else:
+            loops += 1
+    return diagram_from_edges(n, edges), loops
+
+
+def test_concat_matches_union_find():
+    for n in range(1, 5):
+        ds = enumerate_diagrams(n)
+        for d1 in ds:
+            for d2 in ds:
+                assert concat(d1, d2) == _glued(d1, d2), (d1, d2)
+    ds = enumerate_diagrams(6)
+    rng = random.Random(6)
+    for _ in range(500):
+        d1, d2 = rng.choice(ds), rng.choice(ds)
+        assert concat(d1, d2) == _glued(d1, d2), (d1, d2)
+
+
 def test_perm_diagram_matches_group_product():
     rng = random.Random(1)
     for _ in range(100):
