@@ -8,11 +8,11 @@ is relation-driven: the right factor is expanded into a word in the
 generators g_j, g_j^{-1}, e and folded onto the left factor one atom at a
 time, keeping every intermediate result in normal form.  An atom of a word
 is (j, +1) for g_j, (j, -1) for g_j^{-1} (the encoding of ``hecke``), or
-``E_ATOM`` for e.
+``E_ATOM`` for e; ``reduced_word`` spells a permutation in these atoms.
 
-Single-generator multiplication mirrors the Hecke rule, with the diagram
-playing the role of the permutation: comparing the minimal word length of
-s_j . d against that of d decides between a plain move (length up), a
+Single-generator multiplication is the Hecke rule ``hecke.gen_pairs``, with
+the diagram playing the role of the permutation: the minimal word length
+of s_j . d against that of d decides between a plain move (length up), a
 factor q (length equal, which forces s_j . d = d), and the two-term
 quadratic expansion (length down).  ``rmul_atom`` and ``lmul_gen`` are the
 only single-atom multiplications; g_j^{-1} = q^{-1} g_j + (q^{-1} - 1) comes
@@ -57,7 +57,6 @@ from .diagrams import (
     identity_perm,
     left_descents,
     lmul_s,
-    perm_inv,
     perm_mul,
     reduced_word,
     right_descents,
@@ -66,7 +65,7 @@ from .diagrams import (
     star,
     top_swap,
 )
-from .hecke import HeckeElement, SparseElement, accumulate, asc, desc, inverse_pairs
+from .hecke import HeckeElement, SparseElement, accumulate, asc, desc, gen_pairs, inverse_pairs
 from .scalars import ONE, Q, QM1, Scalar
 
 # decomposition data is version-independent; shared across contexts
@@ -170,14 +169,7 @@ def _lmul_g_basis(ctx: AlgebraContext, j: int, d: BrauerDiagram):
         if not 1 <= j <= ctx.n - 1:
             raise ValueError(f"generator index {j} out of range")
         sjd = top_swap(d, j)
-        delta = _vstar_len(sjd) - _vstar_len(d)
-        if delta == 1:
-            res = ((sjd, ONE),)
-        elif delta == 0:
-            assert sjd == d
-            res = ((d, Q),)
-        else:
-            res = ((d, QM1), (sjd, Q))
+        res = gen_pairs(d, sjd, _vstar_len(sjd) - _vstar_len(d))
         ctx._lmul_g[key] = res
     return res
 
@@ -189,14 +181,7 @@ def _rmul_g_basis(ctx: AlgebraContext, d: BrauerDiagram, j: int):
         if not 1 <= j <= ctx.n - 1:
             raise ValueError(f"generator index {j} out of range")
         dsj = bottom_swap(d, j)
-        delta = _v_len(dsj) - _v_len(d)
-        if delta == 1:
-            res = ((dsj, ONE),)
-        elif delta == 0:
-            assert dsj == d
-            res = ((d, Q),)
-        else:
-            res = ((d, QM1), (dsj, Q))
+        res = gen_pairs(d, dsj, _v_len(dsj) - _v_len(d))
         ctx._rmul_g[key] = res
     return res
 
@@ -232,7 +217,7 @@ def _core_compute(ctx: AlgebraContext, sigma: Perm, k: int) -> QBrauerElement:
     n = ctx.n
     if k == 0:
         z = QBrauerElement.basis(e_k_diagram(n, 1))
-        return word_element(ctx, [(j, +1) for j in reduced_word(sigma)], z)
+        return word_element(ctx, reduced_word(sigma), z)
     if sigma == identity_perm(n):
         return e_k_element(ctx, k).scale(ctx.b())
 
@@ -296,7 +281,7 @@ def _lmul_e_basis(ctx: AlgebraContext, d: BrauerDiagram) -> QBrauerElement:
     product, and g_{w2} follows on the right."""
     ex = _expr(d)
     res = _core(ctx, perm_mul(ex.w1, ex.wd), ex.k)
-    return word_element(ctx, [(j, +1) for j in reduced_word(ex.w2)], res)
+    return word_element(ctx, reduced_word(ex.w2), res)
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +301,7 @@ def ek_atoms(k: int):
 def generator_word(d: BrauerDiagram):
     """A word in g_j, g_j^{-1}, e whose product is the basis element of d."""
     ex = _expr(d)
-    word = [(j, +1) for j in reduced_word(ex.w1)]
-    word += [(j, +1) for j in reduced_word(ex.wd)]
-    word += ek_atoms(ex.k)
-    word += [(j, +1) for j in reduced_word(ex.w2)]
-    return word
+    return reduced_word(ex.w1) + reduced_word(ex.wd) + ek_atoms(ex.k) + reduced_word(ex.w2)
 
 
 def _rmul_fill(ctx: AlgebraContext, d: BrauerDiagram, atom) -> tuple:
@@ -383,22 +364,16 @@ def product(ctx: AlgebraContext, x: QBrauerElement, y: QBrauerElement) -> QBraue
 # straightening: g_sigma e_(k) in the transversal normal form
 # ---------------------------------------------------------------------------
 
-def straighten(ctx: AlgebraContext, sigma: Perm, k: int, order: str = "standard"):
+def straighten(ctx: AlgebraContext, sigma: Perm, k: int):
     """Expand g_sigma e_(k) as sum of a_j g_{w_j} g_{pi_j} e_(k).
 
     Returns a sorted list of (Scalar, w, pi) with w in the no-crossing
-    transversal and pi fixing 1..2k.  ``order`` selects the reduced word
-    used for sigma; all choices give the same normal form.
+    transversal and pi fixing 1..2k.  The atoms of the reduced word of
+    sigma act on e_(k) from the left, last atom first.
     """
-    if order == "standard":
-        letters = reduced_word(sigma)
-    elif order == "reversed":
-        letters = list(reversed(reduced_word(perm_inv(sigma))))
-    else:
-        raise ValueError(f"unknown order {order!r}")
     z = e_k_element(ctx, k)
-    for j in reversed(letters):
-        z = lmul_gen(ctx, (j, +1), z)
+    for atom in reversed(reduced_word(sigma)):
+        z = lmul_gen(ctx, atom, z)
     out = []
     for d, c in z.terms.items():
         ex = _expr(d)

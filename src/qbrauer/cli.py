@@ -184,7 +184,7 @@ def cmd_straighten(args) -> int:
     ctx = _context(args)
     _check_k(args)
     sigma = parse_perm(args.n, args.sigma)
-    out = straighten(ctx, sigma, args.k, order=args.order)
+    out = straighten(ctx, sigma, args.k)
     if args.format == "json":
         payload = [
             {
@@ -270,6 +270,8 @@ def cmd_verify(args) -> int:
         raise InputError("--sample must be at least 1")
     ctx = _context(args)
     if args.suite == "relations":
+        if ctx.n < 2:
+            raise InputError("verify relations needs n >= 2: there is no relation at n = 1")
         reports = [suites.relations_suite(ctx)]
     elif args.suite == "lemmas":
         reports = [suites.lemmas_suite(ctx), suites.ek_consistency_suite(ctx)]
@@ -367,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("k", type=int)
     sp.add_argument("--sigma", required=True,
                     help='chain notation "s3,6 s2,5" or one-line "[3,1,2]"')
-    sp.add_argument("--order", choices=("standard", "reversed"), default="standard")
     sp.set_defaults(func=cmd_straighten)
 
     sp = sub.add_parser("decompose", help="canonical factorization of a diagram")

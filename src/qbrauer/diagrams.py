@@ -123,13 +123,6 @@ class TWord:
 
     factors: tuple
 
-    def letters(self) -> list:
-        """A reduced word, as a list of generator indices."""
-        out = []
-        for i, j in self.factors:
-            out.extend(range(i, j + 1))
-        return out
-
     def __str__(self) -> str:
         if not self.factors:
             return "1"
@@ -139,23 +132,24 @@ class TWord:
 def t_word(w: Perm) -> TWord:
     """The unique chain factorization of w.
 
-    t_j = s_{i,j} where i is the point the remaining permutation sends to
-    j+1; peeling it off restricts the remainder to S_j.
+    t_j = s_{i,j}, where i is the position of j+1 in what remains of w.
+    Peeling t_j off moves j+1 to the end, so it deletes that entry and
+    leaves a permutation of 1..j.
     """
-    n = len(w)
-    cur = w
+    rest = list(w)
     factors = []
-    for j in range(n - 1, 0, -1):
-        i = cur.index(j + 1) + 1
-        if i == j + 1:
-            continue
-        factors.append((i, j))
-        cur = perm_mul(perm_inv(s_ij(n, i, j)), cur)
+    for j in range(len(w) - 1, 0, -1):
+        i = rest.index(j + 1) + 1
+        del rest[i - 1]
+        if i <= j:
+            factors.append((i, j))
     return TWord(tuple(factors))
 
 
 def reduced_word(w: Perm) -> list:
-    return t_word(w).letters()
+    """The reduced word of the chain factorization of w, as (j, +1) atoms,
+    the generator-word encoding of ``hecke`` and ``algebra``."""
+    return [(t, +1) for i, j in t_word(w).factors for t in range(i, j + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ rises and (q-1) g_w + q g_{s_j w} otherwise (same on the right).  Products
 of basis elements are computed by expanding one factor into a reduced word
 from its chain factorization and folding single-generator multiplications.
 
-The sparse-sum step ``accumulate`` and the element base ``SparseElement``
-live here, the lowest module, and ``algebra`` builds on both.
+The sparse-sum step ``accumulate``, the element base ``SparseElement`` and
+the g_j rule ``gen_pairs`` live here, the lowest module, and ``algebra``
+builds on all three: layer 0 of the q-Brauer algebra is this algebra.
 """
 
 from __future__ import annotations
@@ -92,6 +93,22 @@ class SparseElement:
         )
 
 
+def gen_pairs(key, moved, delta: int) -> tuple:
+    """g_j acting on the basis element ``key``, as (basis, coeff) pairs.
+
+    ``moved`` is ``key`` with s_j applied on the acting side, and ``delta``
+    its length minus that of ``key``: a plain move when the length rises,
+    the factor q when it stays (then ``moved`` is ``key``), and
+    (q-1) key + q moved when it falls.  This is the one copy of the rule,
+    for permutations and diagrams, on either side."""
+    if delta > 0:
+        return ((moved, ONE),)
+    if delta == 0:
+        assert moved == key
+        return ((key, Q),)
+    return ((key, QM1), (moved, Q))
+
+
 def inverse_pairs(pairs, key) -> tuple:
     """g^{-1} acting on the basis element ``key``, from ``pairs``, the
     (basis, coeff) pairs of g acting on it: the quadratic relation gives
@@ -126,11 +143,17 @@ def gen_mul_right(x: HeckeElement, j: int, sign: int = 1) -> HeckeElement:
         raise ValueError(f"generator index {j} out of range for n={x.n}")
     out: dict = {}
     for w, c in x.terms.items():
-        sw = rmul_s(w, j)
         # the length rises when w places j before j + 1
-        pairs = ((sw, ONE),) if w.index(j + 1) > w.index(j) else ((w, QM1), (sw, Q))
+        pairs = gen_pairs(w, rmul_s(w, j), 1 if w.index(j + 1) > w.index(j) else -1)
         accumulate(out, c, pairs if sign > 0 else inverse_pairs(pairs, w))
     return HeckeElement._adopt(x.n, out)
+
+
+def _fold(z: HeckeElement, atoms) -> HeckeElement:
+    """z times the product of the (j, sign) atoms, one generator at a time."""
+    for j, sign in atoms:
+        z = gen_mul_right(z, j, sign)
+    return z
 
 
 def product(x: HeckeElement, y: HeckeElement) -> HeckeElement:
@@ -139,10 +162,7 @@ def product(x: HeckeElement, y: HeckeElement) -> HeckeElement:
         raise SizeMismatch("mixed ranks in Hecke product")
     out: dict = {}
     for w, c in y.terms.items():
-        z = x
-        for j in reduced_word(w):
-            z = gen_mul_right(z, j)
-        accumulate(out, c, z.terms.items())
+        accumulate(out, c, _fold(x, reduced_word(w)).terms.items())
     return HeckeElement._adopt(x.n, out)
 
 
@@ -158,10 +178,7 @@ def desc(l: int, k: int, sign: int = 1):
 
 def word_element(n: int, letters) -> HeckeElement:
     """Product of g_j^{±1} over (j, sign) pairs; sign -1 inverts."""
-    z = HeckeElement.unit(n)
-    for j, sign in letters:
-        z = gen_mul_right(z, j, sign)
-    return z
+    return _fold(HeckeElement.unit(n), letters)
 
 
 def involution_i(x: HeckeElement) -> HeckeElement:

@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
-from qbrauer import scalars, suites
+from qbrauer import hecke, scalars, suites
 from qbrauer.algebra import (
     AlgebraContext,
     QBrauerElement,
@@ -18,16 +19,22 @@ from qbrauer.algebra import (
     rmul_atom,
     straighten,
     E_ATOM,
+    _lmul_g_basis,
+    _rmul_g_basis,
 )
 from qbrauer.diagrams import (
     BrauerDiagram,
     concat,
+    decompose,
     diagram_from_edges,
     e_k_diagram,
     enumerate_diagrams,
     identity_diagram,
     identity_perm,
+    perm_inv,
     perm_mul,
+    perm_to_diagram,
+    reduced_word,
     s_ij,
     star,
 )
@@ -219,6 +226,25 @@ def test_generator_times_its_inverse_is_the_identity():
                 assert lmul_gen(ctx, second, lmul_gen(ctx, first, x)) == x, (d, j, first)
 
 
+def test_layer_zero_is_the_hecke_algebra():
+    # the diagram layer's g_j on permutation diagrams, on either side, is
+    # the Hecke algebra's, and a reduced word's atoms spell g_w
+    def on_diagrams(h):
+        return {perm_to_diagram(w): c for w, c in h.terms.items()}
+
+    for n in range(1, 6):
+        ctx = AlgebraContext(n)
+        for w in permutations(range(1, n + 1)):
+            gw, d = hecke.HeckeElement.basis(w), perm_to_diagram(w)
+            assert hecke.word_element(n, reduced_word(w)) == gw, w
+            for j in range(1, n):
+                gj = hecke.HeckeElement.basis(s_ij(n, j, j))
+                right = hecke.accumulate({}, ONE, _rmul_g_basis(ctx, d, j))
+                assert right == on_diagrams(hecke.gen_mul_right(gw, j)), (w, j)
+                left = hecke.accumulate({}, ONE, _lmul_g_basis(ctx, j, d))
+                assert left == on_diagrams(hecke.product(gj, gw)), (w, j)
+
+
 @pytest.mark.parametrize("atom", [(0, 1), (4, -1)])
 def test_atom_out_of_range_raises(atom):
     ctx = AlgebraContext(4)
@@ -242,6 +268,20 @@ def test_straighten_trivial_cases():
     assert out == [(q_scalar(), identity_perm(5), identity_perm(5))]
 
 
+def straighten_by_inverse_word(ctx, sigma, k):
+    """The normal form of g_sigma e_(k) as ``straighten`` returns it, through
+    another reduced word: the atoms of the reduced word of sigma^{-1}, each
+    acting on the left in turn, spell sigma backwards."""
+    z = e_k_element(ctx, k)
+    for atom in reduced_word(perm_inv(sigma)):
+        z = lmul_gen(ctx, atom, z)
+    out = []
+    for d, c in z.terms.items():
+        ex = decompose(d)
+        out.append((c, ex.w1, ex.wd))
+    return sorted(out, key=lambda t: (t[1], t[2]))
+
+
 def test_straighten_three_term_example():
     n, k = 8, 3
     ctx = AlgebraContext(n)
@@ -259,7 +299,7 @@ def test_straighten_three_term_example():
         key=lambda t: (t[1], t[2]),
     )
     assert out == expected
-    assert straighten(ctx, perm_mul(om, pi), k, order="reversed") == expected
+    assert straighten_by_inverse_word(ctx, perm_mul(om, pi), k) == expected
 
 
 def test_straighten_coefficients_are_plain_q_polynomials():

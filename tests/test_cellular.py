@@ -215,7 +215,8 @@ def test_sampled_inflation_product_pairs(monkeypatch):
         want += rng.sample(all_pairs, 50)
     assert rep["pairs_tested"] == 150 and rep["failures"] == []
     assert [(c, d) for c, d, _ in checked] == want
-    assert forms == [(bottom_part(c), top_part(d)) for c, d in want]
+    # each distinct form is computed once, in the order first needed
+    assert forms == list(dict.fromkeys((bottom_part(c), top_part(d)) for c, d in want))
 
 
 def _layer_term(x, P):

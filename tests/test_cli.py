@@ -295,6 +295,20 @@ def test_sample_below_one_exits_2(capsys):
         assert_input_error(capsys, "verify", *argv)
 
 
+def test_verify_cell_runs_at_rank_one(capsys):
+    # e is no generator at n = 1, so the chain check multiplies by no e
+    code, out, _ = run(capsys, "verify", "cell", "1", "--format", "json")
+    assert code == 0
+    assert [(r["pairs_tested"], r["failures"]) for r in json.loads(out)] == [(1, [])] * 3
+
+
+def test_verify_relations_needs_rank_two(capsys):
+    # there is no relation at n = 1, and a pass over none would be vacuous
+    code, _, err = run(capsys, "verify", "relations", "1")
+    assert code == 2
+    assert "n >= 2" in json.loads(err)["detail"]
+
+
 def test_repeated_monomial_in_a_scalar_exits_2(tmp_path, capsys):
     ctx = AlgebraContext(2)
     x = element_to_json(ctx, e_k_element(ctx, 1))
@@ -392,7 +406,7 @@ COMMANDS = {
     "dim": (("n",), ()),
     "mul": (("x", "y"), ()),
     "table": (("n",), ("--integral",)),
-    "straighten": (("n", "k"), ("--integral", "--format", "--sigma", "--order")),
+    "straighten": (("n", "k"), ("--integral", "--format", "--sigma")),
     "decompose": (("diagram",), ("--format",)),
     "phi": (("n", "k"), ("--integral",)),
     "verify": (("suite", "n"), ("--integral", "--format", "--seed", "--sample")),
@@ -412,7 +426,6 @@ ARG_VALUES = {
     "--seed": st.integers(-1, 3).map(str),
     "--sample": st.integers(0, 20).map(str),
     "--sigma": st.sampled_from(("s1", "s1,2", "[2,1,3]", "1", "s9", '["a",2,3]')),
-    "--order": st.sampled_from(("standard", "reversed", "x")),
     "--field": st.sampled_from(("rationals", "2", "7", "6", "x")),
     "--q0": FIELD_VALUES,
     "--r0": FIELD_VALUES,

@@ -72,7 +72,7 @@ def test_gen_mul_left_rule():
 def test_inverse_basis():
     def inverse_basis(w):
         # g_w^{-1}: the generator inverses of a reduced word, reversed
-        return word_element(len(w), [(j, -1) for j in reversed(reduced_word(w))])
+        return word_element(len(w), [(j, -1) for j, _ in reversed(reduced_word(w))])
 
     n = 4
     unit = HeckeElement.unit(n)
