@@ -1,16 +1,20 @@
 """
-Iterated-inflation coordinates, layer bilinear forms, cell-chain checks,
-and the quasi-heredity decision procedure.
+Cell coordinates, layer bilinear forms, cell-chain checks, and the
+quasi-heredity decision procedure.
 
 The algebra decomposes, as a free module, into layers indexed by
-k = 0..[n/2]; the layer-k basis elements correspond to triples
-(d1, d2, g_w) where d1 has its bottom row equal to the e_(k) row with
-non-crossing verticals, d2 is the mirror image shape, and w fixes 1..2k.
+k = 0..[n/2], and is an iterated inflation of Hecke algebras along them.
+The cell coordinate of a layer-k diagram d is its factorization
+(k, w1, wd, w2), d = w1 e_(k) wd e_(k) w2 up to k loops, with wd fixing
+1..2k: w1 fixes the top part of d (its top row over the e_(k) row, with
+non-crossing verticals), w2 the mirror-image bottom part, and g_wd lies
+in the parabolic Hecke algebra on the generators g_{2k+1}..g_{n-1}.
+:func:`to_inflation` reads the coordinate and :func:`from_inflation`
+rebuilds the diagram from all of it by concatenation;
+:func:`inflation_bijection_check` runs that round trip on every diagram.
 Multiplication of two layer-k elements is governed, modulo the lower
-layers, by a bilinear form phi_k with values in the parabolic Hecke
-algebra on the generators g_{2k+1}..g_{n-1}.  The cell coordinates of a
-layer-k diagram are its factorization (w1, wd, w2): w1 fixes d1, w2 fixes
-d2 and wd is h; phi_k and the product check read them through one reader,
+layers, by a bilinear form phi_k with values in that Hecke algebra; phi_k
+and the product check read coordinates through one reader,
 :func:`_layer_form`.  The module also verifies the ideal, form and
 involution conditions that make the layer decomposition a cell chain.
 
@@ -25,6 +29,7 @@ import random
 from dataclasses import dataclass
 from math import factorial
 
+from . import algebra
 from .algebra import (
     AlgebraContext,
     QBrauerElement,
@@ -33,15 +38,17 @@ from .algebra import (
     product,
     rmul_atom,
     E_ATOM,
-    _expr,
 )
 from .diagrams import (
     BrauerDiagram,
     Perm,
+    ReducedExpression,
     bottom_part,
     concat_many,
+    e_k_diagram,
     enumerate_diagrams,
     enumerate_nocross,
+    fixes_prefix,
     identity_perm,
     perm_inv,
     perm_to_diagram,
@@ -56,11 +63,7 @@ from .hecke import (
     product as hecke_product,
 )
 from .scalars import ONE
-from .suites import report
-
-
-class MalformedCoords(ValueError):
-    """Inflation coordinates violating the shape invariants."""
+from .suites import _pairs, report
 
 
 # ---------------------------------------------------------------------------
@@ -122,55 +125,21 @@ def double_factorial_odd(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# inflation coordinates
+# cell coordinates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InflationCoords:
-    """Layer coordinates (d1, d2, h) of a layer-k element:
-    d1 has e_(k) bottom row and non-crossing verticals, d2 the mirror shape,
-    and h is supported on permutations fixing 1..2k."""
-
-    k: int
-    d1: BrauerDiagram
-    d2: BrauerDiagram
-    h: HeckeElement
+def to_inflation(d: BrauerDiagram) -> ReducedExpression:
+    """The cell coordinate (k, w1, wd, w2) of ``d``: its memoized factorization."""
+    return algebra._expr(d)
 
 
-@dataclass(frozen=True)
-class CellModuleIndex:
-    k: int
-    lam: tuple
-
-
-def to_inflation(ctx: AlgebraContext, d: BrauerDiagram) -> InflationCoords:
-    ex = _expr(d)
-    return InflationCoords(
-        ex.k, top_part(d), bottom_part(d), HeckeElement.basis(ex.wd)
-    )
-
-
-def _check_coords(ctx: AlgebraContext, c: InflationCoords) -> None:
-    k = c.k
-    if c.d1.layer() != k or c.d2.layer() != k:
-        raise MalformedCoords("parts live in the wrong layer")
-    if top_part(c.d1) != c.d1:
-        raise MalformedCoords("d1 is not a no-crossing top part")
-    if bottom_part(c.d2) != c.d2:
-        raise MalformedCoords("d2 is not a no-crossing bottom part")
-    if not in_subalgebra(c.h, k):
-        raise MalformedCoords("h is not supported on the parabolic subgroup")
-
-
-def from_inflation(ctx: AlgebraContext, c: InflationCoords) -> QBrauerElement:
-    """Linear extension over h of (d1, d2, g_w) -> basis diagram."""
-    _check_coords(ctx, c)
-    out: dict = {}
-    for w, coeff in c.h.terms.items():
-        d, loops = concat_many(c.d1, perm_to_diagram(w), c.d2)
-        assert loops == c.k
-        accumulate(out, coeff, ((d, ONE),))
-    return QBrauerElement._adopt(ctx.n, out)
+def from_inflation(n: int, ex: ReducedExpression):
+    """``(diagram, loops)`` of the concatenation w1 e_(k) wd e_(k) w2, which
+    shares no code with ``decompose``; a cell coordinate of a diagram
+    rebuilds that diagram and closes k loops."""
+    ek = e_k_diagram(n, ex.k)
+    return concat_many(perm_to_diagram(ex.w1), ek, perm_to_diagram(ex.wd), ek,
+                       perm_to_diagram(ex.w2))
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +152,7 @@ def _layer_form(x: QBrauerElement, k: int, w1: Perm, w2: Perm) -> HeckeElement |
     out: dict = {}
     for d, coeff in x.terms.items():
         if d.layer() == k:
-            ex = _expr(d)
+            ex = to_inflation(d)
             if ex.w1 != w1 or ex.w2 != w2:
                 return None
             accumulate(out, coeff, ((ex.wd, ONE),))
@@ -200,7 +169,7 @@ def phi_k(ctx: AlgebraContext, c: BrauerDiagram, d: BrauerDiagram) -> HeckeEleme
     """
     k = c.layer()
     if d.layer() != k or bottom_part(c) != c or top_part(d) != d:
-        raise MalformedCoords("phi_k needs a bottom part and a top part of one layer")
+        raise ValueError("phi_k needs a bottom part and a top part of one layer")
     P = product(ctx, basis_element(ctx, c), basis_element(ctx, d))
     ident = identity_perm(ctx.n)
     h = _layer_form(P, k, ident, ident)
@@ -213,28 +182,33 @@ def phi_k(ctx: AlgebraContext, c: BrauerDiagram, d: BrauerDiagram) -> HeckeEleme
 # ---------------------------------------------------------------------------
 
 def inflation_bijection_check(ctx: AlgebraContext) -> dict:
-    """to_inflation and from_inflation are mutually inverse on the basis."""
+    """Every diagram d of layer k has a cell coordinate (k, w1, wd, w2) with
+    wd fixing 1..2k, and :func:`from_inflation` rebuilds d from the whole
+    coordinate, closing k loops; so :func:`to_inflation` is injective.
+    Each layer k holds sum_lam dim(k, lam)^2 diagrams, and their w1 take
+    transversal_count(n, k) values.  ``pairs_tested`` counts the diagrams;
+    a failed layer count is reported as ``{"layer": k}``."""
+    n = ctx.n
     failures = []
     count = 0
-    for d in enumerate_diagrams(ctx.n):
+    w1s = {}  # layer -> the w1 of each of its diagrams
+    for d in enumerate_diagrams(n):
         count += 1
-        c = to_inflation(ctx, d)
-        back = from_inflation(ctx, c)
-        if back != QBrauerElement.basis(d):
+        k = d.layer()
+        ex = to_inflation(d)
+        try:
+            back = from_inflation(n, ex)
+        except ValueError:  # w1, wd or w2 is no permutation
+            back = None
+        if back != (d, k) or not fixes_prefix(ex.wd, 2 * k):
             failures.append({"diagram": d.edges()})
+        w1s.setdefault(k, []).append(ex.w1)
+    dims = cell_module_dims(n)
+    for k in range(n // 2 + 1):
+        size = sum(v * v for idx, v in dims.items() if idx.k == k)
+        if len(w1s[k]) != size or len(set(w1s[k])) != transversal_count(n, k):
+            failures.append({"layer": k})
     return report("inflation_bijection", ctx, {}, count, failures)
-
-
-def _pairs(rng: random.Random, left: list, right: list, sample):
-    """All pairs (c, d) of ``left`` x ``right``, or ``sample`` of them drawn
-    by ``rng`` when there are more.  The draw is by index into the pairs in
-    row-major order, which picks the same pairs as sampling the full list
-    without building it."""
-    m = len(right)
-    total = len(left) * m
-    if sample is None or total <= sample:
-        return [(c, d) for c in left for d in right]
-    return [(left[i // m], right[i % m]) for i in rng.sample(range(total), sample)]
 
 
 def inflation_product_check(ctx: AlgebraContext, sample=None, seed: int = 0) -> dict:
@@ -244,8 +218,8 @@ def inflation_product_check(ctx: AlgebraContext, sample=None, seed: int = 0) -> 
     h = g_{wd(c)} phi_k(bottom_part(c), top_part(d)) g_{wd(d)}.
     Comparing coordinates is as strong as comparing diagrams, because
     :func:`inflation_bijection_check`, which ``verify cell`` runs first,
-    rebuilds every diagram from its coordinates through ``concat``, which
-    shares no code with ``decompose``."""
+    rebuilds every diagram from its whole coordinate (k, w1, wd, w2)
+    through ``concat``, which shares no code with ``decompose``."""
     rng = random.Random(seed)
     n = ctx.n
     failures = []
@@ -256,7 +230,7 @@ def inflation_product_check(ctx: AlgebraContext, sample=None, seed: int = 0) -> 
         layer_diags = [d for d in diagrams if d.layer() == k]
         for c, d in _pairs(rng, layer_diags, layer_diags, sample):
             pairs += 1
-            ec, ed = _expr(c), _expr(d)
+            ec, ed = to_inflation(c), to_inflation(d)
             parts = (bottom_part(c), top_part(d))
             form = forms.get(parts)
             if form is None:
@@ -290,8 +264,8 @@ def involution_symmetry_check(ctx: AlgebraContext, sample=None, seed: int = 0) -
                 failures.append({"k": k, "c": c.edges(), "d": d.edges()})
     for d in enumerate_diagrams(n):
         pairs += 1
-        ex = _expr(d)
-        sx = _expr(star(d))
+        ex = to_inflation(d)
+        sx = to_inflation(star(d))
         if (sx.w1, sx.wd, sx.w2) != (
             perm_inv(ex.w2),
             perm_inv(ex.wd),
@@ -326,6 +300,12 @@ def cell_chain_check(ctx: AlgebraContext) -> dict:
 # ---------------------------------------------------------------------------
 # quasi-heredity and simple modules
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CellModuleIndex:
+    k: int
+    lam: tuple
+
 
 def e_of_q(q0, cap: int = 64):
     """Least m <= cap with 1 + q0 + ... + q0^{m-1} = 0, else None."""

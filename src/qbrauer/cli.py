@@ -292,6 +292,10 @@ def cmd_verify(args) -> int:
         ]
     else:
         raise InputError(f"unknown suite {args.suite!r}")
+    # a report that tested nothing would read as a pass
+    reports = [r for r in reports if r["pairs_tested"]]
+    if not reports:
+        raise InputError(f"verify {args.suite} has nothing to test at n = {ctx.n}")
     return _run_reports(args, reports)
 
 

@@ -362,15 +362,17 @@ def _row(d: BrauerDiagram, off: int):
 
 
 def decompose(d: BrauerDiagram) -> ReducedExpression:
-    """The canonical (w1, wd, w2) of a diagram with 2k horizontal edges,
-    read off its two rows.
+    """The canonical (k, w1, wd, w2) of a diagram with 2k horizontal edges,
+    read off its two rows; it is the diagram's cell coordinate.
 
     The slots of a row are its caps then its free vertices, as listed by
     :func:`_row`.  w1 sends the i-th top slot to i and w2 sends i to the
     i-th bottom slot, so e_(k) closes the caps pairwise; wd fixes 1..2k and
     sends the slot of each free top vertex to the slot of its bottom
-    partner.  :func:`reconstruct` rebuilds d by concatenation, which checks
-    this read-off independently.
+    partner.  The inverse is the concatenation w1 e_(k) wd e_(k) w2,
+    ``cellular.from_inflation``; the inflation bijection check rebuilds
+    every diagram through it, from w1 and w2 too, independently of this
+    read-off.
     """
     n = d.n
     tcaps, tfree = _row(d, 0)
@@ -380,17 +382,6 @@ def decompose(d: BrauerDiagram) -> ReducedExpression:
     wd = tuple(range(1, 2 * k + 1)) + tuple(slot[d.partner[t - 1] - n] for t in tfree)
     w1, w2 = perm_inv(tcaps + tfree), tuple(bcaps + bfree)
     return ReducedExpression(k, w1, wd, w2, perm_length(w1), perm_length(wd), perm_length(w2))
-
-
-def reconstruct(n: int, expr: ReducedExpression) -> BrauerDiagram:
-    """Inverse of :func:`decompose`; closes exactly k loops."""
-    ek = e_k_diagram(n, expr.k)
-    d, loops = concat_many(
-        perm_to_diagram(expr.w1), ek, perm_to_diagram(expr.wd), ek,
-        perm_to_diagram(expr.w2),
-    )
-    assert loops == expr.k
-    return d
 
 
 def diagram_length(d: BrauerDiagram) -> int:

@@ -42,6 +42,18 @@ def report(check: str, ctx: AlgebraContext, params: dict, pairs: int, failures: 
     }
 
 
+def _pairs(rng: random.Random, left: list, right: list, sample):
+    """All pairs (c, d) of ``left`` x ``right``, or ``sample`` distinct ones
+    drawn by ``rng`` when there are more.  The draw is by index into the
+    pairs in row-major order, which picks the same pairs as sampling the
+    full list without building it."""
+    m = len(right)
+    total = len(left) * m
+    if sample is None or total <= sample:
+        return [(c, d) for c in left for d in right]
+    return [(left[i // m], right[i % m]) for i in rng.sample(range(total), sample)]
+
+
 # ---------------------------------------------------------------------------
 # defining relations
 # ---------------------------------------------------------------------------
@@ -225,8 +237,6 @@ def lemmas_suite(ctx: AlgebraContext) -> dict:
     # mixed-chain absorption, inverse trailing chain: for j1 >= 2k, j2 >= 2k+1
     # e g+_{2,j2} g-_{1,j1} e_(k) = e_(k+1) g+_{2k+2,j2} g-_{2k+1,j1}
     for k in range(K):
-        if 2 * (k + 1) > n:
-            continue
         for j1 in range(2 * k, n):
             for j2 in range(2 * k + 1, n):
                 lhs = product(ctx, word_element(ctx, [E_ATOM] + asc(2, j2) + asc(1, j1, -1)), ek[k])
@@ -253,8 +263,6 @@ def plus_chain_absorption_suite(ctx: AlgebraContext) -> dict:
     failures = []
     count = 0
     for k in range(1, K):
-        if 2 * (k + 1) > n:
-            continue
         for j1 in range(2 * k, n):
             for j2 in range(2 * k + 1, n):
                 lhs = product(
@@ -314,11 +322,7 @@ def oracle_suite(ctx: AlgebraContext, sample=None, seed: int = 0) -> dict:
     generic, for the context's own N when r = q^N."""
     Ns = (1, 2, 3) if ctx.N is None else (ctx.N,)
     diagrams = enumerate_diagrams(ctx.n)
-    rng = random.Random(seed)
-    if sample is None:
-        pairs = [(a, b) for a in diagrams for b in diagrams]
-    else:
-        pairs = [(rng.choice(diagrams), rng.choice(diagrams)) for _ in range(sample)]
+    pairs = _pairs(random.Random(seed), diagrams, diagrams, sample)
     failures = []
     for d1, d2 in pairs:
         P = product(ctx, QBrauerElement.basis(d1), QBrauerElement.basis(d2))
@@ -335,15 +339,16 @@ def oracle_suite(ctx: AlgebraContext, sample=None, seed: int = 0) -> dict:
 
 
 def involution_antihom_suite(ctx: AlgebraContext, count: int = 200, seed: int = 0) -> dict:
-    """i(xy) = i(y) i(x) and i^2 = id on random basis pairs."""
+    """i(xy) = i(y) i(x) and i^2 = id on ``count`` distinct random basis
+    pairs, or on all of them when there are no more."""
     diagrams = enumerate_diagrams(ctx.n)
-    rng = random.Random(seed)
+    pairs = _pairs(random.Random(seed), diagrams, diagrams, count)
     failures = []
-    for _ in range(count):
-        a = QBrauerElement.basis(rng.choice(diagrams))
-        b = QBrauerElement.basis(rng.choice(diagrams))
+    for d1, d2 in pairs:
+        a, b = QBrauerElement.basis(d1), QBrauerElement.basis(d2)
         lhs = involution_i(product(ctx, a, b))
         rhs = product(ctx, involution_i(b), involution_i(a))
         if lhs != rhs or involution_i(involution_i(a)) != a:
             failures.append({"pair": True})
-    return report("involution_antihom", ctx, {"count": count, "seed": seed}, count, failures)
+    return report("involution_antihom", ctx, {"count": count, "seed": seed}, len(pairs),
+                  failures)

@@ -3,7 +3,10 @@ check reads, exist on the package.  A renamed helper would otherwise break
 only traced benchmark runs."""
 
 import importlib.util
+import json
 import os
+import subprocess
+import sys
 
 from qbrauer import algebra, cellular, diagrams, hecke, scalars
 
@@ -62,3 +65,36 @@ def test_product_output_reads_the_terms_of_a_product():
     tracer._product_output(x)
     assert (tracer.out_count, tracer.out_terms) == (1, len(x.terms))
     assert tracer.max_terms == max(len(c.num.terms) for c in x.terms.values()) > 0
+
+
+PROBE_RUN = """
+import importlib.util, json, sys
+from qbrauer import algebra, cellular, diagrams, hecke, scalars
+spec = importlib.util.spec_from_file_location("qbench_tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+tracer = tracing.Tracer()
+tracer.install({"algebra": algebra, "cellular": cellular, "diagrams": diagrams,
+                "hecke": hecke, "scalars": scalars})
+ctx = algebra.AlgebraContext(3)
+for check in (cellular.inflation_bijection_check, cellular.inflation_product_check,
+              cellular.cell_chain_check):
+    assert check(ctx)["failures"] == [], check
+print(json.dumps(tracer.layer_metrics(0, 1.0)))
+"""
+
+
+def test_cellular_probes_count_the_cell_checks():
+    """The tracer's ``cellular`` probes see the calls of ``verify cell``'s
+    three checks at n = 3: a coordinate read and a rebuild for each of the
+    15 diagrams at least, and some phi_k.  The wrappers are installed in a
+    subprocess, so they cannot reach other tests."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", PROBE_RUN, TRACING], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    metrics = json.loads(done.stdout)
+    assert metrics["cellular.inflation_calls"] >= 2 * 15
+    assert metrics["cellular.phi_calls"] > 0

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -6,8 +7,6 @@ import pytest
 from qbrauer.algebra import AlgebraContext, QBrauerElement, e_k_element, product
 from qbrauer.cellular import (
     CellModuleIndex,
-    InflationCoords,
-    MalformedCoords,
     cell_chain_check,
     cell_module_dims,
     double_factorial_odd,
@@ -25,12 +24,16 @@ from qbrauer.cellular import (
     to_inflation,
 )
 from qbrauer.diagrams import (
+    bottom_part,
+    decompose,
     diagram_from_edges,
     e_k_diagram,
+    fixes_prefix,
     identity_diagram,
     identity_perm,
     perm_mul,
     s_ij,
+    top_part,
 )
 from qbrauer.hecke import HeckeElement
 from qbrauer.scalars import PrimeField
@@ -106,42 +109,86 @@ def test_inflation_round_trip():
         assert rep["failures"] == []
 
 
+def _swap_outer(ex):
+    return replace(ex, w1=ex.w2, w2=ex.w1, l1=ex.l2, l2=ex.l1)
+
+
+def _w1_is_w2(ex):
+    return replace(ex, w1=ex.w2, l1=ex.l2)
+
+
+def _wd_slot_off_by_one(ex):
+    # the free bottom slots numbered from 2k instead of 2k + 1
+    m = 2 * ex.k
+    return replace(ex, wd=ex.wd[:m] + tuple(v - 1 for v in ex.wd[m:]))
+
+
+@pytest.mark.parametrize("mutate", [_swap_outer, _w1_is_w2, _wd_slot_off_by_one])
+def test_bijection_check_kills_decompose_mutants(monkeypatch, mutate):
+    """A ``decompose`` that gets w1, w2 or wd wrong fails the check, as a
+    reported failure and not an exception."""
+    from qbrauer import algebra
+
+    real = algebra.decompose
+    monkeypatch.setattr(algebra, "decompose", lambda d: mutate(real(d)))
+    monkeypatch.setattr(algebra, "_EXPR_CACHE", {})
+    rep = inflation_bijection_check(AlgebraContext(4))
+    assert rep["pairs_tested"] == 105 and rep["failures"]
+
+
+def test_bijection_check_counts_each_layer(monkeypatch):
+    """A layer with other than sum_lam dim(k, lam)^2 diagrams, or other
+    than transversal_count(n, k) distinct w1, fails the check."""
+    from qbrauer import cellular
+
+    dims, count = cell_module_dims(4), cellular.transversal_count
+    monkeypatch.setattr(cellular, "cell_module_dims",
+                        lambda n: {i: v + (i.k == 1) for i, v in dims.items()})
+    monkeypatch.setattr(cellular, "transversal_count", lambda n, k: count(n, k) + (k == 2))
+    rep = inflation_bijection_check(AlgebraContext(4))
+    assert rep["failures"] == [{"layer": 1}, {"layer": 2}]
+
+
 def test_inflation_coords_of_cap():
-    ctx = AlgebraContext(4)
-    c = to_inflation(ctx, e_k_diagram(4, 2))
-    assert c.k == 2
-    assert c.d1 == e_k_diagram(4, 2)
-    assert c.d2 == e_k_diagram(4, 2)
-    assert c.h == HeckeElement.unit(4)
-    ident = to_inflation(ctx, identity_diagram(4))
-    assert ident.k == 0 and ident.h == HeckeElement.unit(4)
+    for n, k in ((4, 2), (5, 1), (6, 0)):
+        ek = e_k_diagram(n, k)
+        ident = identity_perm(n)
+        ex = to_inflation(ek)
+        assert (ex.k, ex.w1, ex.wd, ex.w2) == (k, ident, ident, ident)
+        assert from_inflation(n, ex) == (ek, k)
 
 
 def test_inflation_coords_worked_example():
     # the rank-7 diagram with factorization (s1,4 s2 | s5 s6 | s4,1 s5,2 s6,4)
-    ctx = AlgebraContext(7)
     d = diagram_from_edges(
         7, [(2, 4), (3, 5), (1, 11), (6, 8), (7, 9), (10, 12), (13, 14)]
     )
-    c = to_inflation(ctx, d)
-    assert c.k == 2
-    assert [e for e in c.d1.edges() if e[1] <= 7] == [(2, 4), (3, 5)]
-    assert [e for e in c.d2.edges() if e[0] > 7] == [(10, 12), (13, 14)]
-    wd = perm_mul(s_ij(7, 5, 5), s_ij(7, 6, 6))
-    assert c.h == HeckeElement.basis(wd)
-    assert from_inflation(ctx, c) == QBrauerElement.basis(d)
+    ex = to_inflation(d)
+    assert ex == decompose(d)
+    assert ex.k == 2
+    assert ex.w1 == perm_mul(s_ij(7, 1, 4), s_ij(7, 2, 2))
+    assert ex.wd == perm_mul(s_ij(7, 5, 5), s_ij(7, 6, 6))
+    assert ex.w2 == perm_mul(perm_mul(s_ij(7, 4, 1), s_ij(7, 5, 2)), s_ij(7, 6, 4))
+    assert fixes_prefix(ex.wd, 4)
+    # w1 is the coordinate of the top part, w2 that of the bottom part
+    ident = identity_perm(7)
+    assert [e for e in top_part(d).edges() if e[1] <= 7] == [(2, 4), (3, 5)]
+    assert [e for e in bottom_part(d).edges() if e[0] > 7] == [(10, 12), (13, 14)]
+    top, bot = to_inflation(top_part(d)), to_inflation(bottom_part(d))
+    assert (top.k, top.w1, top.wd, top.w2) == (2, ex.w1, ident, ident)
+    assert (bot.k, bot.w1, bot.wd, bot.w2) == (2, ident, ident, ex.w2)
+    assert from_inflation(7, ex) == (d, 2)
 
 
-def test_from_inflation_rejects_malformed():
+def test_phi_rejects_malformed_parts():
     ctx = AlgebraContext(4)
-    good = to_inflation(ctx, e_k_diagram(4, 1))
-    bad_h = HeckeElement.basis(s_ij(4, 1, 1))  # does not fix {1, 2}
-    with pytest.raises(MalformedCoords):
-        from_inflation(ctx, InflationCoords(1, good.d1, good.d2, bad_h))
+    top = e_k_diagram(4, 1)
     # a top part with edge {2,3} is not a valid bottom part
     skew = diagram_from_edges(4, [(2, 3), (5, 6), (1, 7), (4, 8)])
-    with pytest.raises(MalformedCoords):
-        from_inflation(ctx, InflationCoords(1, good.d1, skew, good.h))
+    with pytest.raises(ValueError):
+        phi_k(ctx, skew, top)
+    with pytest.raises(ValueError):
+        phi_k(ctx, top, e_k_diagram(4, 2))
 
 
 def test_phi_cap_values():

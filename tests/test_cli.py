@@ -309,6 +309,41 @@ def test_verify_relations_needs_rank_two(capsys):
     assert "n >= 2" in json.loads(err)["detail"]
 
 
+# no ek_consistency identity exists at n = 1, and no plus-chain absorption
+# identity at n = 3
+@pytest.mark.parametrize("argv, gone", [(("lemmas", "1"), "ek_consistency"),
+                                        (("lemmas", "3", "--integral", "2"),
+                                         "plus_chain_absorption")])
+def test_verify_leaves_out_reports_that_tested_nothing(capsys, argv, gone):
+    code, out, _ = run(capsys, "verify", *argv, "--format", "json")
+    assert code == 0
+    reports = json.loads(out)
+    assert reports and all(r["pairs_tested"] > 0 for r in reports)
+    assert gone not in [r["check"] for r in reports]
+
+
+def test_verify_with_no_report_left_exits_2(capsys, monkeypatch):
+    from qbrauer import suites
+
+    def empty(ctx, **kwargs):
+        return suites.report("oracle", ctx, {}, 0, [])
+
+    monkeypatch.setattr(suites, "oracle_suite", empty)
+    code, out, err = run(capsys, "verify", "oracle", "3")
+    assert code == 2 and out == ""
+    assert "nothing to test" in json.loads(err)["detail"]
+
+
+# one pair exists at n = 1 and nine at n = 2, however many are asked for
+@pytest.mark.parametrize("argv, want", [(("oracle", "1", "--sample", "50"), [1]),
+                                        (("involution", "1"), [2, 1]),
+                                        (("involution", "2"), [5, 9])])
+def test_sampled_pairs_are_distinct(capsys, argv, want):
+    code, out, _ = run(capsys, "verify", *argv, "--format", "json")
+    assert code == 0
+    assert [r["pairs_tested"] for r in json.loads(out)] == want
+
+
 def test_repeated_monomial_in_a_scalar_exits_2(tmp_path, capsys):
     ctx = AlgebraContext(2)
     x = element_to_json(ctx, e_k_element(ctx, 1))

@@ -4,6 +4,7 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
+from qbrauer.cellular import from_inflation
 from qbrauer.diagrams import (
     BrauerDiagram,
     SizeMismatch,
@@ -24,7 +25,6 @@ from qbrauer.diagrams import (
     perm_length,
     perm_mul,
     perm_to_diagram,
-    reconstruct,
     reduced_word,
     s_ij,
     star,
@@ -262,7 +262,7 @@ def test_decompose_worked_example_rank7():
     assert ex.wd == chain(7, (5, 5), (6, 6))
     assert ex.w2 == chain(7, (4, 1), (5, 2), (6, 4))
     assert ex.length() == 18
-    assert reconstruct(7, ex) == d
+    assert from_inflation(7, ex) == (d, 2)
 
 
 def test_decompose_e_k():
@@ -295,7 +295,7 @@ def test_decompose_bijection_small_ranks():
             key = (ex.k, ex.w1, ex.wd, ex.w2)
             assert key not in seen
             seen.add(key)
-            assert reconstruct(n, ex) == d
+            assert from_inflation(n, ex) == (d, ex.k)
             assert fits_transversal_shape(t_word(ex.w1), ex.k)
             assert fits_transversal_shape(t_word(perm_inv(ex.w2)), ex.k)
 

@@ -12,9 +12,6 @@ QBENCH = ROOT / "qbench"
 
 # definitions kept without a caller, each for a stated reason
 ALLOWED = {
-    # rebuilds a diagram from its factorization by concatenation: the check
-    # of ``decompose`` that does not share its code
-    "reconstruct",
     # evaluation of a scalar at field points, the base of the Gram-matrix
     # and F_p work the ROADMAP plans
     "specialize",
