@@ -345,13 +345,12 @@ def lmul_gen(ctx: AlgebraContext, atom, x: QBrauerElement) -> QBrauerElement:
     return _extend(ctx.n, x, lambda d: inverse_pairs(_lmul_g_basis(ctx, j, d), d))
 
 
-def word_element(ctx: AlgebraContext, word, x: QBrauerElement | None = None) -> QBrauerElement:
-    """x (the unit by default) times the product of the atoms of ``word``,
-    folded on one atom at a time."""
-    z = ctx.unit() if x is None else x
+def word_element(ctx: AlgebraContext, word, x: QBrauerElement) -> QBrauerElement:
+    """x times the product of the atoms of ``word``, folded on one atom at a
+    time."""
     for atom in word:
-        z = rmul_atom(ctx, z, atom)
-    return z
+        x = rmul_atom(ctx, x, atom)
+    return x
 
 
 def product(ctx: AlgebraContext, x: QBrauerElement, y: QBrauerElement) -> QBrauerElement:

@@ -22,8 +22,8 @@ reads the exponents.
 Scalars are hash-consed: the constructor canonicalizes and then returns the
 one object kept for that canonical form, so equal values are the same object
 and ``==`` and ``hash`` are identity.  The results of ``*`` and ``+`` are kept
-by their operand pair, those of ``inv`` by their operand, and ``str`` caches
-its text.  Hence no ``Scalar`` and no ``IntPoly.terms`` may be changed in
+by their operand pair, and ``str`` caches its text; ``inv`` is computed on
+each call.  Hence no ``Scalar`` and no ``IntPoly.terms`` may be changed in
 place, and a ``Scalar`` cannot be copied or pickled.  The tables are
 process-global and never shrink; one repetition of the benchmark's oracle-n6
 workload (300 products at n = 6) leaves 6,833 scalars, 7,137 products and
@@ -238,8 +238,8 @@ class Scalar:
     r-1, the order of ``PRIMES``; ``Scalar(num, a, c, u, v)`` builds one.
 
     Hash-consed: each value is one object, so ``==`` and ``hash`` are the
-    object defaults (identity), and ``*``, ``+``, ``inv`` and ``str`` are
-    computed once per operand and then looked up.
+    object defaults (identity), and ``*``, ``+`` and ``str`` are computed
+    once per operand and then looked up.
     """
 
     __slots__ = ("num", "den", "_str")
@@ -302,9 +302,6 @@ class Scalar:
         """Inverse; the numerator must be, up to sign, a monomial in the
         four primes q, r, q-1, r-1.
         """
-        out = _INV.get(self)
-        if out is not None:
-            return out
         if self.is_zero():
             raise NotAUnit("zero is not invertible")
         num, exps = self.num, []
@@ -316,8 +313,7 @@ class Scalar:
         if num.terms not in ({(0, 0): 1}, {(0, 0): -1}):
             raise NotAUnit(f"numerator {self.num} has a non-monomial factor")
         # num is the sign left over
-        out = _INV[self] = Scalar(num * _power_product(self.den), *exps)
-        return out
+        return Scalar(num * _power_product(self.den), *exps)
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
@@ -338,12 +334,11 @@ class Scalar:
 
 
 # Process-global tables: every Scalar by its canonical form (num, den), and
-# the results of *, + and inv by their operand objects.  Entries are never
+# the results of * and + by their operand objects.  Entries are never
 # removed.
 _INTERN: dict = {}
 _MUL: dict = {}
 _ADD: dict = {}
-_INV: dict = {}
 
 
 def _lift(s: Scalar, den: tuple) -> IntPoly:

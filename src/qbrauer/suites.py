@@ -5,6 +5,21 @@ Every suite returns a report dict {check, n, version, params, pairs_tested,
 failures}; an empty failure list is a pass.  The same functions back the
 command line ``verify`` subcommand and the acceptance tests, so the two
 surfaces cannot drift apart.
+
+The relation and lemma suites are tables of rows (tag, lhs, rhs,
+mirror_tag), all checked by ``_run``.  A side is a list of terms
+(c, u, d, v), meaning c g_u b_d g_v with u, v generator words and b_d the
+basis element of the diagram d (a term with d None is c g_u g_v in the
+Hecke algebra); ``_value`` evaluates it, u through ``lmul_gen`` last atom
+first, then v through ``word_element``.  Times e_(k) on the right is
+``ek_atoms(k)``, the fold that ``product(x, e_(k))`` runs.  The involution
+fixes every g_j^{±1} and e, reverses products and sends b_d to
+b_{star(d)}; ``_mirror`` is its action on a side, and a row with a mirror
+tag is checked again through it, so each left/right pair is written once.
+Checks stay independent of the code they check: the ``ek_consistency``
+rows spell the step e g^+_{2,2k-1} g^-_{1,2k-2} themselves, not through
+``algebra.ek_atoms``; the Hecke-only rows compare ``hecke.word_element``
+values; the twist rows compare against the basis element e_(2).
 """
 
 from __future__ import annotations
@@ -17,17 +32,15 @@ from .hecke import accumulate, asc, desc
 from .algebra import (
     AlgebraContext,
     QBrauerElement,
-    basis_element,
-    e_k_element,
+    ek_atoms,
     involution_i,
     lmul_gen,
     product,
-    rmul_atom,
     word_element,
     E_ATOM,
 )
-from .diagrams import concat, e_k_diagram, enumerate_diagrams
-from .scalars import Q, Q_INV, QM1, brauer_limit
+from .diagrams import concat, e_k_diagram, enumerate_diagrams, identity_diagram, star
+from .scalars import ONE, Q, Q_INV, QM1, brauer_limit
 
 
 def report(check: str, ctx: AlgebraContext, params: dict, pairs: int, failures: list) -> dict:
@@ -55,197 +68,179 @@ def _pairs(rng: random.Random, left: list, right: list, sample):
 
 
 # ---------------------------------------------------------------------------
+# identity rows: one evaluator, its mirror and one runner
+# ---------------------------------------------------------------------------
+
+def _value(ctx: AlgebraContext, side: list):
+    """The sum of c g_u b_d g_v over the terms (c, u, d, v) of ``side``."""
+    out: dict = {}
+    for c, u, d, v in side:
+        if d is None:
+            z = hecke.word_element(ctx.n, u + v)
+        else:
+            z = QBrauerElement.basis(d)
+            for atom in reversed(u):
+                z = lmul_gen(ctx, atom, z)
+            z = word_element(ctx, v, z)
+        accumulate(out, c, z.terms.items())
+    return z._adopt(ctx.n, out)
+
+
+def _at(d, v: list, c=ONE) -> list:
+    """The one-term side c b_d g_v."""
+    return [(c, [], d, v)]
+
+
+def _mirror(side: list) -> list:
+    """The image of ``side`` under the involution i."""
+    return [(c, v[::-1], d if d is None else star(d), u[::-1]) for c, u, d, v in side]
+
+
+def _run(check: str, ctx: AlgebraContext, rows) -> dict:
+    """Check every row, and the mirror of each row that names one."""
+    failures, count = [], 0
+    for tag, lhs, rhs, mirror_tag in rows:
+        sides = [(tag, lhs, rhs)]
+        if mirror_tag:
+            sides.append((mirror_tag, _mirror(lhs), _mirror(rhs)))
+        for t, x, y in sides:
+            count += 1
+            if _value(ctx, x) != _value(ctx, y):
+                failures.append({"identity": t})
+    return report(check, ctx, {}, count, failures)
+
+
+# ---------------------------------------------------------------------------
 # defining relations
 # ---------------------------------------------------------------------------
 
-def relations_suite(ctx: AlgebraContext) -> dict:
-    """The defining relations of the algebra, as element identities."""
-    n = ctx.n
-    failures = []
-    count = 0
-
-    def check(tag, lhs, rhs):
-        nonlocal count
-        count += 1
-        if lhs != rhs:
-            failures.append({"identity": tag})
-
-    g = {j: lmul_gen(ctx, (j, +1), ctx.unit()) for j in range(1, n)}
-    e = word_element(ctx, [E_ATOM])
-
+def _relation_rows(ctx: AlgebraContext):
+    """Wenzl's defining relations; all but the twist rows start at the unit."""
+    n, E, one = ctx.n, E_ATOM, identity_diagram(ctx.n)
     for i in range(1, n - 1):
-        check(
-            f"braid g{i}",
-            product(ctx, product(ctx, g[i], g[i + 1]), g[i]),
-            product(ctx, product(ctx, g[i + 1], g[i]), g[i + 1]),
-        )
+        yield (f"braid g{i}", _at(one, [(i, 1), (i + 1, 1), (i, 1)]),
+               _at(one, [(i + 1, 1), (i, 1), (i + 1, 1)]), None)
     for i in range(1, n):
         for j in range(i + 2, n):
-            check(
-                f"commute g{i} g{j}",
-                product(ctx, g[i], g[j]),
-                product(ctx, g[j], g[i]),
-            )
+            yield f"commute g{i} g{j}", _at(one, [(i, 1), (j, 1)]), _at(one, [(j, 1), (i, 1)]), None
     for i in range(1, n):
-        check(
-            f"quadratic g{i}",
-            product(ctx, g[i], g[i]),
-            g[i].scale(QM1) + ctx.unit().scale(Q),
-        )
-
-    check("idempotent square", product(ctx, e, e), e.scale(ctx.b()))
+        yield (f"quadratic g{i}", _at(one, [(i, 1), (i, 1)]),
+               _at(one, [(i, 1)], QM1) + _at(one, [], Q), None)
+    yield "idempotent square", _at(one, [E, E]), _at(one, [E], ctx.b()), None
     for i in range(3, n):
-        check(f"idempotent commute g{i}", product(ctx, e, g[i]), product(ctx, g[i], e))
+        yield f"idempotent commute g{i}", _at(one, [E, (i, 1)]), _at(one, [(i, 1), E]), None
     if n >= 2:
-        check("absorb left g1", product(ctx, e, g[1]), e.scale(Q))
-        check("absorb right g1", product(ctx, g[1], e), e.scale(Q))
-        check("absorb g1 inverse", rmul_atom(ctx, e, (1, -1)), e.scale(Q_INV))
-        check("absorb g1 inverse left", lmul_gen(ctx, (1, -1), e), e.scale(Q_INV))
+        yield "absorb left g1", _at(one, [E, (1, 1)]), _at(one, [E], Q), "absorb right g1"
+        yield ("absorb g1 inverse", _at(one, [E, (1, -1)]), _at(one, [E], Q_INV),
+               "absorb g1 inverse left")
     if n >= 3:
-        check(
-            "sandwich g2",
-            product(ctx, product(ctx, e, g[2]), e),
-            e.scale(ctx.r()),
-        )
-        check(
-            "sandwich g2 inverse",
-            product(ctx, rmul_atom(ctx, e, (2, -1)), e),
-            e.scale(Q_INV),
-        )
+        yield "sandwich g2", _at(one, [E, (2, 1), E]), _at(one, [E], ctx.r()), None
+        yield "sandwich g2 inverse", _at(one, [E, (2, -1), E]), _at(one, [E], Q_INV), None
     if n >= 4:
-        twist = word_element(ctx, [(2, 1), (3, 1), (1, -1), (2, -1)])
-        e2 = product(ctx, product(ctx, e, twist), e)
-        check("twist idempotent value", e2, e_k_element(ctx, 2))
-        check("twist idempotent left", product(ctx, twist, e2), e2)
-        check("twist idempotent right", product(ctx, e2, twist), e2)
-    return report("relations", ctx, {}, count, failures)
+        twist = [(2, 1), (3, 1), (1, -1), (2, -1)]
+        e2 = e_k_diagram(n, 2)
+        yield "twist idempotent value", _at(one, [E] + twist + [E]), _at(e2, []), None
+        yield "twist idempotent left", _at(one, twist + ek_atoms(2)), _at(e2, []), None
+        yield "twist idempotent right", _at(e2, twist), _at(e2, []), None
+
+
+def relations_suite(ctx: AlgebraContext) -> dict:
+    """The defining relations of the algebra, as element identities."""
+    return _run("relations", ctx, _relation_rows(ctx))
 
 
 # ---------------------------------------------------------------------------
 # the ladder of idempotent identities
 # ---------------------------------------------------------------------------
 
-def lemmas_suite(ctx: AlgebraContext) -> dict:
-    """Exact identities between the tower idempotents, generator chains and
-    their absorptions, over every valid index range."""
-    n = ctx.n
-    K = n // 2
-    b, r = ctx.b(), ctx.r()
-    ek = {k: e_k_element(ctx, k) for k in range(K + 1)}
-    failures = []
-    count = 0
-
-    def check(tag, lhs, rhs):
-        nonlocal count
-        count += 1
-        if lhs != rhs:
-            failures.append({"identity": tag})
+def _lemma_rows(ctx: AlgebraContext):
+    n, K, E = ctx.n, ctx.n // 2, E_ATOM
+    b, r, one = ctx.b(), ctx.r(), identity_diagram(n)
+    ek = [e_k_diagram(n, k) for k in range(K + 1)]
 
     for k in range(K + 1):
         for j in range(k + 1):
-            check(f"tower product {j},{k}", product(ctx, ek[j], ek[k]), ek[k].scale(b ** j))
-            check(f"tower product' {j},{k}", product(ctx, ek[k], ek[j]), ek[k].scale(b ** j))
+            yield (f"tower product {j},{k}", _at(ek[j], ek_atoms(k)), _at(ek[k], [], b ** j),
+                   f"tower product' {j},{k}")
 
     for k in range(1, K + 1):
-        for j in range(k):
-            t = 2 * j + 1
-            check(f"odd absorb L {t},{k}", lmul_gen(ctx, (t, +1), ek[k]), ek[k].scale(Q))
-            check(f"odd absorb R {t},{k}", rmul_atom(ctx, ek[k], (t, +1)), ek[k].scale(Q))
-            check(f"odd absorb Li {t},{k}", lmul_gen(ctx, (t, -1), ek[k]), ek[k].scale(Q_INV))
-            check(f"odd absorb Ri {t},{k}", rmul_atom(ctx, ek[k], (t, -1)), ek[k].scale(Q_INV))
+        for t in range(1, 2 * k, 2):
+            for sg, c, i in ((1, Q, ""), (-1, Q_INV, "i")):
+                yield (f"odd absorb L{i} {t},{k}", [(ONE, [(t, sg)], ek[k], [])],
+                       _at(ek[k], [], c), f"odd absorb R{i} {t},{k}")
 
     for k in range(1, K + 1):
-        for j in range(1, k + 1):
-            if 2 * j > n - 1:
-                continue
-            want = ek[k].scale(r * b ** (j - 1))
-            check(f"cap sandwich {j},{k}", product(ctx, rmul_atom(ctx, ek[j], (2 * j, +1)), ek[k]), want)
-            check(f"cap sandwich' {j},{k}", product(ctx, rmul_atom(ctx, ek[k], (2 * j, +1)), ek[j]), want)
+        for j in range(1, min(k, (n - 1) // 2) + 1):
+            yield (f"cap sandwich {j},{k}", _at(ek[j], [(2 * j, 1)] + ek_atoms(k)),
+                   _at(ek[k], [], r * b ** (j - 1)), f"cap sandwich' {j},{k}")
 
     for k in range(1, K + 1):
         for l in range(1, k):
             for sg in (1, -1):
-                a1 = word_element(ctx, asc(1, 2 * l, sg))
-                a2 = word_element(ctx, desc(2 * l + 1, 2, sg))
-                check(f"chain reflect L {sg},{l},{k}",
-                      product(ctx, a1, ek[k]), product(ctx, a2, ek[k]))
-                a3 = word_element(ctx, desc(2 * l, 1, sg))
-                a4 = word_element(ctx, asc(2, 2 * l + 1, sg))
-                check(f"chain reflect R {sg},{l},{k}",
-                      product(ctx, ek[k], a3), product(ctx, ek[k], a4))
+                yield (f"chain reflect L {sg},{l},{k}", _at(one, asc(1, 2 * l, sg) + ek_atoms(k)),
+                       _at(one, desc(2 * l + 1, 2, sg) + ek_atoms(k)),
+                       f"chain reflect R {sg},{l},{k}")
 
     for k in range(1, K + 1):
         for j in range(1, k):
-            check(
-                f"pair slide {j},{k}",
-                lmul_gen(ctx, (2 * j - 1, +1), lmul_gen(ctx, (2 * j, +1), ek[k])),
-                lmul_gen(ctx, (2 * j + 1, +1), lmul_gen(ctx, (2 * j, +1), ek[k])),
-            )
-            check(
-                f"pair slide inv {j},{k}",
-                lmul_gen(ctx, (2 * j - 1, -1), lmul_gen(ctx, (2 * j, -1), ek[k])),
-                lmul_gen(ctx, (2 * j + 1, -1), lmul_gen(ctx, (2 * j, -1), ek[k])),
-            )
+            for sg, i in ((1, ""), (-1, " inv")):
+                yield (f"pair slide{i} {j},{k}", [(ONE, [(2 * j - 1, sg), (2 * j, sg)], ek[k], [])],
+                       [(ONE, [(2 * j + 1, sg), (2 * j, sg)], ek[k], [])], None)
 
     for k in range(1, K):
-        lhs = product(ctx, word_element(ctx, [E_ATOM] + asc(2, 2 * k + 1) + asc(1, 2 * k, -1)), ek[k])
-        check(f"ladder recursion left {k}", lhs, ek[k + 1])
-        rhs = product(ctx, ek[k], word_element(ctx, desc(2 * k, 1, -1) + desc(2 * k + 1, 2) + [E_ATOM]))
-        check(f"ladder recursion right {k}", rhs, ek[k + 1])
+        yield (f"ladder recursion left {k}",
+               _at(one, [E] + asc(2, 2 * k + 1) + asc(1, 2 * k, -1) + ek_atoms(k)),
+               _at(ek[k + 1], []), f"ladder recursion right {k}")
         for j in range(1, k + 1):
-            mid = word_element(ctx, asc(2 * j, 2 * k + 1) + asc(2 * j - 1, 2 * k, -1))
-            check(
-                f"ladder from level {j},{k}",
-                product(ctx, product(ctx, ek[j], mid), ek[k]),
-                ek[k + 1].scale(b ** (j - 1)),
-            )
-            mid2 = word_element(ctx, desc(2 * k, 2 * j - 1, -1) + desc(2 * k + 1, 2 * j))
-            check(
-                f"ladder from level' {j},{k}",
-                product(ctx, product(ctx, ek[k], mid2), ek[j]),
-                ek[k + 1].scale(b ** (j - 1)),
-            )
+            mid = asc(2 * j, 2 * k + 1) + asc(2 * j - 1, 2 * k, -1)
+            yield (f"ladder from level {j},{k}", _at(ek[j], mid + ek_atoms(k)),
+                   _at(ek[k + 1], [], b ** (j - 1)), f"ladder from level' {j},{k}")
 
     for k in range(1, K + 1):
         for j in range(1, k):
             for m in range(1, j + 1):
                 for sg in (1, -1):
-                    a1 = word_element(ctx, asc(2 * m - 1, 2 * j, sg))
-                    a2 = word_element(ctx, desc(2 * j + 1, 2 * m, sg))
-                    check(f"long reflect L {sg},{m},{j},{k}",
-                          product(ctx, a1, ek[k]), product(ctx, a2, ek[k]))
-            for i in range(1, j + 1):
-                for sg in (1, -1):
-                    a1 = word_element(ctx, desc(2 * j, 2 * i - 1, sg))
-                    a2 = word_element(ctx, asc(2 * i, 2 * j + 1, sg))
-                    check(f"long reflect R {sg},{i},{j},{k}",
-                          product(ctx, ek[k], a1), product(ctx, ek[k], a2))
+                    yield (f"long reflect L {sg},{m},{j},{k}",
+                           _at(one, asc(2 * m - 1, 2 * j, sg) + ek_atoms(k)),
+                           _at(one, desc(2 * j + 1, 2 * m, sg) + ek_atoms(k)),
+                           f"long reflect R {sg},{m},{j},{k}")
 
+    # in the Hecke algebra: an odd generator slides through the ladder word
     for k in range(K):
+        ladder = asc(2, 2 * k + 1) + asc(1, 2 * k, -1)
         for j in range(1, k + 1):
-            h1 = hecke.word_element(n, [(2 * j + 1, 1)] + asc(2, 2 * k + 1) + asc(1, 2 * k, -1))
-            h2 = hecke.word_element(n, asc(2, 2 * k + 1) + asc(1, 2 * k, -1) + [(2 * j - 1, 1)])
-            count += 1
-            if h1 != h2:
-                failures.append({"identity": f"odd slide through ladder {j},{k}"})
-            h3 = hecke.word_element(n, desc(2 * k, 1, -1) + desc(2 * k + 1, 2) + [(2 * j + 1, 1)])
-            h4 = hecke.word_element(n, [(2 * j - 1, 1)] + desc(2 * k, 1, -1) + desc(2 * k + 1, 2))
-            count += 1
-            if h3 != h4:
-                failures.append({"identity": f"odd slide through ladder' {j},{k}"})
+            yield (f"odd slide through ladder {j},{k}", _at(None, [(2 * j + 1, 1)] + ladder),
+                   _at(None, ladder + [(2 * j - 1, 1)]), f"odd slide through ladder' {j},{k}")
 
     # mixed-chain absorption, inverse trailing chain: for j1 >= 2k, j2 >= 2k+1
     # e g+_{2,j2} g-_{1,j1} e_(k) = e_(k+1) g+_{2k+2,j2} g-_{2k+1,j1}
     for k in range(K):
         for j1 in range(2 * k, n):
             for j2 in range(2 * k + 1, n):
-                lhs = product(ctx, word_element(ctx, [E_ATOM] + asc(2, j2) + asc(1, j1, -1)), ek[k])
-                rhs = product(
-                    ctx, ek[k + 1],
-                    word_element(ctx, asc(2 * k + 2, j2) + asc(2 * k + 1, j1, -1)),
-                )
-                check(f"chain absorb minus {j1},{j2},{k}", lhs, rhs)
-    return report("lemmas", ctx, {}, count, failures)
+                yield (f"chain absorb minus {j1},{j2},{k}",
+                       _at(one, [E] + asc(2, j2) + asc(1, j1, -1) + ek_atoms(k)),
+                       _at(ek[k + 1], asc(2 * k + 2, j2) + asc(2 * k + 1, j1, -1)), None)
+
+
+def lemmas_suite(ctx: AlgebraContext) -> dict:
+    """Exact identities between the tower idempotents, generator chains and
+    their absorptions, over every valid index range."""
+    return _run("lemmas", ctx, _lemma_rows(ctx))
+
+
+def _plus_chain_rows(ctx: AlgebraContext):
+    n, one = ctx.n, identity_diagram(ctx.n)
+    for k in range(1, n // 2):
+        for j1 in range(2 * k, n):
+            for j2 in range(2 * k + 1, n):
+                head = asc(2 * k + 2, j2) + asc(2 * k + 1, j1)
+                rhs = _at(e_k_diagram(n, k + 1), head, Q ** (2 * k))
+                for l in range(1, k + 1):
+                    tail = asc(2 * l + 2, j2) + asc(2 * l + 1, j1) + ek_atoms(k)
+                    c = ctx.r() * Q * QM1 * Q ** (2 * l - 2)
+                    rhs += [(c, [], one, tail), (c, [(2 * l + 1, 1)], one, tail)]
+                yield (f"chain absorb plus {j1},{j2},{k}",
+                       _at(one, [E_ATOM] + asc(2, j2) + asc(1, j1) + ek_atoms(k)), rhs, None)
 
 
 def plus_chain_absorption_suite(ctx: AlgebraContext) -> dict:
@@ -258,58 +253,21 @@ def plus_chain_absorption_suite(ctx: AlgebraContext) -> dict:
 
     In the integral version r = q^N the prefactor is q^{N+1}(q-1).
     """
-    n = ctx.n
-    K = n // 2
-    failures = []
-    count = 0
-    for k in range(1, K):
-        for j1 in range(2 * k, n):
-            for j2 in range(2 * k + 1, n):
-                lhs = product(
-                    ctx,
-                    word_element(ctx, [E_ATOM] + asc(2, j2) + asc(1, j1)),
-                    e_k_element(ctx, k),
-                )
-                head = product(
-                    ctx,
-                    e_k_element(ctx, k + 1),
-                    word_element(ctx, asc(2 * k + 2, j2) + asc(2 * k + 1, j1)),
-                )
-                rhs = accumulate({}, Q ** (2 * k), head.terms.items())
-                coef = ctx.r() * Q * QM1
-                for l in range(1, k + 1):
-                    tail = word_element(ctx, asc(2 * l + 2, j2) + asc(2 * l + 1, j1))
-                    # (g_{2l+1} + 1) tail e_(k), one left factor at a time
-                    for left in (tail, lmul_gen(ctx, (2 * l + 1, +1), tail)):
-                        piece = product(ctx, left, e_k_element(ctx, k))
-                        accumulate(rhs, coef * Q ** (2 * l - 2), piece.terms.items())
-                count += 1
-                if lhs.terms != rhs:
-                    failures.append({"identity": f"chain absorb plus {j1},{j2},{k}"})
-    return report("plus_chain_absorption", ctx, {}, count, failures)
+    return _run("plus_chain_absorption", ctx, _plus_chain_rows(ctx))
+
+
+def _ek_rows(ctx: AlgebraContext):
+    n, word = ctx.n, []
+    for k in range(1, n // 2 + 1):
+        # e_(k) = e g+_{2,2k-1} g-_{1,2k-2} e_(k-1), spelled here, not by ek_atoms
+        word = [E_ATOM] + asc(2, 2 * k - 1) + asc(1, 2 * k - 2, -1) + word
+        yield (f"left recursion k={k}", _at(identity_diagram(n), word),
+               _at(e_k_diagram(n, k), []), f"right recursion k={k}")
 
 
 def ek_consistency_suite(ctx: AlgebraContext) -> dict:
     """The two ladder recursions and the diagram basis element agree."""
-    n = ctx.n
-    failures = []
-    count = 0
-    left = ctx.unit()
-    right = ctx.unit()
-    for k in range(1, n // 2 + 1):
-        left = product(
-            ctx, word_element(ctx, [E_ATOM] + asc(2, 2 * k - 1) + asc(1, 2 * k - 2, -1)), left
-        )
-        right = product(
-            ctx, right, word_element(ctx, desc(2 * k - 2, 1, -1) + desc(2 * k - 1, 2) + [E_ATOM])
-        )
-        want = basis_element(ctx, e_k_diagram(n, k))
-        count += 2
-        if left != want:
-            failures.append({"identity": f"left recursion k={k}"})
-        if right != want:
-            failures.append({"identity": f"right recursion k={k}"})
-    return report("ek_consistency", ctx, {}, count, failures)
+    return _run("ek_consistency", ctx, _ek_rows(ctx))
 
 
 # ---------------------------------------------------------------------------
