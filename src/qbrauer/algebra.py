@@ -4,9 +4,15 @@ The q-Brauer algebra on its diagram basis.
 Elements are finitely supported Scalar-valued maps on Brauer diagrams; the
 basis element attached to a diagram d with canonical factorization
 (w1, wd, w2) through e_(k) is g_{w1} g_{wd} e_(k) g_{w2}.  Multiplication
-is relation-driven: the right factor is expanded into a word in the
-generators g_j, g_j^{-1}, e and folded onto the left factor one atom at a
-time, keeping every intermediate result in normal form.  An atom of a word
+is relation-driven, one pair of basis terms c = (k, w1, wd, w2),
+d = (k', w1', wd', w2') at a time:
+
+    g_c g_d = g_{w1} g_{wd} [e_(k) g_{w2} g_{w1'} g_{wd'} e_(k')] g_{w2'}.
+
+Only the middle product in brackets touches e.  It is memoized per
+(k, w2, w1', wd', k') and filled by folding the word of g_{w1'} g_{wd'}
+e_(k') onto e_(k) g_{w2}, the basis element of ``bottom_part(c)``, one
+atom at a time; the outer factors are plain g_j moves.  An atom of a word
 is (j, +1) for g_j, (j, -1) for g_j^{-1} (the encoding of ``hecke``), or
 ``E_ATOM`` for e; ``reduced_word`` spells a permutation in these atoms.
 
@@ -17,11 +23,13 @@ factor q (length equal, which forces s_j . d = d), and the two-term
 quadratic expansion (length down).  ``rmul_atom`` and ``lmul_gen`` are the
 only single-atom multiplications; g_j^{-1} = q^{-1} g_j + (q^{-1} - 1) comes
 from the pairs of g_j through ``hecke.inverse_pairs``.  The memo tables of
-a context hold one action each, as a tuple of (diagram, coeff) pairs per
-basis element: ``_lmul_g`` and ``_rmul_g`` the g_j rule on the left and the
-right, ``_rmul_atom`` g_j^{-1} and e on the right.  ``_core`` holds the
-core products below, and the module-global ``_EXPR_CACHE`` each diagram's
-factorization with its three lengths.
+a context hold one action or product each.  ``_lmul_g`` and ``_rmul_g``
+hold the g_j rule on the left and the right, as a tuple of (diagram,
+coeff) pairs per basis element, and ``_rmul_atom`` g_j^{-1} and e on the
+right; e on the left reads ``_rmul_atom`` through the involution i,
+e x = i(i(x) e).  ``_middle`` holds the middle products, ``_core``
+the core products below, and the module-global ``_EXPR_CACHE`` each
+diagram's factorization with its three lengths.
 
 Multiplication by e reduces to the core products e g_sigma e_(k).  These
 are peeled by exact one-letter rules (e g_1 = q e; e g_i = g_i e for
@@ -50,6 +58,7 @@ from .diagrams import (
     Perm,
     ReducedExpression,
     SizeMismatch,
+    bottom_part,
     bottom_swap,
     decompose,
     e_k_diagram,
@@ -124,6 +133,7 @@ class AlgebraContext:
         self._rmul_g: dict = {}
         self._core: dict = {}
         self._rmul_atom: dict = {}
+        self._middle: dict = {}
 
     @property
     def version(self):
@@ -155,7 +165,7 @@ def e_k_element(ctx: AlgebraContext, k: int) -> QBrauerElement:
 
 def involution_i(x: QBrauerElement) -> QBrauerElement:
     """The involutive anti-automorphism; permutes the basis via row rotation."""
-    return QBrauerElement(x.n, {star(d): c for d, c in x.terms.items()})
+    return QBrauerElement._adopt(x.n, {star(d): c for d, c in x.terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -186,21 +196,15 @@ def _rmul_g_basis(ctx: AlgebraContext, d: BrauerDiagram, j: int):
     return res
 
 
-def _extend(n: int, x, action) -> QBrauerElement:
-    """Linear extension over the terms of x of ``action(basis)``, an iterable
-    of (diagram, coeff) pairs."""
-    out: dict = {}
-    for d, c in x.terms.items():
-        accumulate(out, c, action(d))
-    return QBrauerElement._adopt(n, out)
-
-
 # ---------------------------------------------------------------------------
 # multiplication by e: the core products e g_sigma e_(k)
 # ---------------------------------------------------------------------------
 
 def _sum_core(ctx: AlgebraContext, h: HeckeElement, k: int) -> QBrauerElement:
-    return _extend(ctx.n, h, lambda w: _core(ctx, w, k).terms.items())
+    out: dict = {}
+    for w, c in h.terms.items():
+        accumulate(out, c, _core(ctx, w, k).terms.items())
+    return QBrauerElement._adopt(ctx.n, out)
 
 
 def _core(ctx: AlgebraContext, sigma: Perm, k: int) -> QBrauerElement:
@@ -281,11 +285,11 @@ def _lmul_e_basis(ctx: AlgebraContext, d: BrauerDiagram) -> QBrauerElement:
     product, and g_{w2} follows on the right."""
     ex = _expr(d)
     res = _core(ctx, perm_mul(ex.w1, ex.wd), ex.k)
-    return word_element(ctx, reduced_word(ex.w2), res)
+    return word_element(ctx, ex.right_word, res)
 
 
 # ---------------------------------------------------------------------------
-# generator words and the general product
+# single-atom actions and the general product
 # ---------------------------------------------------------------------------
 
 E_ATOM = ("e",)
@@ -296,12 +300,6 @@ def ek_atoms(k: int):
     if k == 0:
         return []
     return [E_ATOM] + asc(2, 2 * k - 1) + asc(1, 2 * k - 2, -1) + ek_atoms(k - 1)
-
-
-def generator_word(d: BrauerDiagram):
-    """A word in g_j, g_j^{-1}, e whose product is the basis element of d."""
-    ex = _expr(d)
-    return reduced_word(ex.w1) + reduced_word(ex.wd) + ek_atoms(ex.k) + reduced_word(ex.w2)
 
 
 def _rmul_fill(ctx: AlgebraContext, d: BrauerDiagram, atom) -> tuple:
@@ -336,13 +334,17 @@ def rmul_atom(ctx: AlgebraContext, x: QBrauerElement, atom) -> QBrauerElement:
 
 
 def lmul_gen(ctx: AlgebraContext, atom, x: QBrauerElement) -> QBrauerElement:
-    """The atom times x; only the pairs of g_j are memoized."""
+    """The atom times x: g_j reads ``ctx._lmul_g``, g_j^{-1} is built from
+    its pairs, and e reads the right e-action through the involution i,
+    e x = i(i(x) e)."""
     if atom == E_ATOM:
-        return _extend(ctx.n, x, lambda d: _lmul_e_basis(ctx, d).terms.items())
+        return involution_i(rmul_atom(ctx, involution_i(x), E_ATOM))
     j, sign = atom
-    if sign > 0:
-        return _extend(ctx.n, x, lambda d: _lmul_g_basis(ctx, j, d))
-    return _extend(ctx.n, x, lambda d: inverse_pairs(_lmul_g_basis(ctx, j, d), d))
+    out: dict = {}
+    for d, c in x.terms.items():
+        pairs = _lmul_g_basis(ctx, j, d)
+        accumulate(out, c, pairs if sign > 0 else inverse_pairs(pairs, d))
+    return QBrauerElement._adopt(ctx.n, out)
 
 
 def word_element(ctx: AlgebraContext, word, x: QBrauerElement) -> QBrauerElement:
@@ -353,10 +355,36 @@ def word_element(ctx: AlgebraContext, word, x: QBrauerElement) -> QBrauerElement
     return x
 
 
+def _middle(ctx: AlgebraContext, c: BrauerDiagram, ec: ReducedExpression,
+            ed: ReducedExpression) -> QBrauerElement:
+    """e_(k) g_{w2} g_{w1'} g_{wd'} e_(k') for c = (k, w1, wd, w2) and
+    d = (k', w1', wd', w2'), memoized in ``ctx._middle``."""
+    key = (ec.k, ec.w2, ed.w1, ed.wd, ed.k)
+    res = ctx._middle.get(key)
+    if res is None:
+        word = ed.left_word + tuple(ek_atoms(ed.k))
+        res = word_element(ctx, word, QBrauerElement.basis(bottom_part(c)))
+        ctx._middle[key] = res
+    return res
+
+
 def product(ctx: AlgebraContext, x: QBrauerElement, y: QBrauerElement) -> QBrauerElement:
+    """x times y: each pair (c, d) of basis terms is g_{w1} g_{wd}, by
+    ``lmul_gen``, times ``_middle`` times g_{w2'}, by ``rmul_atom``."""
     if x.n != y.n or x.n != ctx.n:
         raise SizeMismatch("mixed ranks in product")
-    return _extend(ctx.n, y, lambda d: word_element(ctx, generator_word(d), x).terms.items())
+    out: dict = {}
+    for c, a in x.terms.items():
+        ec = _expr(c)
+        left = ec.left_word[::-1]  # acting on the left, last atom first
+        for d, b in y.terms.items():
+            ed = _expr(d)
+            z = _middle(ctx, c, ec, ed)
+            for atom in left:
+                z = lmul_gen(ctx, atom, z)
+            z = word_element(ctx, ed.right_word, z)
+            accumulate(out, a * b, z.terms.items())
+    return QBrauerElement._adopt(ctx.n, out)
 
 
 # ---------------------------------------------------------------------------

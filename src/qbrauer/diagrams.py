@@ -27,6 +27,7 @@ type, and this module never imports :mod:`qbrauer.scalars`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 
@@ -240,12 +241,8 @@ def perm_to_diagram(w: Perm) -> BrauerDiagram:
 def star(d: BrauerDiagram) -> BrauerDiagram:
     """Rotate around the horizontal axis: swap the two rows."""
     n = d.n
-    partner = [0] * (2 * n)
-    for v in range(1, 2 * n + 1):
-        fv = v + n if v <= n else v - n
-        u = d.partner[v - 1]
-        partner[fv - 1] = u + n if u <= n else u - n
-    return BrauerDiagram(n, tuple(partner))
+    flip = [u + n if u <= n else u - n for u in d.partner]
+    return BrauerDiagram(n, tuple(flip[n:] + flip[:n]))
 
 
 def top_swap(d: BrauerDiagram, j: int) -> BrauerDiagram:
@@ -337,6 +334,17 @@ class ReducedExpression:
     l1: int
     ld: int
     l2: int
+
+    # the words of g_{w1} g_{wd} and g_{w2} in ``reduced_word`` atoms,
+    # spelled on the first read: most factorizations are read only for
+    # their lengths.  The first is reduced because the lengths add.
+    @cached_property
+    def left_word(self) -> tuple:
+        return tuple(reduced_word(self.w1) + reduced_word(self.wd))
+
+    @cached_property
+    def right_word(self) -> tuple:
+        return tuple(reduced_word(self.w2))
 
     def length(self) -> int:
         return self.l1 + self.ld + self.l2

@@ -110,11 +110,16 @@ def gen_pairs(key, moved, delta: int) -> tuple:
 
 
 def inverse_pairs(pairs, key) -> tuple:
-    """g^{-1} acting on the basis element ``key``, from ``pairs``, the
-    (basis, coeff) pairs of g acting on it: the quadratic relation gives
-    g^{-1} = q^{-1} g + (q^{-1} - 1).  A key may occur twice; ``accumulate``
-    adds the two."""
-    return tuple((e, Q_INV * c) for e, c in pairs) + ((key, Q_INV_M1),)
+    """g^{-1} = q^{-1} g + (q^{-1} - 1) acting on the basis element ``key``,
+    from ``pairs``, the ``gen_pairs`` of g on it, in closed form: a falling
+    length gives the plain move, a fixed key q^{-1} key, and a rising
+    length q^{-1} moved + (q^{-1} - 1) key."""
+    if len(pairs) == 2:
+        return ((pairs[1][0], ONE),)
+    moved, c = pairs[0]
+    if c is Q:
+        return ((key, Q_INV),)
+    return ((moved, Q_INV), (key, Q_INV_M1))
 
 
 class HeckeElement(SparseElement):

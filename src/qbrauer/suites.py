@@ -11,8 +11,9 @@ mirror_tag), all checked by ``_run``.  A side is a list of terms
 (c, u, d, v), meaning c g_u b_d g_v with u, v generator words and b_d the
 basis element of the diagram d (a term with d None is c g_u g_v in the
 Hecke algebra); ``_value`` evaluates it, u through ``lmul_gen`` last atom
-first, then v through ``word_element``.  Times e_(k) on the right is
-``ek_atoms(k)``, the fold that ``product(x, e_(k))`` runs.  The involution
+first, then v through ``word_element``.  Times e_(k) on the right is the
+fold of ``ek_atoms(k)``, the word that ``product`` folds for a right
+factor e_(k) in its middle product.  The involution
 fixes every g_j^{±1} and e, reverses products and sends b_d to
 b_{star(d)}; ``_mirror`` is its action on a side, and a row with a mirror
 tag is checked again through it, so each left/right pair is written once.

@@ -12,13 +12,14 @@ from qbrauer.algebra import (
     e_k_element,
     element_from_json,
     element_to_json,
-    generator_word,
+    ek_atoms,
     involution_i,
     lmul_gen,
     product,
     rmul_atom,
     straighten,
     E_ATOM,
+    _expr,
     _lmul_g_basis,
     _rmul_g_basis,
 )
@@ -93,22 +94,49 @@ def test_ek_consistency():
         assert rep["failures"] == []
 
 
+def cap_word(k):
+    """A word for e_(k), by its recursion
+    e_(k) = e g_2 ... g_{2k-1} g_1^{-1} ... g_{2k-2}^{-1} e_(k-1)."""
+    if k == 0:
+        return []
+    ups = [(j, 1) for j in range(2, 2 * k)]
+    downs = [(j, -1) for j in range(1, 2 * k - 1)]
+    return [E_ATOM] + ups + downs + cap_word(k - 1)
+
+
+def spelled_word(d):
+    """A word in g_j, g_j^{-1}, e whose product is the basis element of d:
+    g_{w1} g_{wd} e_(k) g_{w2}, each permutation by its reduced word."""
+    ex = _expr(d)
+    return reduced_word(ex.w1) + reduced_word(ex.wd) + cap_word(ex.k) + reduced_word(ex.w2)
+
+
+def fold(ctx, x, word):
+    for atom in word:
+        x = rmul_atom(ctx, x, atom)
+    return x
+
+
 def test_generator_word_examples():
     n = 4
-    assert generator_word(identity_diagram(n)) == []
-    assert generator_word(e_k_diagram(n, 1)) == [E_ATOM]
-    assert generator_word(e_k_diagram(n, 2)) == [
+    assert spelled_word(identity_diagram(n)) == []
+    assert spelled_word(e_k_diagram(n, 1)) == [E_ATOM]
+    assert spelled_word(e_k_diagram(n, 2)) == [
         E_ATOM, (2, 1), (3, 1), (1, -1), (2, -1), E_ATOM,
     ]
+    for k in range(4):
+        assert ek_atoms(k) == cap_word(k)
+    # the words that the product reads are the stored reduced words
+    for d in enumerate_diagrams(n):
+        ex = _expr(d)
+        assert list(ex.left_word) == reduced_word(ex.w1) + reduced_word(ex.wd)
+        assert list(ex.right_word) == reduced_word(ex.w2)
 
 
 def test_generator_word_rebuilds_basis():
     ctx = AlgebraContext(4)
     for d in enumerate_diagrams(4):
-        z = ctx.unit()
-        for atom in generator_word(d):
-            z = rmul_atom(ctx, z, atom)
-        assert z == basis_element(ctx, d)
+        assert fold(ctx, ctx.unit(), spelled_word(d)) == basis_element(ctx, d)
 
 
 def test_basis_element_peeling_example():
@@ -134,10 +162,56 @@ def test_generator_word_rebuilds_rank7_example():
     d = diagram_from_edges(
         7, [(2, 4), (3, 5), (1, 11), (6, 8), (7, 9), (10, 12), (13, 14)]
     )
-    z = ctx.unit()
-    for atom in generator_word(d):
-        z = rmul_atom(ctx, z, atom)
-    assert z == basis_element(ctx, d)
+    assert fold(ctx, ctx.unit(), spelled_word(d)) == basis_element(ctx, d)
+
+
+def assert_product_is_the_word_fold(ctx, pairs):
+    """``product`` of each pair equals the fold of the spelled words of the
+    right factor's terms onto the left factor, computed on a context of its
+    own so that the two share no memo table."""
+    ref = AlgebraContext(ctx.n, ctx.N)
+    for x, y in pairs:
+        want = QBrauerElement(ctx.n)
+        for d, c in y.terms.items():
+            want = want + fold(ref, x, spelled_word(d)).scale(c)
+        assert product(ctx, x, y) == want, (x.terms, y.terms)
+
+
+def basis_pairs(ds):
+    return [(QBrauerElement.basis(a), QBrauerElement.basis(b)) for a in ds for b in ds]
+
+
+@pytest.mark.parametrize("N", [None, 2, -1])
+def test_product_is_the_word_fold_small_ranks(N):
+    for n in (1, 2, 3):
+        assert_product_is_the_word_fold(AlgebraContext(n, N), basis_pairs(enumerate_diagrams(n)))
+
+
+def test_product_is_the_word_fold_rank4():
+    assert_product_is_the_word_fold(AlgebraContext(4), basis_pairs(enumerate_diagrams(4)))
+
+
+def test_product_is_the_word_fold_rank5_sample():
+    ds = enumerate_diagrams(5)
+    rng = random.Random(5)
+    pairs = [(QBrauerElement.basis(rng.choice(ds)), QBrauerElement.basis(rng.choice(ds)))
+             for _ in range(300)]
+    assert_product_is_the_word_fold(AlgebraContext(5), pairs)
+
+
+def test_product_is_the_word_fold_three_term_operands():
+    # sums of three basis terms on both sides cover every (c, d) pair of
+    # the product's double loop, with coefficients that do not cancel
+    q, r = q_scalar(), scalars.r_scalar()
+    coeffs = [ONE, q, r * q.inv(), qm1_scalar(), -ONE, q ** 2 + r]
+    for n in (4, 5):
+        ds = enumerate_diagrams(n)
+        rng = random.Random(n)
+
+        def operand():
+            return QBrauerElement(n, {d: rng.choice(coeffs) for d in rng.sample(ds, 3)})
+
+        assert_product_is_the_word_fold(AlgebraContext(n), [(operand(), operand()) for _ in range(6)])
 
 
 def test_shared_context_thread_safety():
@@ -186,11 +260,14 @@ def test_memo_entries_are_never_mutated():
 
     batch(0)
     core = {k: dict(v.terms) for k, v in ctx._core.items()}
+    middle = {k: dict(v.terms) for k, v in ctx._middle.items()}
     atoms = {k: tuple(v) for k, v in ctx._rmul_atom.items()}
-    assert core and atoms
+    assert core and middle and atoms
     batch(40)
     for k, terms in core.items():
         assert ctx._core[k].terms == terms, k
+    for k, terms in middle.items():
+        assert ctx._middle[k].terms == terms, k
     for k, pairs in atoms.items():
         assert ctx._rmul_atom[k] == pairs, k
     x = product(ctx, QBrauerElement.basis(ds[3]), QBrauerElement.basis(ds[9]))

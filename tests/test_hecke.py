@@ -1,12 +1,16 @@
 import random
+from itertools import permutations
 
-from qbrauer.diagrams import identity_perm, perm_mul, reduced_word, s_ij
+from qbrauer.diagrams import identity_perm, perm_length, perm_mul, reduced_word, rmul_s, s_ij
 from qbrauer.hecke import (
     HeckeElement,
+    accumulate,
     asc,
     desc,
+    gen_pairs,
     hecke_to_json,
     in_subalgebra,
+    inverse_pairs,
     involution_i,
     product,
     word_element,
@@ -29,6 +33,20 @@ def random_element(rng, n, size=3):
         if not c.is_zero():
             terms[w] = c
     return HeckeElement(n, terms)
+
+
+def test_inverse_pairs_closed_form():
+    # each shape of the g_j rule gives g_j^{-1} = q^{-1} g_j + (q^{-1} - 1)
+    # as one or two pairs with distinct keys
+    qinv = q_scalar().inv()
+    for w in permutations(range(1, 5)):
+        for j in range(1, 4):
+            moved = rmul_s(w, j)
+            pairs = gen_pairs(w, moved, perm_length(moved) - perm_length(w))
+            got = inverse_pairs(pairs, w)
+            assert len({key for key, _ in got}) == len(got) <= 2, (w, j)
+            want = [(key, qinv * c) for key, c in pairs] + [(w, qinv - ONE)]
+            assert accumulate({}, ONE, got) == accumulate({}, ONE, want), (w, j)
 
 
 def test_quadratic_relation():
