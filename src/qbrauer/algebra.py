@@ -17,10 +17,12 @@ is (j, +1) for g_j, (j, -1) for g_j^{-1} (the encoding of ``hecke``), or
 ``E_ATOM`` for e; ``reduced_word`` spells a permutation in these atoms.
 
 Single-generator multiplication is the Hecke rule ``hecke.gen_pairs``, with
-the diagram playing the role of the permutation: the minimal word length
-of s_j . d against that of d decides between a plain move (length up), a
+the diagram playing the role of the permutation: the length change of
+s_j . d (or d . s_j) against d decides between a plain move (length up), a
 factor q (length equal, which forces s_j . d = d), and the two-term
-quadratic expansion (length down).  ``rmul_atom`` and ``lmul_gen`` are the
+quadratic expansion (length down).  ``diagrams.swap_delta`` reads that
+change off the partners of the two swapped vertices, so the rule
+factorizes neither diagram.  ``rmul_atom`` and ``lmul_gen`` are the
 only single-atom multiplications; g_j^{-1} = q^{-1} g_j + (q^{-1} - 1) comes
 from the pairs of g_j through ``hecke.inverse_pairs``.  The memo tables of
 a context hold one action or product each.  ``_lmul_g`` and ``_rmul_g``
@@ -28,8 +30,8 @@ hold the g_j rule on the left and the right, as a tuple of (diagram,
 coeff) pairs per basis element, and ``_rmul_atom`` g_j^{-1} and e on the
 right; e on the left reads ``_rmul_atom`` through the involution i,
 e x = i(i(x) e).  ``_middle`` holds the middle products, ``_core``
-the core products below, and the module-global ``_EXPR_CACHE`` each
-diagram's factorization with its three lengths.
+the core products below, and the module-global ``_EXPR_CACHE`` the
+factorization of each diagram read so far.
 
 Multiplication by e reduces to the core products e g_sigma e_(k).  These
 are peeled by exact one-letter rules (e g_1 = q e; e g_i = g_i e for
@@ -72,6 +74,7 @@ from .diagrams import (
     rmul_s,
     s_ij,
     star,
+    swap_delta,
     top_swap,
 )
 from .hecke import HeckeElement, SparseElement, accumulate, asc, desc, gen_pairs, inverse_pairs
@@ -87,16 +90,6 @@ def _expr(d: BrauerDiagram) -> ReducedExpression:
         e = decompose(d)
         _EXPR_CACHE[d] = e
     return e
-
-
-def _vstar_len(d: BrauerDiagram) -> int:
-    e = _expr(d)
-    return e.l1 + e.ld
-
-
-def _v_len(d: BrauerDiagram) -> int:
-    e = _expr(d)
-    return e.ld + e.l2
 
 
 class QBrauerElement(SparseElement):
@@ -178,8 +171,7 @@ def _lmul_g_basis(ctx: AlgebraContext, j: int, d: BrauerDiagram):
     if res is None:
         if not 1 <= j <= ctx.n - 1:
             raise ValueError(f"generator index {j} out of range")
-        sjd = top_swap(d, j)
-        res = gen_pairs(d, sjd, _vstar_len(sjd) - _vstar_len(d))
+        res = gen_pairs(d, top_swap(d, j), swap_delta(d, j))
         ctx._lmul_g[key] = res
     return res
 
@@ -190,8 +182,7 @@ def _rmul_g_basis(ctx: AlgebraContext, d: BrauerDiagram, j: int):
     if res is None:
         if not 1 <= j <= ctx.n - 1:
             raise ValueError(f"generator index {j} out of range")
-        dsj = bottom_swap(d, j)
-        res = gen_pairs(d, dsj, _v_len(dsj) - _v_len(d))
+        res = gen_pairs(d, bottom_swap(d, j), swap_delta(d, ctx.n + j))
         ctx._rmul_g[key] = res
     return res
 

@@ -255,6 +255,33 @@ def bottom_swap(d: BrauerDiagram, j: int) -> BrauerDiagram:
     return _vertex_swap(d, d.n + j, d.n + j + 1)
 
 
+def swap_delta(d: BrauerDiagram, a: int) -> int:
+    """The length change, -1, 0 or +1, of swapping the vertices a and a+1 of
+    one row of ``d``, read off their two partners: l1 + ld for the top row
+    (``top_swap(d, a)``), ld + l2 for the bottom row (``bottom_swap(d,
+    a - n)``).
+
+    It is 0 exactly when a and a+1 are joined to each other, and otherwise
+    +1 exactly when the partner of a ranks before the partner of a+1: a cap
+    end (a partner in the same row) ranks before a vertical end, and two
+    partners of one kind rank by vertex number.  On a permutation diagram
+    this is the Hecke rule l(s_j w) > l(w) iff (j)w < (j+1)w.  In the slot
+    order of :func:`decompose` (caps first, then free vertices), swapping
+    two free vertices composes wd with an adjacent transposition of slots;
+    every other swap exchanges the values a and a+1 in the row's slot
+    sequence, or the order of two adjacent caps, and leaves wd alone.
+    """
+    n, p = d.n, d.partner
+    pa, pb = p[a - 1], p[a]
+    if pa == a + 1:
+        return 0
+    top = a <= n
+    cap_a, cap_b = (pa <= n) == top, (pb <= n) == top
+    if cap_a != cap_b:
+        return 1 if cap_a else -1
+    return 1 if pa < pb else -1
+
+
 def _vertex_swap(d: BrauerDiagram, a: int, b: int) -> BrauerDiagram:
     """Relabel vertices a and b: only their two edges change."""
     pa, pb = d.partner[a - 1], d.partner[b - 1]
@@ -336,8 +363,8 @@ class ReducedExpression:
     l2: int
 
     # the words of g_{w1} g_{wd} and g_{w2} in ``reduced_word`` atoms,
-    # spelled on the first read: most factorizations are read only for
-    # their lengths.  The first is reduced because the lengths add.
+    # spelled on the first read: many factorizations are read only for
+    # their coordinates.  The first is reduced because the lengths add.
     @cached_property
     def left_word(self) -> tuple:
         return tuple(reduced_word(self.w1) + reduced_word(self.wd))

@@ -37,7 +37,7 @@ def test_every_probe_resolves():
 
 def test_memo_tables_of_a_fresh_context():
     ctx = algebra.AlgebraContext(3)
-    for name in ("_lmul_g", "_rmul_g", "_core", "_rmul_atom"):
+    for name in ("_lmul_g", "_rmul_g", "_core", "_rmul_atom", "_middle"):
         assert getattr(ctx, name) == {}, name
     assert isinstance(algebra._EXPR_CACHE, dict)
 

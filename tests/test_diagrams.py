@@ -28,6 +28,7 @@ from qbrauer.diagrams import (
     reduced_word,
     s_ij,
     star,
+    swap_delta,
     t_word,
     top_part,
     top_swap,
@@ -142,6 +143,27 @@ def test_swaps_relabel_two_vertices():
                     for v in range(1, 2 * n + 1):
                         want[m.get(v, v) - 1] = m.get(d.partner[v - 1], d.partner[v - 1])
                     assert got is BrauerDiagram(n, tuple(want))
+
+
+def test_swap_delta_matches_the_factorization_lengths():
+    """The length change that ``swap_delta`` reads off two partners is the
+    change of l1 + ld under ``top_swap`` and of ld + l2 under
+    ``bottom_swap``, and it is 0 exactly when the swap fixes the diagram."""
+    def left(ex):
+        return ex.l1 + ex.ld
+
+    def right(ex):
+        return ex.ld + ex.l2
+
+    for n in range(1, 7):
+        for d in enumerate_diagrams(n):
+            ex = decompose(d)
+            for j in range(1, n):
+                for a, moved, length in ((j, top_swap(d, j), left),
+                                         (n + j, bottom_swap(d, j), right)):
+                    delta = swap_delta(d, a)
+                    assert delta == length(decompose(moved)) - length(ex), (d, a)
+                    assert (delta == 0) == (moved is d), (d, a)
 
 
 def test_stored_lengths():

@@ -5,9 +5,10 @@ import json
 
 import pytest
 
-from qbrauer import algebra, hecke, suites
+from qbrauer import algebra, cellular, hecke, suites
 from qbrauer.algebra import AlgebraContext, involution_i
 from qbrauer.cli import main
+from qbrauer.diagrams import swap_delta
 from qbrauer.hecke import HeckeElement
 from qbrauer.scalars import Q, Q_INV, QM1
 
@@ -72,3 +73,28 @@ def _constant_q_inverse(pairs, key):
 def test_suites_catch_kernel_mutants(monkeypatch, name, mutant, suite):
     monkeypatch.setattr(algebra, name, mutant)
     assert suite(AlgebraContext(4))["failures"]
+
+
+def _rank_by_vertex(d, a):
+    """``swap_delta`` without the cap-before-vertical rank: partners rank
+    by vertex number alone."""
+    pa, pb = d.partner[a - 1], d.partner[a]
+    if pa == a + 1:
+        return 0
+    return 1 if pa < pb else -1
+
+
+def _vertical_before_cap(d, a):
+    """``swap_delta`` with the rank inverted: a vertical end ranks before a
+    cap end."""
+    same_kind = (d.partner[a - 1] <= d.n) == (d.partner[a] <= d.n)
+    return swap_delta(d, a) if same_kind else -swap_delta(d, a)
+
+
+# the q -> 1 oracle passes under both: at q = 1 the g_j rule is a plain move
+# whatever the length change says
+@pytest.mark.parametrize("mutant", [_rank_by_vertex, _vertical_before_cap])
+def test_suites_catch_swap_rule_mutants(monkeypatch, mutant):
+    monkeypatch.setattr(algebra, "swap_delta", mutant)
+    assert suites.relations_suite(AlgebraContext(4))["failures"]
+    assert cellular.inflation_product_check(AlgebraContext(4))["failures"]
