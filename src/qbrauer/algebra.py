@@ -10,11 +10,16 @@ d = (k', w1', wd', w2') at a time:
     g_c g_d = g_{w1} g_{wd} [e_(k) g_{w2} g_{w1'} g_{wd'} e_(k')] g_{w2'}.
 
 Only the middle product in brackets touches e.  It is memoized per
-(k, w2, w1', wd', k') and filled by folding the word of g_{w1'} g_{wd'}
-e_(k') onto e_(k) g_{w2}, the basis element of ``bottom_part(c)``, one
-atom at a time; the outer factors are plain g_j moves.  An atom of a word
-is (j, +1) for g_j, (j, -1) for g_j^{-1} (the encoding of ``hecke``), or
-``E_ATOM`` for e; ``reduced_word`` spells a permutation in these atoms.
+(k, w2, w1', wd', k') and filled from the side with the smaller e_(k).
+For k >= k' the word of g_{w1'} g_{wd'} e_(k') is folded onto
+e_(k) g_{w2}, the basis element of ``bottom_part(c)``, one atom at a time.
+For k < k' two identities fold the shorter e-word instead: g_{wd'} commutes
+with e_(k'), and the involution i maps the mirror product
+e_(k') g_{w1'^-1} g_{w2^-1} e_(k) to e_(k) g_{w2} g_{w1'} e_(k'), which
+g_{wd'} then multiplies on the right.  The outer factors are plain g_j
+moves.  An atom of a word is (j, +1) for g_j, (j, -1) for g_j^{-1} (the
+encoding of ``hecke``), or ``E_ATOM`` for e; ``reduced_word`` spells a
+permutation in these atoms.
 
 Single-generator multiplication is the Hecke rule ``hecke.gen_pairs``, with
 the diagram playing the role of the permutation: the length change of
@@ -75,6 +80,7 @@ from .diagrams import (
     s_ij,
     star,
     swap_delta,
+    top_part,
     top_swap,
 )
 from .hecke import HeckeElement, SparseElement, accumulate, asc, desc, gen_pairs, inverse_pairs
@@ -347,14 +353,34 @@ def word_element(ctx: AlgebraContext, word, x: QBrauerElement) -> QBrauerElement
 
 
 def _middle(ctx: AlgebraContext, c: BrauerDiagram, ec: ReducedExpression,
-            ed: ReducedExpression) -> QBrauerElement:
+            d: BrauerDiagram, ed: ReducedExpression) -> QBrauerElement:
     """e_(k) g_{w2} g_{w1'} g_{wd'} e_(k') for c = (k, w1, wd, w2) and
-    d = (k', w1', wd', w2'), memoized in ``ctx._middle``."""
+    d = (k', w1', wd', w2'), memoized in ``ctx._middle`` and filled from the
+    side with the smaller e_(k).
+
+    For k >= k' the fill folds the word of g_{w1'} g_{wd'} e_(k') onto
+    e_(k) g_{w2}, the basis element of ``bottom_part(c)``.  For k < k' that
+    would fold the long word of e_(k') onto a small start; two identities
+    fold the short one instead.  g_{wd'} commutes with e_(k'), since wd'
+    fixes 1..2k', and the involution i swaps the two sides:
+
+        e_(k) g_{w2} g_{w1'} e_(k') = i(e_(k') g_{w1'^-1} g_{w2^-1} e_(k)).
+
+    So the fill reads the mirror entry (k', w1'^-1, w2^-1, 1, k), a direct
+    fold from the basis element of ``star(top_part(d))``, maps it through i
+    and folds the word of g_{wd'} on the right.
+    """
     key = (ec.k, ec.w2, ed.w1, ed.wd, ed.k)
     res = ctx._middle.get(key)
     if res is None:
-        word = ed.left_word + tuple(ek_atoms(ed.k))
-        res = word_element(ctx, word, QBrauerElement.basis(bottom_part(c)))
+        if ec.k < ed.k:
+            # the mirror pair: e_(k') g_{w1'^-1} and g_{w2^-1} e_(k)
+            mc, md = star(top_part(d)), top_part(star(c))
+            mirror = _middle(ctx, mc, _expr(mc), md, _expr(md))
+            res = word_element(ctx, reduced_word(ed.wd), involution_i(mirror))
+        else:
+            word = ed.left_word + tuple(ek_atoms(ed.k))
+            res = word_element(ctx, word, QBrauerElement.basis(bottom_part(c)))
         ctx._middle[key] = res
     return res
 
@@ -370,7 +396,7 @@ def product(ctx: AlgebraContext, x: QBrauerElement, y: QBrauerElement) -> QBraue
         left = ec.left_word[::-1]  # acting on the left, last atom first
         for d, b in y.terms.items():
             ed = _expr(d)
-            z = _middle(ctx, c, ec, ed)
+            z = _middle(ctx, c, ec, d, ed)
             for atom in left:
                 z = lmul_gen(ctx, atom, z)
             z = word_element(ctx, ed.right_word, z)

@@ -225,16 +225,17 @@ def inflation_product_check(ctx: AlgebraContext, sample=None, seed: int = 0) -> 
     failures = []
     pairs = 0
     diagrams = enumerate_diagrams(n)
-    forms = {}  # phi_k depends on the pair only through these two parts
+    # phi_k depends on the pair only through bottom_part(c) and top_part(d),
+    # that is through k, w2 of c and w1 of d
+    forms = {}
     for k in range(n // 2 + 1):
         layer_diags = [d for d in diagrams if d.layer() == k]
         for c, d in _pairs(rng, layer_diags, layer_diags, sample):
             pairs += 1
             ec, ed = to_inflation(c), to_inflation(d)
-            parts = (bottom_part(c), top_part(d))
-            form = forms.get(parts)
+            form = forms.get((k, ec.w2, ed.w1))
             if form is None:
-                form = forms[parts] = phi_k(ctx, *parts)
+                form = forms[k, ec.w2, ed.w1] = phi_k(ctx, bottom_part(c), top_part(d))
             want = hecke_product(HeckeElement.basis(ec.wd), form)
             want = hecke_product(want, HeckeElement.basis(ed.wd))
             x, y = QBrauerElement.basis(c), QBrauerElement.basis(d)

@@ -257,9 +257,9 @@ def bottom_swap(d: BrauerDiagram, j: int) -> BrauerDiagram:
 
 def swap_delta(d: BrauerDiagram, a: int) -> int:
     """The length change, -1, 0 or +1, of swapping the vertices a and a+1 of
-    one row of ``d``, read off their two partners: l1 + ld for the top row
-    (``top_swap(d, a)``), ld + l2 for the bottom row (``bottom_swap(d,
-    a - n)``).
+    one row of ``d``, read off their two partners: the change of
+    l(w1) + l(wd) for the top row (``top_swap(d, a)``), of l(wd) + l(w2) for
+    the bottom row (``bottom_swap(d, a - n)``).
 
     It is 0 exactly when a and a+1 are joined to each other, and otherwise
     +1 exactly when the partner of a ranks before the partner of a+1: a cap
@@ -357,10 +357,6 @@ class ReducedExpression:
     w1: Perm
     wd: Perm
     w2: Perm
-    # the lengths of w1, wd and w2, counted once by decompose
-    l1: int
-    ld: int
-    l2: int
 
     # the words of g_{w1} g_{wd} and g_{w2} in ``reduced_word`` atoms,
     # spelled on the first read: many factorizations are read only for
@@ -374,7 +370,7 @@ class ReducedExpression:
         return tuple(reduced_word(self.w2))
 
     def length(self) -> int:
-        return self.l1 + self.ld + self.l2
+        return perm_length(self.w1) + perm_length(self.wd) + perm_length(self.w2)
 
 
 def _row(d: BrauerDiagram, off: int):
@@ -416,7 +412,7 @@ def decompose(d: BrauerDiagram) -> ReducedExpression:
     slot = {v: i for i, v in enumerate(bfree, 2 * k + 1)}
     wd = tuple(range(1, 2 * k + 1)) + tuple(slot[d.partner[t - 1] - n] for t in tfree)
     w1, w2 = perm_inv(tcaps + tfree), tuple(bcaps + bfree)
-    return ReducedExpression(k, w1, wd, w2, perm_length(w1), perm_length(wd), perm_length(w2))
+    return ReducedExpression(k, w1, wd, w2)
 
 
 def diagram_length(d: BrauerDiagram) -> int:

@@ -272,9 +272,14 @@ class Scalar:
         key = (self, other)
         out = _ADD.get(key)
         if out is None:
-            # least common denominator monomial: pointwise max of exponents
-            den = tuple(map(max, self.den, other.den))
-            out = _ADD[key] = Scalar(_lift(self, den) + _lift(other, den), *den)
+            den = self.den
+            if den == other.den:
+                num = self.num + other.num
+            else:
+                # least common denominator monomial: pointwise max of exponents
+                den = tuple(map(max, den, other.den))
+                num = _lift(self, den) + _lift(other, den)
+            out = _ADD[key] = Scalar(num, *den)
         return out
 
     def __sub__(self, other: "Scalar") -> "Scalar":

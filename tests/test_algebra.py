@@ -4,7 +4,7 @@ from itertools import permutations
 
 import pytest
 
-from qbrauer import hecke, scalars, suites
+from qbrauer import algebra, hecke, scalars, suites
 from qbrauer.algebra import (
     AlgebraContext,
     QBrauerElement,
@@ -18,6 +18,7 @@ from qbrauer.algebra import (
     product,
     rmul_atom,
     straighten,
+    word_element,
     E_ATOM,
     _expr,
     _lmul_g_basis,
@@ -25,6 +26,7 @@ from qbrauer.algebra import (
 )
 from qbrauer.diagrams import (
     BrauerDiagram,
+    bottom_part,
     concat,
     decompose,
     diagram_from_edges,
@@ -38,6 +40,7 @@ from qbrauer.diagrams import (
     reduced_word,
     s_ij,
     star,
+    top_part,
 )
 from qbrauer.scalars import (
     ONE,
@@ -212,6 +215,76 @@ def test_product_is_the_word_fold_three_term_operands():
             return QBrauerElement(n, {d: rng.choice(coeffs) for d in rng.sample(ds, 3)})
 
         assert_product_is_the_word_fold(AlgebraContext(n), [(operand(), operand()) for _ in range(6)])
+
+
+def mirrored_middle_mismatches(n, pairs):
+    """Fill the middle products of ``pairs`` of basis diagrams on a fresh
+    rank-n context; return the keys of the entries with k < k', which are
+    filled through the mirror, that differ from the direct fold of the word
+    of g_{w1'} g_{wd'} e_(k') onto the basis element of bottom_part(c),
+    computed on a context of its own."""
+    ctx, ref = AlgebraContext(n), AlgebraContext(n)
+    mirrored = {}
+    for c, d in pairs:
+        product(ctx, QBrauerElement.basis(c), QBrauerElement.basis(d))
+        ec, ed = _expr(c), _expr(d)
+        if ec.k < ed.k:
+            mirrored[ec.k, ec.w2, ed.w1, ed.wd, ed.k] = (c, ed)
+    assert mirrored
+    bad = []
+    for key, (c, ed) in mirrored.items():
+        word = reduced_word(ed.w1) + reduced_word(ed.wd) + ek_atoms(ed.k)
+        if ctx._middle[key] != word_element(ref, word, QBrauerElement.basis(bottom_part(c))):
+            bad.append(key)
+    return bad
+
+
+def mirrored_pairs():
+    """Every ordered pair at n = 4, and a seeded sample at n = 5."""
+    yield 4, [(c, d) for c in enumerate_diagrams(4) for d in enumerate_diagrams(4)]
+    ds = enumerate_diagrams(5)
+    rng = random.Random(15)
+    yield 5, [(rng.choice(ds), rng.choice(ds)) for _ in range(600)]
+
+
+def test_mirrored_middle_matches_the_direct_fold():
+    for n, pairs in mirrored_pairs():
+        assert mirrored_middle_mismatches(n, pairs) == [], n
+
+
+def mutant_middle(fold):
+    """``algebra._middle`` with the k < k' fill replaced by ``fold(ctx,
+    mirror, wd')``, for the mirror entry it reads."""
+    def middle(ctx, c, ec, d, ed):
+        key = (ec.k, ec.w2, ed.w1, ed.wd, ed.k)
+        res = ctx._middle.get(key)
+        if res is None:
+            if ec.k < ed.k:
+                mc, md = star(top_part(d)), top_part(star(c))
+                mirror = middle(ctx, mc, _expr(mc), md, _expr(md))
+                res = fold(ctx, mirror, ed.wd)
+            else:
+                word = ed.left_word + tuple(ek_atoms(ed.k))
+                res = word_element(ctx, word, QBrauerElement.basis(bottom_part(c)))
+            ctx._middle[key] = res
+        return res
+    return middle
+
+
+@pytest.mark.parametrize("fold", [
+    # g_{wd'} dropped
+    lambda ctx, mirror, wd: involution_i(mirror),
+    # g_{wd'} folded onto the mirror before the involution
+    lambda ctx, mirror, wd: involution_i(word_element(ctx, reduced_word(wd), mirror)),
+], ids=["drop_wd", "wd_before_involution"])
+def test_mirrored_fill_mutants_fail_the_checks(monkeypatch, fold):
+    """n = 4 has pairs with k = 0, k' = 1 and wd' = s_3, so each mutant
+    shows.  ``inflation_product_check`` multiplies within one layer only,
+    k = k', so it cannot see them; the q -> 1 oracle on every pair does."""
+    monkeypatch.setattr(algebra, "_middle", mutant_middle(fold))
+    n, pairs = next(mirrored_pairs())
+    assert mirrored_middle_mismatches(n, pairs)
+    assert suites.oracle_suite(AlgebraContext(4))["failures"]
 
 
 def test_shared_context_thread_safety():

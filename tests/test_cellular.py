@@ -110,11 +110,11 @@ def test_inflation_round_trip():
 
 
 def _swap_outer(ex):
-    return replace(ex, w1=ex.w2, w2=ex.w1, l1=ex.l2, l2=ex.l1)
+    return replace(ex, w1=ex.w2, w2=ex.w1)
 
 
 def _w1_is_w2(ex):
-    return replace(ex, w1=ex.w2, l1=ex.l2)
+    return replace(ex, w1=ex.w2)
 
 
 def _wd_slot_off_by_one(ex):

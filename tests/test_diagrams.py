@@ -147,13 +147,13 @@ def test_swaps_relabel_two_vertices():
 
 def test_swap_delta_matches_the_factorization_lengths():
     """The length change that ``swap_delta`` reads off two partners is the
-    change of l1 + ld under ``top_swap`` and of ld + l2 under
+    change of l(w1) + l(wd) under ``top_swap`` and of l(wd) + l(w2) under
     ``bottom_swap``, and it is 0 exactly when the swap fixes the diagram."""
     def left(ex):
-        return ex.l1 + ex.ld
+        return perm_length(ex.w1) + perm_length(ex.wd)
 
     def right(ex):
-        return ex.ld + ex.l2
+        return perm_length(ex.wd) + perm_length(ex.w2)
 
     for n in range(1, 7):
         for d in enumerate_diagrams(n):
@@ -170,9 +170,8 @@ def test_stored_lengths():
     for n in range(1, 6):
         for d in enumerate_diagrams(n):
             ex = decompose(d)
-            assert (ex.l1, ex.ld, ex.l2) == (
-                perm_length(ex.w1), perm_length(ex.wd), perm_length(ex.w2))
-            assert ex.length() == ex.l1 + ex.ld + ex.l2
+            assert ex.length() == (
+                perm_length(ex.w1) + perm_length(ex.wd) + perm_length(ex.w2))
 
 
 def test_e_k_diagram():

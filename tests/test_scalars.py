@@ -316,6 +316,25 @@ def test_memo_hits_agree_with_the_oracle(a, b, u):
         assert scalars_equal_oracle(i * u, ONE)
 
 
+def test_sum_over_equal_denominators_is_the_lifted_sum():
+    """``+`` adds the numerators directly when the denominators agree; the
+    sum is the object the lifted form over the common denominator gives."""
+    rng = random.Random(15)
+    equal = unequal = 0
+    while equal < 200 or unequal < 200:
+        a, b = random_scalar(rng), random_scalar(rng)
+        if rng.random() < 0.5:
+            # the numerator of b over the denominator of a, kept when canonical
+            b = Scalar(b.num, *a.den)
+        den = tuple(map(max, a.den, b.den))
+        want = Scalar(scalars._lift(a, den) + scalars._lift(b, den), *den)
+        assert a + b is want and b + a is want, (a, b)
+        if a.den == b.den:
+            equal += 1
+        else:
+            unequal += 1
+
+
 def test_interned_scalars_are_never_mutated():
     # every product shares its coefficients with the intern table, the memo
     # tables and other products: none of them may change after it is built;
