@@ -272,11 +272,7 @@ def cmd_verify(args) -> int:
     if args.suite == "relations":
         if ctx.n < 2:
             raise InputError("verify relations needs n >= 2: there is no relation at n = 1")
-        reports = [suites.relations_suite(ctx)]
-    elif args.suite == "lemmas":
-        reports = [suites.lemmas_suite(ctx), suites.ek_consistency_suite(ctx)]
-        if ctx.N is not None:
-            reports.append(suites.plus_chain_absorption_suite(ctx))
+        reports = suites.relations_suite(ctx)
     elif args.suite == "oracle":
         reports = [suites.oracle_suite(ctx, sample=args.sample, seed=args.seed)]
     elif args.suite == "cell":
@@ -387,7 +383,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run a verification suite")
     sp.add_argument("suite",
-                    choices=("relations", "lemmas", "oracle", "cell", "involution"))
+                    choices=("relations", "oracle", "cell", "involution"),
+                    help="relations: the module certificate (every defining "
+                         "relation on every basis element, the basis spanned "
+                         "from the unit, the left action and the involution), "
+                         "which proves the one-generator actions at n; "
+                         "oracle: q -> 1 "
+                         "limits against the classical product; cell: the "
+                         "cell-basis checks; involution: symmetry of the "
+                         "forms and the antihomomorphism")
     options(sp, "n", "integral", "format", "seed")
     sp.add_argument("--sample", type=int, default=None,
                     help="oracle: pairs drawn in all; cell: pairs per layer; "

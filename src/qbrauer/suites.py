@@ -6,21 +6,31 @@ failures}; an empty failure list is a pass.  The same functions back the
 command line ``verify`` subcommand and the acceptance tests, so the two
 surfaces cannot drift apart.
 
-The relation and lemma suites are tables of rows (tag, lhs, rhs,
-mirror_tag), all checked by ``_run``.  A side is a list of terms
-(c, u, d, v), meaning c g_u b_d g_v with u, v generator words and b_d the
-basis element of the diagram d (a term with d None is c g_u g_v in the
-Hecke algebra); ``_value`` evaluates it, u through ``lmul_gen`` last atom
-first, then v through ``word_element``.  Times e_(k) on the right is the
-fold of ``ek_atoms(k)``, the word that ``product`` folds for a right
-factor e_(k) in its middle product.  The involution
-fixes every g_j^{±1} and e, reverses products and sends b_d to
-b_{star(d)}; ``_mirror`` is its action on a side, and a row with a mirror
-tag is checked again through it, so each left/right pair is written once.
-Checks stay independent of the code they check: the ``ek_consistency``
-rows spell the step e g^+_{2,2k-1} g^-_{1,2k-2} themselves, not through
-``algebra.ek_atoms``; the Hecke-only rows compare ``hecke.word_element``
-values; the twist rows compare against the basis element e_(2).
+``relations_suite`` is a certificate that the kernel is the regular module
+of the algebra, in three reports.  ``rmul_atom`` makes the span M of the
+(2n-1)!! diagrams a right module over the free algebra on g_j^{±1} and e.
+
+* relations: each defining relation (Wenzl), its mirror under the
+  involution, which reverses words, and g_j g_j^{-1} = g_j^{-1} g_j = 1
+  hold on every basis element of M.  So M is a module of the algebra.
+* spanning: the word of g_{w1} g_{wd} e_(k) g_{w2}, folded onto the unit,
+  is b_d for every diagram d.  So M is cyclic, generated by the unit.
+  Wenzl's spanning set has (2n-1)!! elements, so the algebra has at most
+  that rank, and a cyclic module of that rank is the regular one: every
+  right action the kernel computes is right multiplication.
+* left_action: for every atom a, ``lmul_gen(a, .)`` commutes with
+  ``rmul_atom(., b)`` on every basis element for b = g_j and e, and agrees
+  with it on the unit, so it is left multiplication by a; and
+  i(b_d g_j) = g_j i(b_d), so the involution i, through which e acts on
+  the left, is an anti-automorphism.
+
+A relation row is (tag, lhs, rhs, mirror_tag); a side is a list of terms
+(c, v), meaning x c g_v with v a tuple of atoms, and ``_value`` folds it
+onto a basis element x one ``rmul_atom`` at a time, sharing the prefixes
+of one element's words.  A row with a mirror tag is checked again with
+every word reversed.  The suite spells e_(k) from its recursion itself
+(``_cap_word``), not through ``algebra.ek_atoms``, the word the product
+folds.
 """
 
 from __future__ import annotations
@@ -28,19 +38,18 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from . import hecke
-from .hecke import accumulate, asc, desc
+from .hecke import accumulate, asc
 from .algebra import (
     AlgebraContext,
     QBrauerElement,
-    ek_atoms,
     involution_i,
     lmul_gen,
     product,
+    rmul_atom,
     word_element,
     E_ATOM,
 )
-from .diagrams import concat, e_k_diagram, enumerate_diagrams, identity_diagram, star
+from .diagrams import concat, decompose, enumerate_diagrams
 from .scalars import ONE, Q, Q_INV, QM1, brauer_limit
 
 
@@ -69,206 +78,137 @@ def _pairs(rng: random.Random, left: list, right: list, sample):
 
 
 # ---------------------------------------------------------------------------
-# identity rows: one evaluator, its mirror and one runner
+# the module certificate
 # ---------------------------------------------------------------------------
 
-def _value(ctx: AlgebraContext, side: list):
-    """The sum of c g_u b_d g_v over the terms (c, u, d, v) of ``side``."""
+def _fold(ctx: AlgebraContext, folds: dict, v: tuple) -> QBrauerElement:
+    """x g_v.  ``folds`` maps each word u folded so far to x g_u, with x
+    under the empty word; v is folded onto its longest prefix there."""
+    z = folds.get(v)
+    if z is None:
+        z = folds[v] = rmul_atom(ctx, _fold(ctx, folds, v[:-1]), v[-1])
+    return z
+
+
+def _value(ctx: AlgebraContext, folds: dict, side: list) -> QBrauerElement:
+    """The sum of c x g_v over the terms (c, v) of ``side``."""
+    if len(side) == 1 and side[0][0] is ONE:
+        return _fold(ctx, folds, side[0][1])
     out: dict = {}
-    for c, u, d, v in side:
-        if d is None:
-            z = hecke.word_element(ctx.n, u + v)
-        else:
-            z = QBrauerElement.basis(d)
-            for atom in reversed(u):
-                z = lmul_gen(ctx, atom, z)
-            z = word_element(ctx, v, z)
-        accumulate(out, c, z.terms.items())
-    return z._adopt(ctx.n, out)
+    for c, v in side:
+        accumulate(out, c, _fold(ctx, folds, v).terms.items())
+    return QBrauerElement._adopt(ctx.n, out)
 
 
-def _at(d, v: list, c=ONE) -> list:
-    """The one-term side c b_d g_v."""
-    return [(c, [], d, v)]
+def _term(v: list, c=ONE) -> list:
+    """The one-term side c g_v."""
+    return [(c, tuple(v))]
 
 
 def _mirror(side: list) -> list:
-    """The image of ``side`` under the involution i."""
-    return [(c, v[::-1], d if d is None else star(d), u[::-1]) for c, u, d, v in side]
+    """The image of ``side`` under the involution i: every word reversed."""
+    return [(c, v[::-1]) for c, v in side]
 
 
-def _run(check: str, ctx: AlgebraContext, rows) -> dict:
-    """Check every row, and the mirror of each row that names one."""
-    failures, count = [], 0
-    for tag, lhs, rhs, mirror_tag in rows:
-        sides = [(tag, lhs, rhs)]
-        if mirror_tag:
-            sides.append((mirror_tag, _mirror(lhs), _mirror(rhs)))
-        for t, x, y in sides:
-            count += 1
-            if _value(ctx, x) != _value(ctx, y):
-                failures.append({"identity": t})
-    return report(check, ctx, {}, count, failures)
+def _cap_word(k: int) -> list:
+    """A word for e_(k), by its recursion e_(k) = e g+_{2,2k-1} g-_{1,2k-2} e_(k-1)."""
+    word = []
+    for j in range(1, k + 1):
+        word = [E_ATOM] + asc(2, 2 * j - 1) + asc(1, 2 * j - 2, -1) + word
+    return word
 
-
-# ---------------------------------------------------------------------------
-# defining relations
-# ---------------------------------------------------------------------------
 
 def _relation_rows(ctx: AlgebraContext):
-    """Wenzl's defining relations; all but the twist rows start at the unit."""
-    n, E, one = ctx.n, E_ATOM, identity_diagram(ctx.n)
+    """Wenzl's defining relations, and g_j g_j^{-1} = 1.  The twist rows
+    read e_(2) as the word e g_2 g_3 g_1^{-1} g_2^{-1} e that defines it."""
+    n, E = ctx.n, E_ATOM
+    for i in range(1, n):
+        yield f"inverse g{i}", _term([(i, 1), (i, -1)]), _term([]), f"inverse g{i}'"
     for i in range(1, n - 1):
-        yield (f"braid g{i}", _at(one, [(i, 1), (i + 1, 1), (i, 1)]),
-               _at(one, [(i + 1, 1), (i, 1), (i + 1, 1)]), None)
+        yield (f"braid g{i}", _term([(i, 1), (i + 1, 1), (i, 1)]),
+               _term([(i + 1, 1), (i, 1), (i + 1, 1)]), None)
     for i in range(1, n):
         for j in range(i + 2, n):
-            yield f"commute g{i} g{j}", _at(one, [(i, 1), (j, 1)]), _at(one, [(j, 1), (i, 1)]), None
+            yield f"commute g{i} g{j}", _term([(i, 1), (j, 1)]), _term([(j, 1), (i, 1)]), None
     for i in range(1, n):
-        yield (f"quadratic g{i}", _at(one, [(i, 1), (i, 1)]),
-               _at(one, [(i, 1)], QM1) + _at(one, [], Q), None)
-    yield "idempotent square", _at(one, [E, E]), _at(one, [E], ctx.b()), None
+        yield f"quadratic g{i}", _term([(i, 1), (i, 1)]), _term([(i, 1)], QM1) + _term([], Q), None
+    yield "idempotent square", _term([E, E]), _term([E], ctx.b()), None
     for i in range(3, n):
-        yield f"idempotent commute g{i}", _at(one, [E, (i, 1)]), _at(one, [(i, 1), E]), None
+        yield f"idempotent commute g{i}", _term([E, (i, 1)]), _term([(i, 1), E]), None
     if n >= 2:
-        yield "absorb left g1", _at(one, [E, (1, 1)]), _at(one, [E], Q), "absorb right g1"
-        yield ("absorb g1 inverse", _at(one, [E, (1, -1)]), _at(one, [E], Q_INV),
+        yield "absorb left g1", _term([E, (1, 1)]), _term([E], Q), "absorb right g1"
+        yield ("absorb g1 inverse", _term([E, (1, -1)]), _term([E], Q_INV),
                "absorb g1 inverse left")
     if n >= 3:
-        yield "sandwich g2", _at(one, [E, (2, 1), E]), _at(one, [E], ctx.r()), None
-        yield "sandwich g2 inverse", _at(one, [E, (2, -1), E]), _at(one, [E], Q_INV), None
+        yield "sandwich g2", _term([E, (2, 1), E]), _term([E], ctx.r()), None
+        yield "sandwich g2 inverse", _term([E, (2, -1), E]), _term([E], Q_INV), None
     if n >= 4:
-        twist = [(2, 1), (3, 1), (1, -1), (2, -1)]
-        e2 = e_k_diagram(n, 2)
-        yield "twist idempotent value", _at(one, [E] + twist + [E]), _at(e2, []), None
-        yield "twist idempotent left", _at(one, twist + ek_atoms(2)), _at(e2, []), None
-        yield "twist idempotent right", _at(e2, twist), _at(e2, []), None
+        twist, e2 = [(2, 1), (3, 1), (1, -1), (2, -1)], _cap_word(2)
+        yield "twist idempotent left", _term(twist + e2), _term(e2), "twist idempotent left'"
+        yield "twist idempotent right", _term(e2 + twist), _term(e2), "twist idempotent right'"
 
 
-def relations_suite(ctx: AlgebraContext) -> dict:
-    """The defining relations of the algebra, as element identities."""
-    return _run("relations", ctx, _relation_rows(ctx))
+def relations_check(ctx: AlgebraContext) -> dict:
+    """Every relation row and its mirror, on every basis element."""
+    sides = []
+    for tag, lhs, rhs, mirror_tag in _relation_rows(ctx):
+        sides.append((tag, lhs, rhs))
+        if mirror_tag:
+            sides.append((mirror_tag, _mirror(lhs), _mirror(rhs)))
+    diagrams, failures = enumerate_diagrams(ctx.n), []
+    for d in diagrams:
+        folds = {(): QBrauerElement.basis(d)}
+        for tag, lhs, rhs in sides:
+            if _value(ctx, folds, lhs) != _value(ctx, folds, rhs):
+                failures.append({"identity": tag, "diagram": d.edges()})
+    return report("relations", ctx, {}, len(sides) * len(diagrams), failures)
 
 
-# ---------------------------------------------------------------------------
-# the ladder of idempotent identities
-# ---------------------------------------------------------------------------
-
-def _lemma_rows(ctx: AlgebraContext):
-    n, K, E = ctx.n, ctx.n // 2, E_ATOM
-    b, r, one = ctx.b(), ctx.r(), identity_diagram(n)
-    ek = [e_k_diagram(n, k) for k in range(K + 1)]
-
-    for k in range(K + 1):
-        for j in range(k + 1):
-            yield (f"tower product {j},{k}", _at(ek[j], ek_atoms(k)), _at(ek[k], [], b ** j),
-                   f"tower product' {j},{k}")
-
-    for k in range(1, K + 1):
-        for t in range(1, 2 * k, 2):
-            for sg, c, i in ((1, Q, ""), (-1, Q_INV, "i")):
-                yield (f"odd absorb L{i} {t},{k}", [(ONE, [(t, sg)], ek[k], [])],
-                       _at(ek[k], [], c), f"odd absorb R{i} {t},{k}")
-
-    for k in range(1, K + 1):
-        for j in range(1, min(k, (n - 1) // 2) + 1):
-            yield (f"cap sandwich {j},{k}", _at(ek[j], [(2 * j, 1)] + ek_atoms(k)),
-                   _at(ek[k], [], r * b ** (j - 1)), f"cap sandwich' {j},{k}")
-
-    for k in range(1, K + 1):
-        for l in range(1, k):
-            for sg in (1, -1):
-                yield (f"chain reflect L {sg},{l},{k}", _at(one, asc(1, 2 * l, sg) + ek_atoms(k)),
-                       _at(one, desc(2 * l + 1, 2, sg) + ek_atoms(k)),
-                       f"chain reflect R {sg},{l},{k}")
-
-    for k in range(1, K + 1):
-        for j in range(1, k):
-            for sg, i in ((1, ""), (-1, " inv")):
-                yield (f"pair slide{i} {j},{k}", [(ONE, [(2 * j - 1, sg), (2 * j, sg)], ek[k], [])],
-                       [(ONE, [(2 * j + 1, sg), (2 * j, sg)], ek[k], [])], None)
-
-    for k in range(1, K):
-        yield (f"ladder recursion left {k}",
-               _at(one, [E] + asc(2, 2 * k + 1) + asc(1, 2 * k, -1) + ek_atoms(k)),
-               _at(ek[k + 1], []), f"ladder recursion right {k}")
-        for j in range(1, k + 1):
-            mid = asc(2 * j, 2 * k + 1) + asc(2 * j - 1, 2 * k, -1)
-            yield (f"ladder from level {j},{k}", _at(ek[j], mid + ek_atoms(k)),
-                   _at(ek[k + 1], [], b ** (j - 1)), f"ladder from level' {j},{k}")
-
-    for k in range(1, K + 1):
-        for j in range(1, k):
-            for m in range(1, j + 1):
-                for sg in (1, -1):
-                    yield (f"long reflect L {sg},{m},{j},{k}",
-                           _at(one, asc(2 * m - 1, 2 * j, sg) + ek_atoms(k)),
-                           _at(one, desc(2 * j + 1, 2 * m, sg) + ek_atoms(k)),
-                           f"long reflect R {sg},{m},{j},{k}")
-
-    # in the Hecke algebra: an odd generator slides through the ladder word
-    for k in range(K):
-        ladder = asc(2, 2 * k + 1) + asc(1, 2 * k, -1)
-        for j in range(1, k + 1):
-            yield (f"odd slide through ladder {j},{k}", _at(None, [(2 * j + 1, 1)] + ladder),
-                   _at(None, ladder + [(2 * j - 1, 1)]), f"odd slide through ladder' {j},{k}")
-
-    # mixed-chain absorption, inverse trailing chain: for j1 >= 2k, j2 >= 2k+1
-    # e g+_{2,j2} g-_{1,j1} e_(k) = e_(k+1) g+_{2k+2,j2} g-_{2k+1,j1}
-    for k in range(K):
-        for j1 in range(2 * k, n):
-            for j2 in range(2 * k + 1, n):
-                yield (f"chain absorb minus {j1},{j2},{k}",
-                       _at(one, [E] + asc(2, j2) + asc(1, j1, -1) + ek_atoms(k)),
-                       _at(ek[k + 1], asc(2 * k + 2, j2) + asc(2 * k + 1, j1, -1)), None)
+def spanning_check(ctx: AlgebraContext) -> dict:
+    """The unit times the word g_{w1} g_{wd} e_(k) g_{w2} of each diagram d
+    is b_d."""
+    diagrams, failures, heads = enumerate_diagrams(ctx.n), [], {}
+    for d in diagrams:
+        ex = decompose(d)
+        # many diagrams share w1, wd and k: fold that head once
+        head = heads.get((ex.left_word, ex.k))
+        if head is None:
+            word = ex.left_word + tuple(_cap_word(ex.k))
+            head = heads[ex.left_word, ex.k] = word_element(ctx, word, ctx.unit())
+        if word_element(ctx, ex.right_word, head) != QBrauerElement.basis(d):
+            failures.append({"diagram": d.edges()})
+    return report("spanning", ctx, {}, len(diagrams), failures)
 
 
-def lemmas_suite(ctx: AlgebraContext) -> dict:
-    """Exact identities between the tower idempotents, generator chains and
-    their absorptions, over every valid index range."""
-    return _run("lemmas", ctx, _lemma_rows(ctx))
+def left_action_check(ctx: AlgebraContext) -> dict:
+    """For every atom a, each generator b in g_j and e, and every basis
+    element x: a (x b) = (a x) b, with a 1 = 1 a; and i(x g_j) = g_j i(x).
+    b = g_j^{-1} needs no check: the relations report shows that it acts as
+    the inverse of g_j."""
+    n, one = ctx.n, ctx.unit()
+    gens = [(j, 1) for j in range(1, n)] + ([E_ATOM] if n >= 2 else [])
+    atoms = gens + [(j, -1) for j in range(1, n)]
+    failures = [{"a": list(a)} for a in atoms if lmul_gen(ctx, a, one) != rmul_atom(ctx, one, a)]
+    diagrams = enumerate_diagrams(n)
+    for d in diagrams:
+        x = QBrauerElement.basis(d)
+        left = [(a, lmul_gen(ctx, a, x)) for a in atoms]
+        for b in gens:
+            xb = rmul_atom(ctx, x, b)
+            for a, ax in left:
+                if lmul_gen(ctx, a, xb) != rmul_atom(ctx, ax, b):
+                    failures.append({"a": list(a), "b": list(b), "diagram": d.edges()})
+        for j in range(1, n):
+            if involution_i(rmul_atom(ctx, x, (j, 1))) != lmul_gen(ctx, (j, 1), involution_i(x)):
+                failures.append({"involution": j, "diagram": d.edges()})
+    pairs = len(atoms) + len(diagrams) * (len(atoms) * len(gens) + n - 1)
+    return report("left_action", ctx, {}, pairs, failures)
 
 
-def _plus_chain_rows(ctx: AlgebraContext):
-    n, one = ctx.n, identity_diagram(ctx.n)
-    for k in range(1, n // 2):
-        for j1 in range(2 * k, n):
-            for j2 in range(2 * k + 1, n):
-                head = asc(2 * k + 2, j2) + asc(2 * k + 1, j1)
-                rhs = _at(e_k_diagram(n, k + 1), head, Q ** (2 * k))
-                for l in range(1, k + 1):
-                    tail = asc(2 * l + 2, j2) + asc(2 * l + 1, j1) + ek_atoms(k)
-                    c = ctx.r() * Q * QM1 * Q ** (2 * l - 2)
-                    rhs += [(c, [], one, tail), (c, [(2 * l + 1, 1)], one, tail)]
-                yield (f"chain absorb plus {j1},{j2},{k}",
-                       _at(one, [E_ATOM] + asc(2, j2) + asc(1, j1) + ek_atoms(k)), rhs, None)
-
-
-def plus_chain_absorption_suite(ctx: AlgebraContext) -> dict:
-    """Plus-chain version of the absorption identity, with its correction sum:
-    for j1 >= 2k, j2 >= 2k+1,
-
-      e g+_{2,j2} g+_{1,j1} e_(k) = q^{2k} e_(k+1) g+_{2k+2,j2} g+_{2k+1,j1}
-        + r q (q-1) sum_{l=1}^{k} q^{2l-2} (g_{2l+1} + 1)
-                                  g+_{2l+2,j2} g+_{2l+1,j1} e_(k).
-
-    In the integral version r = q^N the prefactor is q^{N+1}(q-1).
-    """
-    return _run("plus_chain_absorption", ctx, _plus_chain_rows(ctx))
-
-
-def _ek_rows(ctx: AlgebraContext):
-    n, word = ctx.n, []
-    for k in range(1, n // 2 + 1):
-        # e_(k) = e g+_{2,2k-1} g-_{1,2k-2} e_(k-1), spelled here, not by ek_atoms
-        word = [E_ATOM] + asc(2, 2 * k - 1) + asc(1, 2 * k - 2, -1) + word
-        yield (f"left recursion k={k}", _at(identity_diagram(n), word),
-               _at(e_k_diagram(n, k), []), f"right recursion k={k}")
-
-
-def ek_consistency_suite(ctx: AlgebraContext) -> dict:
-    """The two ladder recursions and the diagram basis element agree."""
-    return _run("ek_consistency", ctx, _ek_rows(ctx))
+def relations_suite(ctx: AlgebraContext) -> list:
+    """The module certificate: the relations, spanning and left_action
+    reports."""
+    return [relations_check(ctx), spanning_check(ctx), left_action_check(ctx)]
 
 
 # ---------------------------------------------------------------------------
