@@ -309,15 +309,24 @@ def test_verify_relations_needs_rank_two(capsys):
     assert "n >= 2" in json.loads(err)["detail"]
 
 
-def test_verify_leaves_out_reports_that_tested_nothing(capsys, monkeypatch):
-    # a report of no pairs would read as a pass
+# a report of no pairs would read as a pass. One check of each suite is
+# emptied and reports as `gone`, the name of a check that no longer exists,
+# so only the filter keeps it out of the output
+@pytest.mark.parametrize("argv, gone", [(("cell", "3"), "ek_consistency"),
+                                        (("involution", "2"), "plus_chain_absorption")])
+def test_verify_leaves_out_reports_that_tested_nothing(capsys, monkeypatch, argv, gone):
     from qbrauer import cli, suites
 
-    monkeypatch.setattr(cli, "cell_chain_check",
-                        lambda ctx: suites.report("cell_chain", ctx, {}, 0, []))
-    code, out, _ = run(capsys, "verify", "cell", "3", "--format", "json")
+    def empty(ctx, **kwargs):
+        return suites.report(gone, ctx, {}, 0, [])
+
+    monkeypatch.setattr(cli, "cell_chain_check", empty)
+    monkeypatch.setattr(suites, "involution_antihom_suite", empty)
+    code, out, _ = run(capsys, "verify", *argv, "--format", "json")
     assert code == 0
-    assert [r["check"] for r in json.loads(out)] == ["inflation_bijection", "inflation_product"]
+    reports = json.loads(out)
+    assert reports and all(r["pairs_tested"] > 0 for r in reports)
+    assert gone not in [r["check"] for r in reports]
 
 
 def test_verify_with_no_report_left_exits_2(capsys, monkeypatch):
