@@ -7,8 +7,9 @@ command line ``verify`` subcommand and the acceptance tests, so the two
 surfaces cannot drift apart.
 
 ``relations_suite`` is a certificate that the kernel is the regular module
-of the algebra, in three reports.  ``rmul_atom`` makes the span M of the
-(2n-1)!! diagrams a right module over the free algebra on g_j^{±1} and e.
+of the algebra and that ``product`` is its multiplication, in four reports.
+``rmul_atom`` makes the span M of the (2n-1)!! diagrams a right module over
+the free algebra on g_j^{±1} and e.
 
 * relations: each defining relation (Wenzl), its mirror under the
   involution, which reverses words, and g_j g_j^{-1} = g_j^{-1} g_j = 1
@@ -23,6 +24,16 @@ of the algebra, in three reports.  ``rmul_atom`` makes the span M of the
   with it on the unit, so it is left multiplication by a; and
   i(b_d g_j) = g_j i(b_d), so the involution i, through which e acts on
   the left, is an anti-automorphism.
+* product: ``product`` forms u m v for a pair of basis elements b_c, b_d,
+  with m the middle product of e_(k) g_{w2} (the bottom part of c) and
+  g_{w1'} g_{wd'} e_(k') (the top part of d), and u, v the outer words it
+  applies with ``lmul_gen`` and ``rmul_atom``.  m is compared with the
+  top part's word folded onto the bottom part, for every pair of parts,
+  and b_c 1 = b_c, 1 b_d = b_d show u (e_(k) g_{w2}) = b_c and
+  (g_{w1'} g_{wd'} e_(k')) v = b_d.  So ``product(b_c, b_d)`` = b_c b_d.
+
+Associativity and i(xy) = i(y) i(x) hold in the algebra, so the four
+reports prove them for ``product`` and need no check of their own.
 
 A relation row is (tag, lhs, rhs, mirror_tag); a side is a list of terms
 (c, v), meaning x c g_v with v a tuple of atoms, and ``_value`` folds it
@@ -205,14 +216,39 @@ def left_action_check(ctx: AlgebraContext) -> dict:
     return report("left_action", ctx, {}, pairs, failures)
 
 
+def product_check(ctx: AlgebraContext) -> dict:
+    """``product(b_c, b_d)`` is b_c times the word g_{w1'} g_{wd'} e_(k') of
+    d, folded on with ``rmul_atom``, for every bottom part c = e_(k) g_{w2}
+    and every d = (k', w1', wd', 1): these pairs meet every middle product.
+    And b_d 1 = 1 b_d = b_d for every d, which reads the outer words."""
+    diagrams, failures = enumerate_diagrams(ctx.n), []
+    exprs = {d: decompose(d) for d in diagrams}
+    bottoms = [d for d in diagrams if not exprs[d].left_word]
+    tops = [(d, exprs[d].left_word + tuple(_cap_word(exprs[d].k)))
+            for d in diagrams if not exprs[d].right_word]
+    for c in bottoms:
+        x = QBrauerElement.basis(c)
+        folds = {(): x}
+        for d, word in tops:
+            if product(ctx, x, QBrauerElement.basis(d)) != _fold(ctx, folds, word):
+                failures.append({"c": c.edges(), "d": d.edges()})
+    one = ctx.unit()
+    for d in diagrams:
+        x = QBrauerElement.basis(d)
+        for side, z in (("right", product(ctx, x, one)), ("left", product(ctx, one, x))):
+            if z != x:
+                failures.append({"unit": side, "diagram": d.edges()})
+    return report("product", ctx, {}, len(bottoms) * len(tops) + 2 * len(diagrams), failures)
+
+
 def relations_suite(ctx: AlgebraContext) -> list:
     """The module certificate: the relations, spanning and left_action
-    reports."""
-    return [relations_check(ctx), spanning_check(ctx), left_action_check(ctx)]
+    reports, and the product report that rests on them."""
+    return [relations_check(ctx), spanning_check(ctx), left_action_check(ctx), product_check(ctx)]
 
 
 # ---------------------------------------------------------------------------
-# classical oracle and the involution
+# classical oracle
 # ---------------------------------------------------------------------------
 
 def oracle_suite(ctx: AlgebraContext, sample=None, seed: int = 0) -> dict:
@@ -235,19 +271,3 @@ def oracle_suite(ctx: AlgebraContext, sample=None, seed: int = 0) -> dict:
             failures.append({"d1": d1.edges(), "d2": d2.edges(), "missing": True})
     return report("oracle", ctx, {"Ns": list(Ns), "sample": sample, "seed": seed},
                    len(pairs), failures)
-
-
-def involution_antihom_suite(ctx: AlgebraContext, count: int = 200, seed: int = 0) -> dict:
-    """i(xy) = i(y) i(x) and i^2 = id on ``count`` distinct random basis
-    pairs, or on all of them when there are no more."""
-    diagrams = enumerate_diagrams(ctx.n)
-    pairs = _pairs(random.Random(seed), diagrams, diagrams, count)
-    failures = []
-    for d1, d2 in pairs:
-        a, b = QBrauerElement.basis(d1), QBrauerElement.basis(d2)
-        lhs = involution_i(product(ctx, a, b))
-        rhs = product(ctx, involution_i(b), involution_i(a))
-        if lhs != rhs or involution_i(involution_i(a)) != a:
-            failures.append({"pair": True})
-    return report("involution_antihom", ctx, {"count": count, "seed": seed}, len(pairs),
-                  failures)

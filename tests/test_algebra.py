@@ -146,8 +146,8 @@ def test_generator_word_rebuilds_rank7_example():
     assert fold(ctx, ctx.unit(), spelled_word(d)) == basis_element(ctx, d)
 
 
-def assert_product_is_the_word_fold(ctx, pairs):
-    """``product`` of each pair equals the fold of the spelled words of the
+def assert_product_is_the_word_fold(ctx, pairs, mul=product):
+    """``mul`` of each pair equals the fold of the spelled words of the
     right factor's terms onto the left factor, computed on a context of its
     own so that the two share no memo table."""
     ref = AlgebraContext(ctx.n, ctx.N)
@@ -155,7 +155,7 @@ def assert_product_is_the_word_fold(ctx, pairs):
         want = QBrauerElement(ctx.n)
         for d, c in y.terms.items():
             want = want + fold(ref, x, spelled_word(d)).scale(c)
-        assert product(ctx, x, y) == want, (x.terms, y.terms)
+        assert mul(ctx, x, y) == want, (x.terms, y.terms)
 
 
 def basis_pairs(ds):
@@ -168,66 +168,35 @@ def test_product_is_the_word_fold_small_ranks(N):
         assert_product_is_the_word_fold(AlgebraContext(n, N), basis_pairs(enumerate_diagrams(n)))
 
 
-def test_product_is_the_word_fold_rank4():
-    assert_product_is_the_word_fold(AlgebraContext(4), basis_pairs(enumerate_diagrams(4)))
+def three_term_pairs(n):
+    """Six pairs of sums of three basis terms, with coefficients that do not
+    cancel."""
+    q, r = q_scalar(), scalars.r_scalar()
+    coeffs = [ONE, q, r * q.inv(), qm1_scalar(), -ONE, q ** 2 + r]
+    ds = enumerate_diagrams(n)
+    rng = random.Random(n)
 
+    def operand():
+        return QBrauerElement(n, {d: rng.choice(coeffs) for d in rng.sample(ds, 3)})
 
-def test_product_is_the_word_fold_rank5_sample():
-    ds = enumerate_diagrams(5)
-    rng = random.Random(5)
-    pairs = [(QBrauerElement.basis(rng.choice(ds)), QBrauerElement.basis(rng.choice(ds)))
-             for _ in range(300)]
-    assert_product_is_the_word_fold(AlgebraContext(5), pairs)
+    return [(operand(), operand()) for _ in range(6)]
 
 
 def test_product_is_the_word_fold_three_term_operands():
     # sums of three basis terms on both sides cover every (c, d) pair of
-    # the product's double loop, with coefficients that do not cancel
-    q, r = q_scalar(), scalars.r_scalar()
-    coeffs = [ONE, q, r * q.inv(), qm1_scalar(), -ONE, q ** 2 + r]
+    # the product's double loop
     for n in (4, 5):
-        ds = enumerate_diagrams(n)
-        rng = random.Random(n)
-
-        def operand():
-            return QBrauerElement(n, {d: rng.choice(coeffs) for d in rng.sample(ds, 3)})
-
-        assert_product_is_the_word_fold(AlgebraContext(n), [(operand(), operand()) for _ in range(6)])
+        assert_product_is_the_word_fold(AlgebraContext(n), three_term_pairs(n))
 
 
-def mirrored_middle_mismatches(n, pairs):
-    """Fill the middle products of ``pairs`` of basis diagrams on a fresh
-    rank-n context; return the keys of the entries with k < k', which are
-    filled through the mirror, that differ from the direct fold of the word
-    of g_{w1'} g_{wd'} e_(k') onto the basis element of bottom_part(c),
-    computed on a context of its own."""
-    ctx, ref = AlgebraContext(n), AlgebraContext(n)
-    mirrored = {}
-    for c, d in pairs:
-        product(ctx, QBrauerElement.basis(c), QBrauerElement.basis(d))
-        ec, ed = _expr(c), _expr(d)
-        if ec.k < ed.k:
-            mirrored[ec.k, ec.w2, ed.w1, ed.wd, ed.k] = (c, ed)
-    assert mirrored
-    bad = []
-    for key, (c, ed) in mirrored.items():
-        word = reduced_word(ed.w1) + reduced_word(ed.wd) + ek_atoms(ed.k)
-        if ctx._middle[key] != word_element(ref, word, QBrauerElement.basis(bottom_part(c))):
-            bad.append(key)
-    return bad
+def test_three_term_operands_see_the_coefficients():
+    # a product that drops the right factor's coefficients, a b -> a, is
+    # right on basis elements, so the certificate cannot see it
+    def mutant(ctx, x, y):
+        return product(ctx, x, QBrauerElement(y.n, dict.fromkeys(y.terms, ONE)))
 
-
-def mirrored_pairs():
-    """Every ordered pair at n = 4, and a seeded sample at n = 5."""
-    yield 4, [(c, d) for c in enumerate_diagrams(4) for d in enumerate_diagrams(4)]
-    ds = enumerate_diagrams(5)
-    rng = random.Random(15)
-    yield 5, [(rng.choice(ds), rng.choice(ds)) for _ in range(600)]
-
-
-def test_mirrored_middle_matches_the_direct_fold():
-    for n, pairs in mirrored_pairs():
-        assert mirrored_middle_mismatches(n, pairs) == [], n
+    with pytest.raises(AssertionError):
+        assert_product_is_the_word_fold(AlgebraContext(4), three_term_pairs(4), mul=mutant)
 
 
 def mutant_middle(fold):
@@ -257,12 +226,10 @@ def mutant_middle(fold):
 ], ids=["drop_wd", "wd_before_involution"])
 def test_mirrored_fill_mutants_fail_the_checks(monkeypatch, fold):
     """n = 4 has pairs with k = 0, k' = 1 and wd' = s_3, so each mutant
-    shows.  ``inflation_product_check`` multiplies within one layer only,
-    k = k', so it cannot see them; the q -> 1 oracle on every pair does."""
+    shows.  Of the certificate, only the product report reads ``_middle``."""
     monkeypatch.setattr(algebra, "_middle", mutant_middle(fold))
-    n, pairs = next(mirrored_pairs())
-    assert mirrored_middle_mismatches(n, pairs)
-    assert suites.oracle_suite(AlgebraContext(4))["failures"]
+    reps = suites.relations_suite(AlgebraContext(4))
+    assert [bool(rep["failures"]) for rep in reps] == [False, False, False, True]
 
 
 def test_shared_context_thread_safety():
@@ -442,12 +409,6 @@ def test_straighten_coefficients_are_plain_q_polynomials():
             assert all(er == 0 for _, er in c.num.terms)
 
 
-def test_oracle_exhaustive_rank3():
-    rep = suites.oracle_suite(AlgebraContext(3))
-    assert rep["params"]["Ns"] == [1, 2, 3]
-    assert rep["failures"] == []
-
-
 @pytest.mark.parametrize("N", [2, -1, 3])
 def test_oracle_integral_version(N):
     # in the integral version the limit is taken at the context's own N
@@ -560,34 +521,6 @@ def test_involution_antiautomorphism_exhaustive():
             assert involution_i(product(ctx, x, y)) == product(
                 ctx, involution_i(y), involution_i(x)
             )
-    rep = suites.involution_antihom_suite(AlgebraContext(4), count=300, seed=0)
-    assert rep["failures"] == []
-
-
-def test_associativity_small():
-    ctx = AlgebraContext(3)
-    ds = enumerate_diagrams(3)
-    rng = random.Random(1)
-    for _ in range(150):
-        a, b, c = (QBrauerElement.basis(rng.choice(ds)) for _ in range(3))
-        assert product(ctx, product(ctx, a, b), c) == product(ctx, a, product(ctx, b, c))
-
-
-def test_product_against_classical_random_rank4():
-    rng = random.Random(6)
-    ctx = AlgebraContext(4)
-    ds = enumerate_diagrams(4)
-    for _ in range(60):
-        d1, d2 = rng.choice(ds), rng.choice(ds)
-        P = product(ctx, QBrauerElement.basis(d1), QBrauerElement.basis(d2))
-        dd, loops = concat(d1, d2)
-        for N in (1, 2, 3):
-            got = {}
-            for d, c in P.terms.items():
-                v = brauer_limit(c, N)
-                if v:
-                    got[d] = v
-            assert got == {dd: Fraction(N) ** loops}
 
 
 def test_element_json_round_trip():

@@ -147,10 +147,8 @@ def test_verify_oracle_and_involution_read_integral(capsys):
         code, out, _ = run(capsys, "verify", "involution", "3", "--integral", str(M),
                            "--sample", "20", "--format", "json")
         assert code == 0
-        reports = json.loads(out)
-        assert len(reports) == 2
-        for r in reports:
-            assert r["failures"] == [] and r["version"] == {"N": M}
+        (rep,) = json.loads(out)
+        assert rep["failures"] == [] and rep["version"] == {"N": M}
     code, out, _ = run(capsys, "verify", "oracle", "3", "--format", "json")
     (rep,) = json.loads(out)
     assert rep["version"] == {"generic": True} and rep["params"]["Ns"] == [1, 2, 3]
@@ -161,7 +159,7 @@ def test_involution_counts_the_basis_images(capsys):
     # the 15 diagrams of rank 3
     code, out, _ = run(capsys, "verify", "involution", "3", "--format", "json")
     assert code == 0
-    symmetry, _ = json.loads(out)
+    (symmetry,) = json.loads(out)
     forms = sum(len(enumerate_nocross(3, k)) ** 2 for k in (0, 1))
     assert forms == 10
     assert symmetry["pairs_tested"] == forms + 15
@@ -313,7 +311,7 @@ def test_verify_relations_needs_rank_two(capsys):
 # emptied and reports as `gone`, the name of a check that no longer exists,
 # so only the filter keeps it out of the output
 @pytest.mark.parametrize("argv, gone", [(("cell", "3"), "ek_consistency"),
-                                        (("involution", "2"), "plus_chain_absorption")])
+                                        (("relations", "2"), "plus_chain_absorption")])
 def test_verify_leaves_out_reports_that_tested_nothing(capsys, monkeypatch, argv, gone):
     from qbrauer import cli, suites
 
@@ -321,7 +319,7 @@ def test_verify_leaves_out_reports_that_tested_nothing(capsys, monkeypatch, argv
         return suites.report(gone, ctx, {}, 0, [])
 
     monkeypatch.setattr(cli, "cell_chain_check", empty)
-    monkeypatch.setattr(suites, "involution_antihom_suite", empty)
+    monkeypatch.setattr(suites, "product_check", empty)
     code, out, _ = run(capsys, "verify", *argv, "--format", "json")
     assert code == 0
     reports = json.loads(out)
@@ -341,10 +339,11 @@ def test_verify_with_no_report_left_exits_2(capsys, monkeypatch):
     assert "nothing to test" in json.loads(err)["detail"]
 
 
-# one pair exists at n = 1 and nine at n = 2, however many are asked for
+# one pair exists at n = 1, however many are asked for; the symmetry check
+# counts its phi_k pairs and basis images
 @pytest.mark.parametrize("argv, want", [(("oracle", "1", "--sample", "50"), [1]),
-                                        (("involution", "1"), [2, 1]),
-                                        (("involution", "2"), [5, 9])])
+                                        (("involution", "1"), [2]),
+                                        (("involution", "2"), [5])])
 def test_sampled_pairs_are_distinct(capsys, argv, want):
     code, out, _ = run(capsys, "verify", *argv, "--format", "json")
     assert code == 0
@@ -436,6 +435,7 @@ def test_argument_errors_exit_2(capsys):
     # stderr holds one JSON object, so no usage text either
     for argv in (("dim", "3", "--bogus"), ("straighten", "3", "1"), ("dim", "x"),
                  ("verify", "nosuch", "3"), ("verify", "lemmas", "4"),
+                 ("verify", "relations", "3", "--sample", "5"),
                  ("table", "2", "--seed", "1")):
         assert_input_error(capsys, *argv)
     with pytest.raises(SystemExit) as exc:

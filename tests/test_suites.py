@@ -1,13 +1,24 @@
 """The module certificate of ``qbrauer.suites``: how many checks each of its
-reports makes, the tags and mirrors of its relation rows, and kernel
-mutants it catches."""
+reports makes, the tags and mirrors of its relation rows, and kernel and
+product mutants it catches."""
 
 import json
 
 import pytest
 
 from qbrauer import algebra, hecke, suites
-from qbrauer.algebra import E_ATOM, AlgebraContext, involution_i, lmul_gen
+from qbrauer.hecke import accumulate
+from qbrauer.algebra import (
+    E_ATOM,
+    AlgebraContext,
+    QBrauerElement,
+    _expr,
+    _middle,
+    ek_atoms,
+    involution_i,
+    lmul_gen,
+    word_element,
+)
 from qbrauer.cli import main
 from qbrauer.diagrams import swap_delta
 from qbrauer.scalars import Q, Q_INV, QM1
@@ -18,6 +29,7 @@ PAIRS = {
     "relations": {2: 24, 3: 210, 4: 2520},
     "spanning": {2: 3, 3: 15, 4: 105},
     "left_action": {2: 24, 3: 260, 4: 3262},
+    "product": {2: 12, 3: 66, 4: 600},
 }
 
 
@@ -79,7 +91,7 @@ def test_left_action_catches_a_wrong_left_inverse(monkeypatch):
     # it commutes with every right action, so only the unit check sees it
     monkeypatch.setattr(suites, "lmul_gen", _lmul_without_inverse)
     reps = suites.relations_suite(AlgebraContext(3))
-    assert [rep["failures"] for rep in reps] == [[], [], [{"a": [1, -1]}, {"a": [2, -1]}]]
+    assert [rep["failures"] for rep in reps] == [[], [], [{"a": [1, -1]}, {"a": [2, -1]}], []]
 
 
 def _rank_by_vertex(d, a):
@@ -104,3 +116,33 @@ def _vertical_before_cap(d, a):
 def test_suites_catch_swap_rule_mutants(monkeypatch, mutant):
     monkeypatch.setattr(algebra, "swap_delta", mutant)
     assert any(rep["failures"] for rep in suites.relations_suite(AlgebraContext(4)))
+
+
+def _product_reading(left, right):
+    """``product`` with the outer words of c and d read through ``left`` and
+    ``right``; the product reverses the left word and keeps the right one."""
+    def mutant(ctx, x, y):
+        out = {}
+        for c, a in x.terms.items():
+            for d, b in y.terms.items():
+                ec, ed = _expr(c), _expr(d)
+                z = _middle(ctx, c, ec, d, ed)
+                for atom in left(ec.left_word):
+                    z = lmul_gen(ctx, atom, z)
+                accumulate(out, a * b, word_element(ctx, right(ed.right_word), z).terms.items())
+        return QBrauerElement._adopt(ctx.n, out)
+    return mutant
+
+
+# the two mirrored fills of ``_middle`` are in tests/test_algebra.py,
+# test_mirrored_fill_mutants_fail_the_checks
+@pytest.mark.parametrize("module, name, mutant", [
+    # the only g^{-1} atoms of the word of e_(k) are those of g^-_{1,2k-2}
+    (algebra, "ek_atoms", lambda k: [a if a == E_ATOM else (a[0], 1) for a in ek_atoms(k)]),
+    (suites, "product", _product_reading(lambda w: w, lambda w: w)),
+    (suites, "product", _product_reading(lambda w: w[::-1], lambda w: w[::-1])),
+], ids=["ek_atoms_sign", "left_word_unreversed", "right_word_reversed"])
+def test_product_report_catches_product_mutants(monkeypatch, module, name, mutant):
+    monkeypatch.setattr(module, name, mutant)
+    reps = suites.relations_suite(AlgebraContext(4))
+    assert [bool(rep["failures"]) for rep in reps] == [False, False, False, True]
