@@ -19,7 +19,6 @@ from .diagrams import (
     SizeMismatch,
     fixes_prefix,
     identity_perm,
-    perm_inv,
     reduced_word,
     rmul_s,
 )
@@ -184,11 +183,6 @@ def desc(l: int, k: int, sign: int = 1):
 def word_element(n: int, letters) -> HeckeElement:
     """Product of g_j^{±1} over (j, sign) pairs; sign -1 inverts."""
     return _fold(HeckeElement.unit(n), letters)
-
-
-def involution_i(x: HeckeElement) -> HeckeElement:
-    """The anti-automorphism determined by g_w -> g_{w^{-1}}."""
-    return HeckeElement(x.n, {perm_inv(w): c for w, c in x.terms.items()})
 
 
 def in_subalgebra(x: HeckeElement, k: int) -> bool:

@@ -583,6 +583,9 @@ def scalar_from_json(obj: dict) -> Scalar:
         isinstance(t, list) and len(t) == 3 and type(t[0]) in (int, str) for t in num
     )):
         raise ValueError('a scalar must be {"num": [[c, eq, er], ...], "den": {...}}')
+    extra = set(obj["den"]) - {p.key for p in PRIMES}
+    if extra:
+        raise ValueError(f"unknown keys {sorted(extra)} in a scalar's den")
     den = [obj["den"].get(p.key) for p in PRIMES]
     exps = [e for t in num for e in t[1:]] + den
     if any(type(e) is not int or e < 0 for e in exps):

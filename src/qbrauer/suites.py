@@ -39,9 +39,9 @@ A relation row is (tag, lhs, rhs, mirror_tag); a side is a list of terms
 (c, v), meaning x c g_v with v a tuple of atoms, and ``_value`` folds it
 onto a basis element x one ``rmul_atom`` at a time, sharing the prefixes
 of one element's words.  A row with a mirror tag is checked again with
-every word reversed.  The suite spells e_(k) from its recursion itself
-(``_cap_word``), not through ``algebra.ek_atoms``, the word the product
-folds.
+every word reversed.  e_(k) is spelled by ``algebra.ek_atoms``, as in the
+product: a wrong spelling still fails the relations, spanning and product
+reports, which compare against the diagram basis.
 """
 
 from __future__ import annotations
@@ -49,10 +49,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .hecke import accumulate, asc
+from .hecke import accumulate
 from .algebra import (
     AlgebraContext,
     QBrauerElement,
+    ek_atoms,
     involution_i,
     lmul_gen,
     product,
@@ -121,14 +122,6 @@ def _mirror(side: list) -> list:
     return [(c, v[::-1]) for c, v in side]
 
 
-def _cap_word(k: int) -> list:
-    """A word for e_(k), by its recursion e_(k) = e g+_{2,2k-1} g-_{1,2k-2} e_(k-1)."""
-    word = []
-    for j in range(1, k + 1):
-        word = [E_ATOM] + asc(2, 2 * j - 1) + asc(1, 2 * j - 2, -1) + word
-    return word
-
-
 def _relation_rows(ctx: AlgebraContext):
     """Wenzl's defining relations, and g_j g_j^{-1} = 1.  The twist rows
     read e_(2) as the word e g_2 g_3 g_1^{-1} g_2^{-1} e that defines it."""
@@ -154,7 +147,7 @@ def _relation_rows(ctx: AlgebraContext):
         yield "sandwich g2", _term([E, (2, 1), E]), _term([E], ctx.r()), None
         yield "sandwich g2 inverse", _term([E, (2, -1), E]), _term([E], Q_INV), None
     if n >= 4:
-        twist, e2 = [(2, 1), (3, 1), (1, -1), (2, -1)], _cap_word(2)
+        twist, e2 = [(2, 1), (3, 1), (1, -1), (2, -1)], ek_atoms(2)
         yield "twist idempotent left", _term(twist + e2), _term(e2), "twist idempotent left'"
         yield "twist idempotent right", _term(e2 + twist), _term(e2), "twist idempotent right'"
 
@@ -184,7 +177,7 @@ def spanning_check(ctx: AlgebraContext) -> dict:
         # many diagrams share w1, wd and k: fold that head once
         head = heads.get((ex.left_word, ex.k))
         if head is None:
-            word = ex.left_word + tuple(_cap_word(ex.k))
+            word = ex.left_word + tuple(ek_atoms(ex.k))
             head = heads[ex.left_word, ex.k] = word_element(ctx, word, ctx.unit())
         if word_element(ctx, ex.right_word, head) != QBrauerElement.basis(d):
             failures.append({"diagram": d.edges()})
@@ -224,7 +217,7 @@ def product_check(ctx: AlgebraContext) -> dict:
     diagrams, failures = enumerate_diagrams(ctx.n), []
     exprs = {d: decompose(d) for d in diagrams}
     bottoms = [d for d in diagrams if not exprs[d].left_word]
-    tops = [(d, exprs[d].left_word + tuple(_cap_word(exprs[d].k)))
+    tops = [(d, exprs[d].left_word + tuple(ek_atoms(exprs[d].k)))
             for d in diagrams if not exprs[d].right_word]
     for c in bottoms:
         x = QBrauerElement.basis(c)

@@ -172,17 +172,15 @@ def test_criterion_07_cellularity_suite():
         for k in range(n // 2 + 1):
             ek = e_k_diagram(n, k)
             assert phi_k(ctx, ek, ek).terms == {identity_perm(n): ctx.b() ** k}
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5):
         rep = involution_symmetry_check(AlgebraContext(n))
         assert rep["failures"] == [], rep
-    rep = involution_symmetry_check(AlgebraContext(5), sample=500, seed=11)
-    assert rep["failures"] == [], rep
     for n in (2, 3, 4):
         rep = cell_chain_check(AlgebraContext(n))
         assert rep["failures"] == [], rep
     print(
         "[PASS] criterion 7: inflation bijection n<=5, layer-product congruence "
-        "n<=4, cap form values n<=6, form symmetry n<=4 (+500 samples n=5), "
+        "n<=4, cap form values n<=6, involution on cell coordinates n<=5, "
         "ideal chain and involution stability n<=4"
     )
 

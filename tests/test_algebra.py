@@ -60,15 +60,6 @@ def chain(n, *pairs):
     return w
 
 
-def test_unit_and_basis():
-    ctx = AlgebraContext(3)
-    one = ctx.unit()
-    for d in enumerate_diagrams(3):
-        x = basis_element(ctx, d)
-        assert product(ctx, x, one) == x
-        assert product(ctx, one, x) == x
-
-
 def test_basis_element_of_cap_diagram():
     ctx = AlgebraContext(6)
     for k in range(4):

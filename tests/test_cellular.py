@@ -31,6 +31,7 @@ from qbrauer.diagrams import (
     fixes_prefix,
     identity_diagram,
     identity_perm,
+    perm_inv,
     perm_mul,
     s_ij,
     top_part,
@@ -312,6 +313,30 @@ def test_product_check_sees_a_moved_top_part(monkeypatch):
 def test_involution_symmetry():
     rep = involution_symmetry_check(AlgebraContext(3))
     assert rep["failures"] == []
+
+
+def _caps_by_left_end(slots, k):
+    """A row's slot list with its caps ordered by left end, not right end."""
+    caps = sorted(zip(slots[0:2 * k:2], slots[1:2 * k:2]))
+    return tuple(v for cap in caps for v in cap) + slots[2 * k:]
+
+
+# e_(k) closes any order of the caps, so the bijection check passes; only
+# the rotation sees that the two rows are read differently
+@pytest.mark.parametrize("mutate", [
+    lambda ex: replace(ex, w2=_caps_by_left_end(ex.w2, ex.k)),
+    lambda ex: replace(ex, w1=perm_inv(_caps_by_left_end(perm_inv(ex.w1), ex.k))),
+], ids=["bottom_caps", "top_caps"])
+def test_involution_check_kills_cap_order_mutants(monkeypatch, mutate):
+    from qbrauer import algebra
+
+    real = algebra.decompose
+    monkeypatch.setattr(algebra, "decompose", lambda d: mutate(real(d)))
+    monkeypatch.setattr(algebra, "_EXPR_CACHE", {})
+    ctx = AlgebraContext(4)
+    assert inflation_bijection_check(ctx)["failures"] == []
+    rep = involution_symmetry_check(ctx)
+    assert rep["pairs_tested"] == 105 and len(rep["failures"]) == 5
 
 
 def test_cell_chain():

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from qbrauer.algebra import AlgebraContext, e_k_element, element_to_json, product
 from qbrauer.cli import main, parse_perm
-from qbrauer.diagrams import diagram_to_json, e_k_diagram, enumerate_nocross, s_ij
+from qbrauer.diagrams import diagram_to_json, e_k_diagram, s_ij
 
 
 def run(capsys, *argv):
@@ -131,8 +131,6 @@ def test_verify_pass_and_exit_codes(capsys):
     assert code == 0
     code, out, _ = run(capsys, "verify", "oracle", "3")
     assert code == 0
-    code, out, _ = run(capsys, "verify", "involution", "3", "--sample", "50")
-    assert code == 0
 
 
 def test_verify_oracle_and_involution_read_integral(capsys):
@@ -144,25 +142,25 @@ def test_verify_oracle_and_involution_read_integral(capsys):
         (rep,) = json.loads(out)
         assert rep["version"] == {"N": M} and rep["params"]["Ns"] == [M]
         assert rep["pairs_tested"] == 225 and rep["failures"] == []
-        code, out, _ = run(capsys, "verify", "involution", "3", "--integral", str(M),
+        code, out, _ = run(capsys, "verify", "cell", "3", "--integral", str(M),
                            "--sample", "20", "--format", "json")
         assert code == 0
-        (rep,) = json.loads(out)
-        assert rep["failures"] == [] and rep["version"] == {"N": M}
+        reps = json.loads(out)
+        assert len(reps) == 4
+        assert all(r["failures"] == [] and r["version"] == {"N": M} for r in reps)
     code, out, _ = run(capsys, "verify", "oracle", "3", "--format", "json")
     (rep,) = json.loads(out)
     assert rep["version"] == {"generic": True} and rep["params"]["Ns"] == [1, 2, 3]
 
 
 def test_involution_counts_the_basis_images(capsys):
-    # the phi_k pairs of each layer, plus one basis-image check for each of
-    # the 15 diagrams of rank 3
-    code, out, _ = run(capsys, "verify", "involution", "3", "--format", "json")
+    # the last report of `verify cell` checks the image of each of the 15
+    # diagrams of rank 3
+    code, out, _ = run(capsys, "verify", "cell", "3", "--format", "json")
     assert code == 0
-    (symmetry,) = json.loads(out)
-    forms = sum(len(enumerate_nocross(3, k)) ** 2 for k in (0, 1))
-    assert forms == 10
-    assert symmetry["pairs_tested"] == forms + 15
+    symmetry = json.loads(out)[-1]
+    assert symmetry["check"] == "involution_symmetry"
+    assert symmetry["pairs_tested"] == 15
 
 
 def test_qh(capsys):
@@ -241,6 +239,15 @@ def test_negative_scalar_exponent_exits_2(tmp_path, capsys):
     assert_input_error(capsys, "mul", *write_operands(tmp_path, x, bad))
 
 
+def test_unknown_denominator_key_exits_2(tmp_path, capsys):
+    # an exponent under any other key than q, r, qm1, rm1 would be dropped
+    ctx = AlgebraContext(3)
+    x = element_to_json(ctx, e_k_element(ctx, 1))
+    bad = json.loads(json.dumps(x))
+    bad["terms"][0]["coeff"]["den"]["x"] = 5
+    assert_input_error(capsys, "mul", *write_operands(tmp_path, x, bad))
+
+
 def test_diagram_of_other_rank_exits_2(tmp_path, capsys):
     ctx = AlgebraContext(3)
     x = element_to_json(ctx, e_k_element(ctx, 1))
@@ -289,7 +296,7 @@ def test_integral_element_carrying_r_exits_2(tmp_path, capsys):
 def test_sample_below_one_exits_2(capsys):
     # a sample of no pairs would pass without testing anything
     for argv in (("oracle", "3", "--sample", "0"), ("oracle", "3", "--sample", "-5"),
-                 ("cell", "3", "--sample", "0"), ("involution", "3", "--sample", "0")):
+                 ("cell", "3", "--sample", "0")):
         assert_input_error(capsys, "verify", *argv)
 
 
@@ -297,7 +304,7 @@ def test_verify_cell_runs_at_rank_one(capsys):
     # e is no generator at n = 1, so the chain check multiplies by no e
     code, out, _ = run(capsys, "verify", "cell", "1", "--format", "json")
     assert code == 0
-    assert [(r["pairs_tested"], r["failures"]) for r in json.loads(out)] == [(1, [])] * 3
+    assert [(r["pairs_tested"], r["failures"]) for r in json.loads(out)] == [(1, [])] * 4
 
 
 def test_verify_relations_needs_rank_two(capsys):
@@ -339,11 +346,12 @@ def test_verify_with_no_report_left_exits_2(capsys, monkeypatch):
     assert "nothing to test" in json.loads(err)["detail"]
 
 
-# one pair exists at n = 1, however many are asked for; the symmetry check
-# counts its phi_k pairs and basis images
+# one pair exists at n = 1, however many are asked for; `verify cell 3`
+# draws 5 of the 36 and 5 of the 81 pairs of its layers, and at n = 2 the
+# 4 + 1 pairs are fewer than asked for. The other cell checks count diagrams
 @pytest.mark.parametrize("argv, want", [(("oracle", "1", "--sample", "50"), [1]),
-                                        (("involution", "1"), [2]),
-                                        (("involution", "2"), [5])])
+                                        (("cell", "3", "--sample", "5"), [15, 10, 15, 15]),
+                                        (("cell", "2", "--sample", "50"), [3, 5, 3, 3])])
 def test_sampled_pairs_are_distinct(capsys, argv, want):
     code, out, _ = run(capsys, "verify", *argv, "--format", "json")
     assert code == 0
@@ -436,7 +444,7 @@ def test_argument_errors_exit_2(capsys):
     for argv in (("dim", "3", "--bogus"), ("straighten", "3", "1"), ("dim", "x"),
                  ("verify", "nosuch", "3"), ("verify", "lemmas", "4"),
                  ("verify", "relations", "3", "--sample", "5"),
-                 ("table", "2", "--seed", "1")):
+                 ("verify", "involution", "3"), ("table", "2", "--seed", "1")):
         assert_input_error(capsys, *argv)
     with pytest.raises(SystemExit) as exc:
         main(["dim", "-h"])
@@ -461,7 +469,7 @@ FIELD_VALUES = st.integers(-3, 7).map(str) | st.sampled_from(("1/2", "-3/2", "1/
 ARG_VALUES = {
     "n": st.integers(-2, 3).map(str),
     "k": st.integers(-1, 3).map(str),
-    "suite": st.sampled_from(("relations", "oracle", "cell", "involution", "x")),
+    "suite": st.sampled_from(("relations", "oracle", "cell", "x")),
     "diagram": st.sampled_from(('{"n": 2, "edges": [[1, 2], [3, 4]]}',
                                 '{"n": 1, "edges": [[1, 2]]}', "{", "[]")),
     "--integral": st.integers(-3, 3).map(str),

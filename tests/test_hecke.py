@@ -11,7 +11,6 @@ from qbrauer.hecke import (
     hecke_to_json,
     in_subalgebra,
     inverse_pairs,
-    involution_i,
     product,
     word_element,
 )
@@ -121,23 +120,6 @@ def test_associativity_random():
     for _ in range(300):
         x, y, z = (random_element(rng, n, 2) for _ in range(3))
         assert product(product(x, y), z) == product(x, product(y, z))
-
-
-def test_involution():
-    n = 4
-    unit = HeckeElement.unit(n)
-    assert involution_i(unit) == unit
-    w = perm_mul(s_ij(n, 1, 1), s_ij(n, 2, 2))
-    assert involution_i(HeckeElement.basis(w)) == HeckeElement.basis(
-        perm_mul(s_ij(n, 2, 2), s_ij(n, 1, 1))
-    )
-    for j in range(1, n):
-        assert involution_i(g(n, j)) == g(n, j)
-    rng = random.Random(2)
-    for _ in range(200):
-        x, y = random_element(rng, n, 2), random_element(rng, n, 2)
-        assert involution_i(product(x, y)) == product(involution_i(y), involution_i(x))
-        assert involution_i(involution_i(x)) == x
 
 
 def test_chain_element():

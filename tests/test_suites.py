@@ -7,7 +7,7 @@ import json
 import pytest
 
 from qbrauer import algebra, hecke, suites
-from qbrauer.hecke import accumulate
+from qbrauer.hecke import accumulate, asc
 from qbrauer.algebra import (
     E_ATOM,
     AlgebraContext,
@@ -146,3 +146,19 @@ def test_product_report_catches_product_mutants(monkeypatch, module, name, mutan
     monkeypatch.setattr(module, name, mutant)
     reps = suites.relations_suite(AlgebraContext(4))
     assert [bool(rep["failures"]) for rep in reps] == [False, False, False, True]
+
+
+# the product and the certificate share ek_atoms; a wrong spelling still
+# fails every report that compares against the diagram basis
+@pytest.mark.parametrize("parts", [
+    lambda up, down, inner: [E_ATOM] + up + [(j, 1) for j, _ in down] + inner,
+    lambda up, down, inner: [E_ATOM] + down + up + inner,
+    lambda up, down, inner: inner + [E_ATOM] + up + down,
+], ids=["sign", "chains_swapped", "inner_first"])
+def test_certificate_catches_a_shared_spelling_mutant(monkeypatch, parts):
+    def word(k):
+        return parts(asc(2, 2 * k - 1), asc(1, 2 * k - 2, -1), word(k - 1)) if k else []
+    for module in (algebra, suites):
+        monkeypatch.setattr(module, "ek_atoms", word)
+    reps = suites.relations_suite(AlgebraContext(4))
+    assert [bool(rep["failures"]) for rep in reps] == [True, True, False, True]
