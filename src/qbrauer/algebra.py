@@ -27,15 +27,16 @@ s_j . d (or d . s_j) against d decides between a plain move (length up), a
 factor q (length equal, which forces s_j . d = d), and the two-term
 quadratic expansion (length down).  ``diagrams.swap_delta`` reads that
 change off the partners of the two swapped vertices, so the rule
-factorizes neither diagram.  ``rmul_atom`` and ``lmul_gen`` are the
-only single-atom multiplications; g_j^{-1} = q^{-1} g_j + (q^{-1} - 1) comes
-from the pairs of g_j through ``hecke.inverse_pairs``.  The memo tables of
-a context hold one action or product each.  ``_lmul_g`` and ``_rmul_g``
-hold the g_j rule on the left and the right, as a tuple of (diagram,
-coeff) pairs per basis element, and ``_rmul_atom`` g_j^{-1} and e on the
-right; e on the left reads ``_rmul_atom`` through the involution i,
-e x = i(i(x) e).  ``_middle`` holds the middle products, ``_core``
-the core products below, and the module-global ``_EXPR_CACHE`` the
+factorizes neither diagram.  ``rmul_atom`` and ``lmul_gen`` are the only
+single-atom multiplications.  g_j^{-1} = q^{-1} g_j + (q^{-1} - 1), from the
+pairs of g_j through ``hecke.inverse_pairs``, acts on the right only: the
+words that act on the left are reduced words of permutations.  The memo
+tables of a context hold one action or product each.  ``_lmul_g`` and
+``_rmul_g`` hold the g_j rule on the left and the right, as a tuple of
+(diagram, coeff) pairs per basis element, and ``_rmul_atom`` g_j^{-1} and
+e on the right; e on the left reads ``_rmul_atom`` through the involution
+i, e x = i(i(x) e).  ``_middle`` holds the middle products, ``_core`` the
+core products below, and the module-global ``_EXPR_CACHE`` the
 factorization of each diagram read so far.
 
 Multiplication by e reduces to the core products e g_sigma e_(k).  These
@@ -331,16 +332,17 @@ def rmul_atom(ctx: AlgebraContext, x: QBrauerElement, atom) -> QBrauerElement:
 
 
 def lmul_gen(ctx: AlgebraContext, atom, x: QBrauerElement) -> QBrauerElement:
-    """The atom times x: g_j reads ``ctx._lmul_g``, g_j^{-1} is built from
-    its pairs, and e reads the right e-action through the involution i,
-    e x = i(i(x) e)."""
+    """The atom times x, for g_j or e: g_j reads ``ctx._lmul_g``, and e reads
+    the right e-action through the involution i, e x = i(i(x) e).  g_j^{-1}
+    acts on the right only."""
     if atom == E_ATOM:
         return involution_i(rmul_atom(ctx, involution_i(x), E_ATOM))
     j, sign = atom
+    if sign != 1:
+        raise ValueError(f"g_{j}^{sign}: only g_j and e act on the left")
     out: dict = {}
     for d, c in x.terms.items():
-        pairs = _lmul_g_basis(ctx, j, d)
-        accumulate(out, c, pairs if sign > 0 else inverse_pairs(pairs, d))
+        accumulate(out, c, _lmul_g_basis(ctx, j, d))
     return QBrauerElement._adopt(ctx.n, out)
 
 

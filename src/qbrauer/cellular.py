@@ -35,7 +35,6 @@ from .algebra import (
     AlgebraContext,
     QBrauerElement,
     basis_element,
-    lmul_gen,
     product,
     rmul_atom,
     E_ATOM,
@@ -55,12 +54,7 @@ from .diagrams import (
     star,
     top_part,
 )
-from .hecke import (
-    HeckeElement,
-    accumulate,
-    in_subalgebra,
-    product as hecke_product,
-)
+from .hecke import HeckeElement, accumulate, product as hecke_product
 from .scalars import ONE
 from .suites import _pairs, report
 
@@ -158,22 +152,21 @@ def _layer_form(x: QBrauerElement, k: int, w1: Perm, w2: Perm) -> HeckeElement |
     return HeckeElement._adopt(x.n, out)
 
 
-def phi_k(ctx: AlgebraContext, c: BrauerDiagram, d: BrauerDiagram) -> HeckeElement:
+def phi_k(ctx: AlgebraContext, c: BrauerDiagram, d: BrauerDiagram) -> HeckeElement | None:
     """The parabolic Hecke element governing (e_(k) w2-part) * (w1-part e_(k)).
 
     ``c`` must be a bottom part (e_(k) top row), ``d`` a top part (e_(k)
     bottom row), both of layer k; the layer-k terms of the product of their
     basis elements are permuted e_(k) diagrams, so their outer factors are
-    both the identity, and phi_k is their :func:`_layer_form`.
+    (1, 1), and phi_k is their :func:`_layer_form`: None when a term has
+    others, which :func:`inflation_product_check` reports.
     """
     k = c.layer()
     if d.layer() != k or bottom_part(c) != c or top_part(d) != d:
         raise ValueError("phi_k needs a bottom part and a top part of one layer")
     P = product(ctx, basis_element(ctx, c), basis_element(ctx, d))
     ident = identity_perm(ctx.n)
-    h = _layer_form(P, k, ident, ident)
-    assert h is not None and in_subalgebra(h, k)
-    return h
+    return _layer_form(P, k, ident, ident)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +211,8 @@ def inflation_product_check(ctx: AlgebraContext, sample=None, seed: int = 0) -> 
     Comparing coordinates is as strong as comparing diagrams, because
     :func:`inflation_bijection_check`, which ``verify cell`` runs first,
     rebuilds every diagram from its whole coordinate (k, w1, wd, w2)
-    through ``concat``, which shares no code with ``decompose``."""
+    through ``concat``, which shares no code with ``decompose``.  A pair
+    whose phi_k is None fails with ``"form": None``."""
     rng = random.Random(seed)
     n = ctx.n
     failures = []
@@ -232,9 +226,13 @@ def inflation_product_check(ctx: AlgebraContext, sample=None, seed: int = 0) -> 
         for c, d in _pairs(rng, layer_diags, layer_diags, sample):
             pairs += 1
             ec, ed = to_inflation(c), to_inflation(d)
-            form = forms.get((k, ec.w2, ed.w1))
+            key = (k, ec.w2, ed.w1)
+            if key not in forms:
+                forms[key] = phi_k(ctx, bottom_part(c), top_part(d))
+            form = forms[key]
             if form is None:
-                form = forms[k, ec.w2, ed.w1] = phi_k(ctx, bottom_part(c), top_part(d))
+                failures.append({"c": c.edges(), "d": d.edges(), "form": None})
+                continue
             want = hecke_product(HeckeElement.basis(ec.wd), form)
             want = hecke_product(want, HeckeElement.basis(ed.wd))
             x, y = QBrauerElement.basis(c), QBrauerElement.basis(d)
@@ -244,10 +242,12 @@ def inflation_product_check(ctx: AlgebraContext, sample=None, seed: int = 0) -> 
 
 
 def involution_symmetry_check(ctx: AlgebraContext) -> dict:
-    """The involution inverts cell coordinates: for every diagram
-    d = (k, w1, wd, w2), star(d) is (k, w2^-1, wd^-1, w1^-1).  ``pairs_tested``
-    counts the (2n-1)!! diagrams.  So i(phi_k(c, d)) = phi_k(star d, star c),
-    i the Hecke involution g_w -> g_{w^-1}, needs no check: phi_k(c, d) is
+    """The involution inverts cell coordinates and keeps layers: for every
+    diagram d = (k, w1, wd, w2), star(d) is (k, w2^-1, wd^-1, w1^-1), and
+    :func:`inflation_bijection_check` ties each coordinate's k to the
+    diagram's layer.  ``pairs_tested`` counts the (2n-1)!! diagrams.  So
+    i(phi_k(c, d)) = phi_k(star d, star c), with i the Hecke involution
+    g_w -> g_{w^-1}, needs no check: phi_k(c, d) is
     the layer-k form at outer factors (1, 1) of b_c b_d, the certificate of
     ``verify relations`` gives i(b_c b_d) = b_{star d} b_{star c}, and star
     maps each layer-k coordinate (1, wd, 1) to (1, wd^-1, 1)."""
@@ -255,31 +255,31 @@ def involution_symmetry_check(ctx: AlgebraContext) -> dict:
     diagrams = enumerate_diagrams(ctx.n)
     for d in diagrams:
         ex, sx = to_inflation(d), to_inflation(star(d))
-        if (sx.w1, sx.wd, sx.w2) != (perm_inv(ex.w2), perm_inv(ex.wd), perm_inv(ex.w1)):
+        if (sx.k, sx.w1, sx.wd, sx.w2) != (ex.k, perm_inv(ex.w2), perm_inv(ex.wd),
+                                           perm_inv(ex.w1)):
             failures.append({"basis_image": d.edges()})
     return report("involution_symmetry", ctx, {}, len(diagrams), failures)
 
 
 def cell_chain_check(ctx: AlgebraContext) -> dict:
-    """The layer filtration is a chain of involution-stable two-sided ideals:
-    multiplying a basis element by any generator, on either side, never
-    produces terms in a shallower layer, and row rotation preserves layers.
-    e is one of the generators only from n = 2 on."""
+    """The layers A_{>=k} form a chain of involution-stable two-sided ideals:
+    b_d g_j and b_d e have no term in a shallower layer than d (e is a
+    generator from n = 2 on).  Nothing else needs checking: b_d g_j^{-1} has
+    its terms among those of b_d g_j and d, by the relations report of
+    ``verify relations``; a b_d = i(b_{star d} a) for a = g_j or e, by its
+    left_action report; and star keeps layers, by
+    :func:`involution_symmetry_check`."""
     n = ctx.n
-    atoms = ([E_ATOM] if n >= 2 else []) + [(j, s) for s in (+1, -1) for j in range(1, n)]
+    atoms = ([E_ATOM] if n >= 2 else []) + [(j, 1) for j in range(1, n)]
     failures = []
-    count = 0
-    for d in enumerate_diagrams(n):
+    diagrams = enumerate_diagrams(n)
+    for d in diagrams:
         k = d.layer()
-        count += 1
-        if star(d).layer() != k:
-            failures.append({"involution_layer": d.edges()})
         x = QBrauerElement.basis(d)
         for atom in atoms:
-            for y in (lmul_gen(ctx, atom, x), rmul_atom(ctx, x, atom)):
-                if any(dd.layer() < k for dd in y.terms):
-                    failures.append({"diagram": d.edges(), "atom": atom})
-    return report("cell_chain", ctx, {}, count, failures)
+            if any(dd.layer() < k for dd in rmul_atom(ctx, x, atom).terms):
+                failures.append({"diagram": d.edges(), "atom": atom})
+    return report("cell_chain", ctx, {}, len(diagrams), failures)
 
 
 # ---------------------------------------------------------------------------

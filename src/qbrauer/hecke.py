@@ -17,7 +17,6 @@ from . import scalars
 from .diagrams import (
     Perm,
     SizeMismatch,
-    fixes_prefix,
     identity_perm,
     reduced_word,
     rmul_s,
@@ -183,11 +182,6 @@ def desc(l: int, k: int, sign: int = 1):
 def word_element(n: int, letters) -> HeckeElement:
     """Product of g_j^{±1} over (j, sign) pairs; sign -1 inverts."""
     return _fold(HeckeElement.unit(n), letters)
-
-
-def in_subalgebra(x: HeckeElement, k: int) -> bool:
-    """True iff the support lies in the parabolic S_{2k+1,n} fixing 1..2k."""
-    return all(fixes_prefix(w, 2 * k) for w in x.terms)
 
 
 def hecke_to_json(x: HeckeElement) -> list:

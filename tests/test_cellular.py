@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qbrauer.algebra import AlgebraContext, QBrauerElement, e_k_element, product
+from qbrauer.algebra import E_ATOM, AlgebraContext, QBrauerElement, e_k_element, product
 from qbrauer.cellular import (
     CellModuleIndex,
     cell_chain_check,
@@ -28,6 +28,7 @@ from qbrauer.diagrams import (
     decompose,
     diagram_from_edges,
     e_k_diagram,
+    enumerate_diagrams,
     fixes_prefix,
     identity_diagram,
     identity_perm,
@@ -214,12 +215,12 @@ def test_inflation_product_congruence():
         assert rep["failures"] == []
 
 
-def _watch_checked_products(monkeypatch, doctor=lambda x, y, P: P):
-    """Wrap ``phi_k`` and ``product`` in ``cellular``: the products phi_k
-    makes pass through, and the product P of each pair under check comes
-    back as ``doctor(x, y, P)``.  Returns the phi_k arguments and, for each
-    checked pair, its two basis diagrams and whether ``doctor`` changed P,
-    in call order."""
+def _watch_checked_products(monkeypatch, doctor=lambda x, y, P: P, in_forms=False):
+    """Wrap ``phi_k`` and ``product`` in ``cellular``: the product P of each
+    pair under check, or with ``in_forms`` of each pair phi_k multiplies,
+    comes back as ``doctor(x, y, P)``, and the other products pass through.
+    Returns the phi_k arguments and, for each checked pair, its two basis
+    diagrams and whether ``doctor`` changed its P, in call order."""
     from qbrauer import cellular
 
     phi, prod = cellular.phi_k, cellular.product
@@ -235,11 +236,10 @@ def _watch_checked_products(monkeypatch, doctor=lambda x, y, P: P):
 
     def wrapped_product(ctx, x, y):
         P = prod(ctx, x, y)
-        if in_phi:
-            return P
-        out = doctor(x, y, P)
-        (c,), (d,) = x.terms, y.terms
-        checked.append((c, d, out != P))
+        out = doctor(x, y, P) if bool(in_phi) == in_forms else P
+        if not in_phi:
+            (c,), (d,) = x.terms, y.terms
+            checked.append((c, d, out != P))
         return out
 
     monkeypatch.setattr(cellular, "phi_k", wrapped_phi)
@@ -308,6 +308,58 @@ def test_product_check_sees_a_moved_top_part(monkeypatch):
         return P - QBrauerElement.basis(d).scale(v) + QBrauerElement.basis(other).scale(v)
 
     _assert_check_fails_on(monkeypatch, doctor)
+
+
+def test_a_form_with_outer_factors_is_a_reported_failure(monkeypatch, capsys):
+    """A layer-k term of a phi_k product whose outer factors are not (1, 1)
+    makes the form None, and every pair that reads the form fails, as a
+    report and not an exception."""
+    from qbrauer.cli import main
+
+    ctx = AlgebraContext(3)
+    top = next(d for d in enumerate_diagrams(3)
+               if d.layer() == 1 and top_part(d) == d and to_inflation(d).w1 != identity_perm(3))
+    ek = e_k_diagram(3, 1)
+    # y = b_top has outer factors (w1, 1) with w1 != 1
+    _watch_checked_products(
+        monkeypatch, lambda x, y, P: P + y if (ek, top) == (*x.terms, *y.terms) else P,
+        in_forms=True)
+    rep = inflation_product_check(ctx)
+    layer = [d for d in enumerate_diagrams(3) if d.layer() == 1]
+    bad = [{"c": c.edges(), "d": d.edges(), "form": None} for c in layer for d in layer
+           if (bottom_part(c), top_part(d)) == (ek, top)]
+    assert bad and rep["failures"] == bad
+    assert main(["verify", "cell", "3"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4 and lines[1].startswith("inflation_product ")
+    assert lines[1].endswith(f"FAIL ({len(bad)})")
+
+
+def test_cell_chain_check_sees_a_shallower_term(monkeypatch):
+    from qbrauer import cellular
+
+    real, ek = cellular.rmul_atom, e_k_diagram(3, 1)
+
+    def leaky(ctx, x, atom):
+        """e on the basis element of e_(1) gains a layer-0 term."""
+        y = real(ctx, x, atom)
+        return y + ctx.unit() if atom == E_ATOM and ek in x.terms else y
+
+    monkeypatch.setattr(cellular, "rmul_atom", leaky)
+    rep = cell_chain_check(AlgebraContext(3))
+    assert rep["failures"] == [{"diagram": ek.edges(), "atom": E_ATOM}]
+
+
+def test_involution_check_sees_a_star_that_changes_the_layer(monkeypatch):
+    # identity and e_(1) have the same outer and inner permutations, so only
+    # the layer tells the two images apart
+    from qbrauer import cellular
+
+    real, one = cellular.star, identity_diagram(3)
+    monkeypatch.setattr(cellular, "star",
+                        lambda d: e_k_diagram(3, 1) if d == one else real(d))
+    rep = involution_symmetry_check(AlgebraContext(3))
+    assert rep["failures"] == [{"basis_image": one.edges()}]
 
 
 def test_involution_symmetry():

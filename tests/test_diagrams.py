@@ -34,12 +34,7 @@ from qbrauer.diagrams import (
     top_swap,
 )
 
-
-def chain(n, *pairs):
-    w = identity_perm(n)
-    for i, j in pairs:
-        w = perm_mul(w, s_ij(n, i, j))
-    return w
+from helpers import chain
 
 
 def transversal(n, k):
@@ -164,14 +159,6 @@ def test_swap_delta_matches_the_factorization_lengths():
                     delta = swap_delta(d, a)
                     assert delta == length(decompose(moved)) - length(ex), (d, a)
                     assert (delta == 0) == (moved is d), (d, a)
-
-
-def test_stored_lengths():
-    for n in range(1, 6):
-        for d in enumerate_diagrams(n):
-            ex = decompose(d)
-            assert ex.length() == (
-                perm_length(ex.w1) + perm_length(ex.wd) + perm_length(ex.w2))
 
 
 def test_e_k_diagram():

@@ -9,7 +9,6 @@ from qbrauer.hecke import (
     desc,
     gen_pairs,
     hecke_to_json,
-    in_subalgebra,
     inverse_pairs,
     product,
     word_element,
@@ -132,16 +131,6 @@ def test_chain_element():
     g3i, g2i, g1i = (word_element(n, [(j, -1)]) for j in (3, 2, 1))
     manual = product(product(g3i, g2i), g1i)
     assert word_element(n, desc(3, 1, -1)) == manual
-
-
-def test_in_subalgebra():
-    n = 6
-    for k in range(3):
-        assert in_subalgebra(HeckeElement.unit(n), k)
-        if 2 * k + 1 <= n - 1:
-            assert in_subalgebra(g(n, 2 * k + 1), k)
-        if 1 <= 2 * k <= n - 1:
-            assert not in_subalgebra(g(n, 2 * k), k)
 
 
 def test_json_round_trip():
