@@ -3,23 +3,26 @@ The q-Brauer algebra on its diagram basis.
 
 Elements are finitely supported Scalar-valued maps on Brauer diagrams; the
 basis element attached to a diagram d with canonical factorization
-(w1, wd, w2) through e_(k) is g_{w1} g_{wd} e_(k) g_{w2}.  Multiplication
-is relation-driven, one pair of basis terms c = (k, w1, wd, w2),
-d = (k', w1', wd', w2') at a time:
+(w1, wd, w2) through e_(k) is b_d = g_{w1} g_{wd} e_(k) g_{w2}, which is
+also g_{w1} e_(k) g_{wd} g_{w2}: wd fixes 1..2k, so g_{wd} commutes with
+e_(k).  Multiplication is relation-driven, one pair of basis terms
+c = (k, w1, wd, w2), d = (k', w1', wd', w2') at a time, through the top
+part g_{w1'} e_(k') of d, ``top_part(d)``:
 
-    g_c g_d = g_{w1} g_{wd} [e_(k) g_{w2} g_{w1'} g_{wd'} e_(k')] g_{w2'}.
+    b_c b_d = [b_c g_{w1'} e_(k')] g_{wd'} g_{w2'}.
 
-Only the middle product in brackets touches e.  It is memoized per
-(k, w2, w1', wd', k') and filled from the side with the smaller e_(k).
-For k >= k' the word of g_{w1'} g_{wd'} e_(k') is folded onto
-e_(k) g_{w2}, the basis element of ``bottom_part(c)``, one atom at a time.
-For k < k' two identities fold the shorter e-word instead: g_{wd'} commutes
-with e_(k'), and the involution i maps the mirror product
-e_(k') g_{w1'^-1} g_{w2^-1} e_(k) to e_(k) g_{w2} g_{w1'} e_(k'), which
-g_{wd'} then multiplies on the right.  The outer factors are plain g_j
-moves.  An atom of a word is (j, +1) for g_j, (j, -1) for g_j^{-1} (the
-encoding of ``hecke``), or ``E_ATOM`` for e; ``reduced_word`` spells a
-permutation in these atoms.
+The product in brackets is memoized per (c, k', w1').  For c that is not a
+bottom part it is g_{w1} g_{wd} times the entry of the bottom part
+e_(k) g_{w2} of c, ``bottom_part(c)``, so every product of two basis
+elements factors through the middle product of the bottom part of c and
+the top part of d, the inflation form of the cell basis.  That one is
+filled from the side with the smaller e_(k): for k >= k' the word of
+g_{w1'} e_(k') is folded onto e_(k) g_{w2} one atom at a time; for k < k'
+the involution i maps the mirror product e_(k') g_{w1'^-1} g_{w2^-1} e_(k)
+to e_(k) g_{w2} g_{w1'} e_(k'), and the shorter e-word is folded there.
+The outer factors are plain g_j moves.  An atom of a word is (j, +1) for g_j,
+(j, -1) for g_j^{-1} (the encoding of ``hecke``), or ``E_ATOM`` for e;
+``reduced_word`` spells a permutation in these atoms.
 
 Single-generator multiplication is the Hecke rule ``hecke.gen_pairs``, with
 the diagram playing the role of the permutation: the length change of
@@ -35,9 +38,9 @@ tables of a context hold one action or product each.  ``_lmul_g`` and
 ``_rmul_g`` hold the g_j rule on the left and the right, as a tuple of
 (diagram, coeff) pairs per basis element, and ``_rmul_atom`` g_j^{-1} and
 e on the right; e on the left reads ``_rmul_atom`` through the involution
-i, e x = i(i(x) e).  ``_middle`` holds the middle products, ``_core`` the
-core products below, and the module-global ``_EXPR_CACHE`` the
-factorization of each diagram read so far.
+i, e x = i(i(x) e).  ``_middle`` holds the products b_c g_{w1'} e_(k'),
+``_core`` the core products below, and the module-global ``_EXPR_CACHE``
+the factorization of each diagram read so far.
 
 Multiplication by e reduces to the core products e g_sigma e_(k).  These
 are peeled by exact one-letter rules (e g_1 = q e; e g_i = g_i e for
@@ -106,7 +109,7 @@ class QBrauerElement(SparseElement):
 
     @classmethod
     def basis(cls, d: BrauerDiagram) -> "QBrauerElement":
-        return cls(d.n, {d: ONE})
+        return cls._adopt(d.n, {d: ONE})
 
     def __repr__(self) -> str:
         return f"QBrauerElement(n={self.n}, {len(self.terms)} terms)"
@@ -279,11 +282,10 @@ def s_chain(n: int, i: int, j: int) -> Perm:
 
 
 def _lmul_e_basis(ctx: AlgebraContext, d: BrauerDiagram) -> QBrauerElement:
-    """e times the basis element of d: e g_{w1} g_{wd} e_(k) is a core
-    product, and g_{w2} follows on the right."""
+    """e times the basis element g_{w1} e_(k) g_{wd} g_{w2} of d: e g_{w1}
+    e_(k) is a core product, and g_{wd} g_{w2} follows on the right."""
     ex = _expr(d)
-    res = _core(ctx, perm_mul(ex.w1, ex.wd), ex.k)
-    return word_element(ctx, ex.right_word, res)
+    return word_element(ctx, ex.right_word, _core(ctx, ex.w1, ex.k))
 
 
 # ---------------------------------------------------------------------------
@@ -356,52 +358,52 @@ def word_element(ctx: AlgebraContext, word, x: QBrauerElement) -> QBrauerElement
 
 def _middle(ctx: AlgebraContext, c: BrauerDiagram, ec: ReducedExpression,
             d: BrauerDiagram, ed: ReducedExpression) -> QBrauerElement:
-    """e_(k) g_{w2} g_{w1'} g_{wd'} e_(k') for c = (k, w1, wd, w2) and
-    d = (k', w1', wd', w2'), memoized in ``ctx._middle`` and filled from the
-    side with the smaller e_(k).
+    """b_c times g_{w1'} e_(k'), the basis element of ``top_part(d)``, for
+    d = (k', w1', wd', w2'); memoized in ``ctx._middle`` under (c, k', w1').
 
-    For k >= k' the fill folds the word of g_{w1'} g_{wd'} e_(k') onto
-    e_(k) g_{w2}, the basis element of ``bottom_part(c)``.  For k < k' that
-    would fold the long word of e_(k') onto a small start; two identities
-    fold the short one instead.  g_{wd'} commutes with e_(k'), since wd'
-    fixes 1..2k', and the involution i swaps the two sides:
+    When c = (k, w1, wd, w2) is not a bottom part, b_c is g_{w1} g_{wd}
+    times the basis element e_(k) g_{w2} of ``bottom_part(c)``, so the fill
+    reads that entry and applies the word of g_{w1} g_{wd} on the left.  For
+    a bottom part c the product is filled from the side with the smaller
+    e_(k).  For k >= k' the word of g_{w1'} e_(k') is folded onto b_c.  For
+    k < k' that would fold the long word of e_(k') onto a small start; the
+    involution i swaps the two sides instead,
 
-        e_(k) g_{w2} g_{w1'} e_(k') = i(e_(k') g_{w1'^-1} g_{w2^-1} e_(k)).
+        e_(k) g_{w2} g_{w1'} e_(k') = i(e_(k') g_{w1'^-1} g_{w2^-1} e_(k)),
 
-    So the fill reads the mirror entry (k', w1'^-1, w2^-1, 1, k), a direct
-    fold from the basis element of ``star(top_part(d))``, maps it through i
-    and folds the word of g_{wd'} on the right.
+    so the fill reads the mirror entry (star(top_part(d)), k, w2^-1), a
+    direct fold, and maps it through i.
     """
-    key = (ec.k, ec.w2, ed.w1, ed.wd, ed.k)
+    key = (c, ed.k, ed.w1)
     res = ctx._middle.get(key)
     if res is None:
-        if ec.k < ed.k:
-            # the mirror pair: e_(k') g_{w1'^-1} and g_{w2^-1} e_(k)
-            mc, md = star(top_part(d)), top_part(star(c))
-            mirror = _middle(ctx, mc, _expr(mc), md, _expr(md))
-            res = word_element(ctx, reduced_word(ed.wd), involution_i(mirror))
+        if ec.left_word:
+            b = bottom_part(c)
+            res = _middle(ctx, b, _expr(b), d, ed)
+            for atom in reversed(ec.left_word):
+                res = lmul_gen(ctx, atom, res)
+        elif ec.k < ed.k:
+            # star(c) = g_{w2^-1} e_(k) is a top part
+            mc, md = star(top_part(d)), star(c)
+            res = involution_i(_middle(ctx, mc, _expr(mc), md, _expr(md)))
         else:
-            word = ed.left_word + tuple(ek_atoms(ed.k))
-            res = word_element(ctx, word, QBrauerElement.basis(bottom_part(c)))
+            word = reduced_word(ed.w1) + ek_atoms(ed.k)
+            res = word_element(ctx, word, QBrauerElement.basis(c))
         ctx._middle[key] = res
     return res
 
 
 def product(ctx: AlgebraContext, x: QBrauerElement, y: QBrauerElement) -> QBrauerElement:
-    """x times y: each pair (c, d) of basis terms is g_{w1} g_{wd}, by
-    ``lmul_gen``, times ``_middle`` times g_{w2'}, by ``rmul_atom``."""
+    """x times y: each pair (c, d) of basis terms is ``_middle``, b_c times
+    the top part g_{w1'} e_(k') of d, times g_{wd'} g_{w2'} by ``rmul_atom``."""
     if x.n != y.n or x.n != ctx.n:
         raise SizeMismatch("mixed ranks in product")
     out: dict = {}
     for c, a in x.terms.items():
         ec = _expr(c)
-        left = ec.left_word[::-1]  # acting on the left, last atom first
         for d, b in y.terms.items():
             ed = _expr(d)
-            z = _middle(ctx, c, ec, d, ed)
-            for atom in left:
-                z = lmul_gen(ctx, atom, z)
-            z = word_element(ctx, ed.right_word, z)
+            z = word_element(ctx, ed.right_word, _middle(ctx, c, ec, d, ed))
             accumulate(out, a * b, z.terms.items())
     return QBrauerElement._adopt(ctx.n, out)
 

@@ -2,9 +2,10 @@
 Command-line surface over the kernel.
 
 Exit codes: 0 on success (and when every verification passes), 1 when a
-verification suite reports failures, 2 on malformed input, with a
-machine-readable JSON error object on stderr.  Output is deterministic for
-a fixed invocation (fixed seeds, sorted terms).
+verification fails (a report with failures, a check stopped by an assert of
+the kernel, a ``phi`` product with no layer form), 2 on malformed input; the
+last two failures and malformed input write a JSON error object on stderr.
+Output is deterministic for a fixed invocation (fixed seeds, sorted terms).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import io
 import json
 import re
 import sys
+import traceback
 from fractions import Fraction
 
 from . import scalars, suites
@@ -62,6 +64,11 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise InputError(message)
+
+
+def _error(error: str, detail: str, **fields) -> None:
+    """One JSON error object on stderr."""
+    sys.stderr.write(json.dumps({"error": error, "detail": detail, **fields}) + "\n")
 
 
 def parse_perm(n: int, text: str):
@@ -115,6 +122,12 @@ def _write(args, text: str) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(args, payload, lines) -> None:
+    """``payload`` as indented JSON under ``--format json``, else ``lines``."""
+    text = json.dumps(payload, indent=2, default=str) if args.format == "json" else "\n".join(lines)
+    _write(args, text + "\n")
 
 
 def _context(args) -> AlgebraContext:
@@ -185,21 +198,9 @@ def cmd_straighten(args) -> int:
     _check_k(args)
     sigma = parse_perm(args.n, args.sigma)
     out = straighten(ctx, sigma, args.k)
-    if args.format == "json":
-        payload = [
-            {
-                "coeff": scalars.scalar_to_json(c),
-                "w": list(w),
-                "pi": list(pi),
-            }
-            for c, w, pi in out
-        ]
-        _write(args, json.dumps(payload, indent=2) + "\n")
-    else:
-        lines = [
-            f"({c}) * g[{t_word(w)}] g[{t_word(pi)}] e_({args.k})" for c, w, pi in out
-        ]
-        _write(args, "\n".join(lines) + "\n")
+    _emit(args, [{"coeff": scalars.scalar_to_json(c), "w": list(w), "pi": list(pi)}
+                 for c, w, pi in out],
+          [f"({c}) * g[{t_word(w)}] g[{t_word(pi)}] e_({args.k})" for c, w, pi in out])
     return 0
 
 
@@ -211,26 +212,10 @@ def cmd_decompose(args) -> int:
             obj = json.load(fh)
     d = diagram_from_json(obj)
     ex = decompose(d)
-    if args.format == "json":
-        payload = {
-            "k": ex.k,
-            "w1": list(ex.w1),
-            "wd": list(ex.wd),
-            "w2": list(ex.w2),
-            "length": ex.length(),
-        }
-        _write(args, json.dumps(payload, indent=2) + "\n")
-    else:
-        text = "\n".join(
-            [
-                render_diagram(d),
-                f"k = {ex.k}, length = {ex.length()}",
-                f"w1 = {t_word(ex.w1)}",
-                f"wd = {t_word(ex.wd)}",
-                f"w2 = {t_word(ex.w2)}",
-            ]
-        )
-        _write(args, text + "\n")
+    words = {"w1": ex.w1, "wd": ex.wd, "w2": ex.w2}
+    _emit(args, {"k": ex.k, **{key: list(w) for key, w in words.items()}, "length": ex.length()},
+          [render_diagram(d), f"k = {ex.k}, length = {ex.length()}"]
+          + [f"{key} = {t_word(w)}" for key, w in words.items()])
     return 0
 
 
@@ -244,48 +229,53 @@ def cmd_phi(args) -> int:
     writer.writerow(["row_id", "col_id", "value"])
     for i, c in enumerate(bots):
         for j, d in enumerate(tops):
-            writer.writerow([i, j, json.dumps(hecke_to_json(phi_k(ctx, c, d)))])
+            form = phi_k(ctx, c, d)
+            if form is None:
+                _error("NoLayerForm", f"a layer-{args.k} term of the product has outer factors",
+                       row=i, col=j)
+                return 1
+            writer.writerow([i, j, json.dumps(hecke_to_json(form))])
     _write(args, buf.getvalue())
     return 0
 
 
 def _run_reports(args, reports) -> int:
-    ok = all(not r["failures"] for r in reports)
-    if args.format == "json":
-        _write(args, json.dumps(reports, indent=2, default=str) + "\n")
-    else:
-        lines = []
-        for r in reports:
-            status = "pass" if not r["failures"] else f"FAIL ({len(r['failures'])})"
-            lines.append(
-                f"{r['check']} n={r['n']} version={r['version']} "
-                f"pairs={r['pairs_tested']}: {status}"
-            )
-        _write(args, "\n".join(lines) + "\n")
-    return 0 if ok else 1
+    _emit(args, reports, [f"{r['check']} n={r['n']} version={r['version']} pairs={r['pairs_tested']}: "
+                          + (f"FAIL ({len(r['failures'])})" if r["failures"] else "pass")
+                          for r in reports])
+    return 1 if any(r["failures"] for r in reports) else 0
 
 
 def cmd_verify(args) -> int:
     if args.sample is not None and args.sample < 1:
         raise InputError("--sample must be at least 1")
     ctx = _context(args)
-    if args.suite == "relations":
-        if args.sample is not None:
-            raise InputError("verify relations takes no --sample: the certificate is exhaustive")
-        if ctx.n < 2:
-            raise InputError("verify relations needs n >= 2: there is no relation at n = 1")
-        reports = suites.relations_suite(ctx)
-    elif args.suite == "oracle":
-        reports = [suites.oracle_suite(ctx, sample=args.sample, seed=args.seed)]
-    elif args.suite == "cell":
-        reports = [
-            inflation_bijection_check(ctx),
-            inflation_product_check(ctx, sample=args.sample, seed=args.seed),
-            cell_chain_check(ctx),
-            involution_symmetry_check(ctx),
-        ]
-    else:
-        raise InputError(f"unknown suite {args.suite!r}")
+    try:
+        if args.suite == "relations":
+            if args.sample is not None:
+                raise InputError("verify relations takes no --sample: the certificate is exhaustive")
+            if ctx.n < 2:
+                raise InputError("verify relations needs n >= 2: there is no relation at n = 1")
+            reports = suites.relations_suite(ctx)
+        elif args.suite == "oracle":
+            reports = [suites.oracle_suite(ctx, sample=args.sample, seed=args.seed)]
+        elif args.suite == "cell":
+            reports = [
+                inflation_bijection_check(ctx),
+                inflation_product_check(ctx, sample=args.sample, seed=args.seed),
+                cell_chain_check(ctx),
+                involution_symmetry_check(ctx),
+            ]
+        else:
+            raise InputError(f"unknown suite {args.suite!r}")
+    except AssertionError as exc:
+        # an internal assert of the kernel stopped a check, named after the
+        # innermost ``*_check`` or ``*_suite`` frame, before its report
+        frames = traceback.extract_tb(exc.__traceback__)
+        checks = [f.name.rsplit("_", 1)[0] for f in frames if f.name.endswith(("_check", "_suite"))]
+        _error("AssertionError", str(exc) or frames[-1].line, check=(checks or [args.suite])[-1],
+               at=f"{frames[-1].name}:{frames[-1].lineno}")
+        return 1
     # a report that tested nothing would read as a pass
     reports = [r for r in reports if r["pairs_tested"]]
     if not reports:
@@ -300,10 +290,7 @@ def cmd_qh(args) -> int:
     ok, why = is_quasi_hereditary(args.n, q0, r0)
     payload = {"n": args.n, "field": args.field, "q0": args.q0, "r0": args.r0,
                "quasi_hereditary": ok, "explanation": why}
-    if args.format == "json":
-        _write(args, json.dumps(payload, indent=2) + "\n")
-    else:
-        _write(args, f"{'true' if ok else why}\n")
+    _emit(args, payload, ["true" if ok else why])
     return 0
 
 
@@ -312,16 +299,8 @@ def cmd_simples(args) -> int:
     q0 = parse_field_value(Fraction if field == "rationals" else field, args.q0)
     idx = simple_module_index(args.n, q0)
     dims = cell_module_dims(args.n)
-    payload = [
-        {"k": i.k, "partition": list(i.lam), "cell_dim": dims[i]} for i in idx
-    ]
-    if args.format == "json":
-        _write(args, json.dumps(payload, indent=2) + "\n")
-    else:
-        lines = [
-            f"(n-2k={args.n - 2 * i.k}, lam={i.lam}) cell dim {dims[i]}" for i in idx
-        ]
-        _write(args, "\n".join(lines) + "\n")
+    _emit(args, [{"k": i.k, "partition": list(i.lam), "cell_dim": dims[i]} for i in idx],
+          [f"(n-2k={args.n - 2 * i.k}, lam={i.lam}) cell dim {dims[i]}" for i in idx])
     return 0
 
 
@@ -419,8 +398,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (InputError, OSError, json.JSONDecodeError, KeyError,
             ValueError) as exc:
-        sys.stderr.write(json.dumps({"error": type(exc).__name__,
-                                     "detail": str(exc)}) + "\n")
+        _error(type(exc).__name__, str(exc))
         return 2
 
 

@@ -351,23 +351,28 @@ def concat_many(*diagrams):
 @dataclass(frozen=True)
 class ReducedExpression:
     """The unique triple (w1, wd, w2) with d = w1 e_(k) wd e_(k) w2 up to the
-    k loops this concatenation closes; lengths are additive."""
+    k loops this concatenation closes; lengths are additive.
+
+    ``left_word`` and ``right_word`` spell g_{w1} g_{wd} and g_{wd} g_{w2}
+    in ``reduced_word`` atoms, reduced since the lengths add, on the first
+    read, since many factorizations are read only for their coordinates.  g_{wd} commutes with e_(k), as wd
+    fixes 1..2k, so b_d = g_{w1} g_{wd} e_(k) g_{w2} = g_{w1} e_(k) g_{wd}
+    g_{w2}: ``product`` reads b_d as its top part g_{w1} e_(k) times
+    ``right_word``, and ``left_word`` lifts the bottom part e_(k) g_{w2} to b_d.
+    """
 
     k: int
     w1: Perm
     wd: Perm
     w2: Perm
 
-    # the words of g_{w1} g_{wd} and g_{w2} in ``reduced_word`` atoms,
-    # spelled on the first read: many factorizations are read only for
-    # their coordinates.  The first is reduced because the lengths add.
     @cached_property
     def left_word(self) -> tuple:
         return tuple(reduced_word(self.w1) + reduced_word(self.wd))
 
     @cached_property
     def right_word(self) -> tuple:
-        return tuple(reduced_word(self.w2))
+        return tuple(reduced_word(self.wd) + reduced_word(self.w2))
 
     def length(self) -> int:
         return perm_length(self.w1) + perm_length(self.wd) + perm_length(self.w2)

@@ -57,7 +57,7 @@ class SparseElement:
 
     def __init__(self, n: int, terms=None):
         self.n = n
-        self.terms = {k: c for k, c in terms.items() if not c.is_zero()} if terms else {}
+        self.terms = {k: c for k, c in terms.items() if c is not ZERO} if terms else {}
 
     @classmethod
     def _adopt(cls, n: int, terms: dict):

@@ -14,7 +14,7 @@ the free algebra on g_j^{±1} and e.
 * relations: each defining relation (Wenzl), its mirror under the
   involution, which reverses words, and g_j g_j^{-1} = g_j^{-1} g_j = 1
   hold on every basis element of M.  So M is a module of the algebra.
-* spanning: the word of g_{w1} g_{wd} e_(k) g_{w2}, folded onto the unit,
+* spanning: the word of g_{w1} e_(k) g_{wd} g_{w2}, folded onto the unit,
   is b_d for every diagram d.  So M is cyclic, generated by the unit.
   Wenzl's spanning set has (2n-1)!! elements, so the algebra has at most
   that rank, and a cyclic module of that rank is the regular one: every
@@ -24,13 +24,12 @@ the free algebra on g_j^{±1} and e.
   element for b = g_j and e, and agrees with it on the unit, so it is left
   multiplication by a; and i(b_d g_j) = g_j i(b_d), so the involution i,
   through which e acts on the left, is an anti-automorphism.
-* product: ``product`` forms u m v for a pair of basis elements b_c, b_d,
-  with m the middle product of e_(k) g_{w2} (the bottom part of c) and
-  g_{w1'} g_{wd'} e_(k') (the top part of d), and u, v the outer words it
-  applies with ``lmul_gen`` and ``rmul_atom``.  m is compared with the
-  top part's word folded onto the bottom part, for every pair of parts,
-  and b_c 1 = b_c, 1 b_d = b_d show u (e_(k) g_{w2}) = b_c and
-  (g_{w1'} g_{wd'} e_(k')) v = b_d.  So ``product(b_c, b_d)`` = b_c b_d.
+* product: ``product`` forms u m v for a pair of basis elements b_c, b_d:
+  m = b_{c↓} b_{d↑}, of the bottom part e_(k) g_{w2} of c and the top part
+  g_{w1'} e_(k') of d, u = g_{w1} g_{wd} by ``lmul_gen`` and
+  v = g_{wd'} g_{w2'} by ``rmul_atom``.  m is compared with the word fold
+  for every pair of parts, and b_c 1 = b_c, 1 b_d = b_d show u b_{c↓} = b_c
+  and b_{d↑} v = b_d.  So ``product(b_c, b_d)`` = b_c b_d.
 
 Associativity and i(xy) = i(y) i(x) hold in the algebra, so the four
 reports prove them for ``product`` and need no check of their own.
@@ -61,7 +60,7 @@ from .algebra import (
     word_element,
     E_ATOM,
 )
-from .diagrams import concat, decompose, enumerate_diagrams
+from .diagrams import concat, decompose, enumerate_diagrams, identity_perm, reduced_word
 from .scalars import ONE, Q, Q_INV, QM1, brauer_limit
 
 
@@ -169,16 +168,16 @@ def relations_check(ctx: AlgebraContext) -> dict:
 
 
 def spanning_check(ctx: AlgebraContext) -> dict:
-    """The unit times the word g_{w1} g_{wd} e_(k) g_{w2} of each diagram d
+    """The unit times the word g_{w1} e_(k) g_{wd} g_{w2} of each diagram d
     is b_d."""
     diagrams, failures, heads = enumerate_diagrams(ctx.n), [], {}
     for d in diagrams:
         ex = decompose(d)
-        # many diagrams share w1, wd and k: fold that head once
-        head = heads.get((ex.left_word, ex.k))
+        # many diagrams share w1 and k: fold that head once
+        head = heads.get((ex.w1, ex.k))
         if head is None:
-            word = ex.left_word + tuple(ek_atoms(ex.k))
-            head = heads[ex.left_word, ex.k] = word_element(ctx, word, ctx.unit())
+            word = reduced_word(ex.w1) + ek_atoms(ex.k)
+            head = heads[ex.w1, ex.k] = word_element(ctx, word, ctx.unit())
         if word_element(ctx, ex.right_word, head) != QBrauerElement.basis(d):
             failures.append({"diagram": d.edges()})
     return report("spanning", ctx, {}, len(diagrams), failures)
@@ -214,10 +213,10 @@ def product_check(ctx: AlgebraContext) -> dict:
     and every d = (k', w1', wd', 1): these pairs meet every middle product.
     And b_d 1 = 1 b_d = b_d for every d, which reads the outer words."""
     diagrams, failures = enumerate_diagrams(ctx.n), []
-    exprs = {d: decompose(d) for d in diagrams}
+    exprs, one_perm = {d: decompose(d) for d in diagrams}, identity_perm(ctx.n)
     bottoms = [d for d in diagrams if not exprs[d].left_word]
     tops = [(d, exprs[d].left_word + tuple(ek_atoms(exprs[d].k)))
-            for d in diagrams if not exprs[d].right_word]
+            for d in diagrams if exprs[d].w2 == one_perm]
     for c in bottoms:
         x = QBrauerElement.basis(c)
         folds = {(): x}

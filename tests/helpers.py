@@ -1,7 +1,25 @@
 """Helpers shared by several test modules."""
 
-from qbrauer.algebra import e_k_element, lmul_gen
-from qbrauer.diagrams import decompose, identity_perm, perm_inv, perm_mul, reduced_word, s_ij
+from qbrauer.algebra import (
+    QBrauerElement,
+    _expr,
+    e_k_element,
+    ek_atoms,
+    involution_i,
+    lmul_gen,
+    word_element,
+)
+from qbrauer.diagrams import (
+    bottom_part,
+    decompose,
+    identity_perm,
+    perm_inv,
+    perm_mul,
+    reduced_word,
+    s_ij,
+    star,
+    top_part,
+)
 
 
 def chain(n, *pairs):
@@ -24,3 +42,33 @@ def straighten_by_inverse_word(ctx, sigma, k):
         ex = decompose(d)
         out.append((c, ex.w1, ex.wd))
     return sorted(out, key=lambda t: (t[1], t[2]))
+
+
+def mirror_entry(ctx, c, ec, d, middle, image=involution_i):
+    """The k < k' fill of ``algebra._middle``: the mirror entry
+    (star(top_part(d)), k, w2^-1) through ``image``, the involution."""
+    mc, md = star(top_part(d)), star(c)
+    return image(middle(ctx, mc, _expr(mc), md, _expr(md)))
+
+
+def mutant_middle(lift=lambda word: word[::-1], mirror=mirror_entry):
+    """A copy of ``algebra._middle`` whose non-bottom-part fill applies the
+    atoms of ``lift(left_word)`` on the left in turn, and whose k < k' fill
+    is ``mirror``; the defaults are the code's own."""
+    def middle(ctx, c, ec, d, ed):
+        key = (c, ed.k, ed.w1)
+        res = ctx._middle.get(key)
+        if res is None:
+            if ec.left_word:
+                b = bottom_part(c)
+                res = middle(ctx, b, _expr(b), d, ed)
+                for atom in lift(ec.left_word):
+                    res = lmul_gen(ctx, atom, res)
+            elif ec.k < ed.k:
+                res = mirror(ctx, c, ec, d, middle)
+            else:
+                word = reduced_word(ed.w1) + ek_atoms(ed.k)
+                res = word_element(ctx, word, QBrauerElement.basis(c))
+            ctx._middle[key] = res
+        return res
+    return middle

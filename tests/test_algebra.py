@@ -26,7 +26,6 @@ from qbrauer.algebra import (
 )
 from qbrauer.diagrams import (
     BrauerDiagram,
-    bottom_part,
     concat,
     diagram_from_edges,
     e_k_diagram,
@@ -50,7 +49,7 @@ from qbrauer.scalars import (
     scalar_to_json,
 )
 
-from helpers import chain, straighten_by_inverse_word
+from helpers import chain, mirror_entry, mutant_middle, straighten_by_inverse_word
 
 
 def test_basis_element_of_cap_diagram():
@@ -95,7 +94,7 @@ def test_generator_word_examples():
     for d in enumerate_diagrams(n):
         ex = _expr(d)
         assert list(ex.left_word) == reduced_word(ex.w1) + reduced_word(ex.wd)
-        assert list(ex.right_word) == reduced_word(ex.w2)
+        assert list(ex.right_word) == reduced_word(ex.wd) + reduced_word(ex.w2)
 
 
 def test_generator_word_rebuilds_basis():
@@ -183,35 +182,26 @@ def test_three_term_operands_see_the_coefficients():
         assert_product_is_the_word_fold(AlgebraContext(4), three_term_pairs(4), mul=mutant)
 
 
-def mutant_middle(fold):
-    """``algebra._middle`` with the k < k' fill replaced by ``fold(ctx,
-    mirror, wd')``, for the mirror entry it reads."""
-    def middle(ctx, c, ec, d, ed):
-        key = (ec.k, ec.w2, ed.w1, ed.wd, ed.k)
-        res = ctx._middle.get(key)
-        if res is None:
-            if ec.k < ed.k:
-                mc, md = star(top_part(d)), top_part(star(c))
-                mirror = middle(ctx, mc, _expr(mc), md, _expr(md))
-                res = fold(ctx, mirror, ed.wd)
-            else:
-                word = ed.left_word + tuple(ek_atoms(ed.k))
-                res = word_element(ctx, word, QBrauerElement.basis(bottom_part(c)))
-            ctx._middle[key] = res
-        return res
-    return middle
+def test_middle_copy_passes_the_checks(monkeypatch):
+    # the mutants below edit this copy of ``_middle``, so it must pass
+    monkeypatch.setattr(algebra, "_middle", mutant_middle())
+    reps = suites.relations_suite(AlgebraContext(4))
+    assert [bool(rep["failures"]) for rep in reps] == [False, False, False, False]
 
 
-@pytest.mark.parametrize("fold", [
-    # g_{wd'} dropped
-    lambda ctx, mirror, wd: involution_i(mirror),
-    # g_{wd'} folded onto the mirror before the involution
-    lambda ctx, mirror, wd: involution_i(word_element(ctx, reduced_word(wd), mirror)),
-], ids=["drop_wd", "wd_before_involution"])
-def test_mirrored_fill_mutants_fail_the_checks(monkeypatch, fold):
-    """n = 4 has pairs with k = 0, k' = 1 and wd' = s_3, so each mutant
-    shows.  Of the certificate, only the product report reads ``_middle``."""
-    monkeypatch.setattr(algebra, "_middle", mutant_middle(fold))
+@pytest.mark.parametrize("mirror", [
+    # the mirror entry not mapped through the involution
+    lambda ctx, c, ec, d, middle: mirror_entry(ctx, c, ec, d, middle, image=lambda x: x),
+    # the mirror read at w2 in place of w2^-1: e_(k') g_{w1'^-1} g_{w2} e_(k)
+    lambda ctx, c, ec, d, middle: involution_i(word_element(
+        ctx, reduced_word(ec.w2) + ek_atoms(ec.k),
+        QBrauerElement.basis(star(top_part(d))))),
+], ids=["no_involution", "mirror_at_w2"])
+def test_mirrored_fill_mutants_fail_the_checks(monkeypatch, mirror):
+    """n = 4 has bottom parts e_(1) g_{w2} with w2 != w2^-1 and pairs with
+    k = 1, k' = 2, so each mutant shows.  Of the certificate, only the
+    product report reads ``_middle``."""
+    monkeypatch.setattr(algebra, "_middle", mutant_middle(mirror=mirror))
     reps = suites.relations_suite(AlgebraContext(4))
     assert [bool(rep["failures"]) for rep in reps] == [False, False, False, True]
 

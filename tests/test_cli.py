@@ -7,9 +7,11 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qbrauer import algebra, cli
 from qbrauer.algebra import AlgebraContext, e_k_element, element_to_json, product
 from qbrauer.cli import main, parse_perm
-from qbrauer.diagrams import diagram_to_json, e_k_diagram, s_ij
+from qbrauer.diagrams import diagram_to_json, e_k_diagram, s_ij, swap_delta, top_swap
+from qbrauer.hecke import gen_pairs
 
 
 def run(capsys, *argv):
@@ -117,6 +119,31 @@ def test_phi_table(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "row_id,col_id,value"
     assert len(lines) == 1 + 6 * 6
+
+
+def test_phi_without_a_layer_form_exits_1(monkeypatch, capsys):
+    # phi_k returns None when a layer-k term of the product has outer factors
+    monkeypatch.setattr(cli, "phi_k", lambda ctx, c, d: None)
+    code, out, err = run(capsys, "phi", "4", "1")
+    assert (code, out) == (1, "")
+    error = json.loads(err)
+    assert (error["error"], error["row"], error["col"]) == ("NoLayerForm", 0, 0)
+
+
+def _bottom_row_lmul_g(ctx, j, d):
+    """``_lmul_g_basis`` reading the length change off the bottom row: the
+    length-0 case of ``gen_pairs`` then meets a diagram that s_j moves."""
+    return gen_pairs(d, top_swap(d, j), swap_delta(d, ctx.n + j))
+
+
+def test_verify_reports_a_failed_kernel_assert(monkeypatch, capsys):
+    monkeypatch.setattr(algebra, "_lmul_g_basis", _bottom_row_lmul_g)
+    code, out, err = run(capsys, "verify", "relations", "4")
+    assert (code, out) == (1, "")
+    error = json.loads(err)
+    assert error["error"] == "AssertionError"
+    assert error["check"] in ("relations", "spanning", "left_action", "product")
+    assert error["detail"] and error["at"].startswith("gen_pairs:")
 
 
 def test_verify_pass_and_exit_codes(capsys):

@@ -16,12 +16,13 @@ from qbrauer.algebra import (
     _middle,
     ek_atoms,
     involution_i,
-    lmul_gen,
     word_element,
 )
 from qbrauer.cli import main
-from qbrauer.diagrams import swap_delta
+from qbrauer.diagrams import reduced_word, swap_delta
 from qbrauer.scalars import Q, Q_INV, QM1
+
+from helpers import mutant_middle
 
 # pairs_tested of each report of `verify relations`, by n; n = 5 is pinned
 # by acceptance criteria 02 and 03
@@ -106,30 +107,30 @@ def test_suites_catch_swap_rule_mutants(monkeypatch, mutant):
     assert any(rep["failures"] for rep in suites.relations_suite(AlgebraContext(4)))
 
 
-def _product_reading(left, right):
-    """``product`` with the outer words of c and d read through ``left`` and
-    ``right``; the product reverses the left word and keeps the right one."""
+def _product_reading(right):
+    """``product`` with the right word of d read through ``right``; the
+    product reads ``right_word``, g_{wd'} g_{w2'}, as it is."""
     def mutant(ctx, x, y):
         out = {}
         for c, a in x.terms.items():
             for d, b in y.terms.items():
                 ec, ed = _expr(c), _expr(d)
-                z = _middle(ctx, c, ec, d, ed)
-                for atom in left(ec.left_word):
-                    z = lmul_gen(ctx, atom, z)
-                accumulate(out, a * b, word_element(ctx, right(ed.right_word), z).terms.items())
+                z = word_element(ctx, right(ed), _middle(ctx, c, ec, d, ed))
+                accumulate(out, a * b, z.terms.items())
         return QBrauerElement._adopt(ctx.n, out)
     return mutant
 
 
-# the two mirrored fills of ``_middle`` are in tests/test_algebra.py,
+# the mirrored fills of ``_middle`` are in tests/test_algebra.py,
 # test_mirrored_fill_mutants_fail_the_checks
 @pytest.mark.parametrize("module, name, mutant", [
     # the only g^{-1} atoms of the word of e_(k) are those of g^-_{1,2k-2}
     (algebra, "ek_atoms", lambda k: [a if a == E_ATOM else (a[0], 1) for a in ek_atoms(k)]),
-    (suites, "product", _product_reading(lambda w: w, lambda w: w)),
-    (suites, "product", _product_reading(lambda w: w[::-1], lambda w: w[::-1])),
-], ids=["ek_atoms_sign", "left_word_unreversed", "right_word_reversed"])
+    # the word of g_{w1} g_{wd} applied on the left first atom first
+    (algebra, "_middle", mutant_middle(lift=lambda word: word)),
+    (suites, "product", _product_reading(lambda ed: ed.right_word[::-1])),
+    (suites, "product", _product_reading(lambda ed: tuple(reduced_word(ed.w2)))),
+], ids=["ek_atoms_sign", "left_word_unreversed", "right_word_reversed", "right_word_without_wd"])
 def test_product_report_catches_product_mutants(monkeypatch, module, name, mutant):
     monkeypatch.setattr(module, name, mutant)
     reps = suites.relations_suite(AlgebraContext(4))
