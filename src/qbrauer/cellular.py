@@ -238,7 +238,7 @@ def inflation_product_check(ctx: AlgebraContext, sample=None, seed: int = 0) -> 
             x, y = QBrauerElement.basis(c), QBrauerElement.basis(d)
             if _layer_form(product(ctx, x, y), k, ec.w1, ed.w2) != want:
                 failures.append({"c": c.edges(), "d": d.edges()})
-    return report("inflation_product", ctx, {"sample": sample}, pairs, failures)
+    return report("inflation_product", ctx, {"sample": sample, "seed": seed}, pairs, failures)
 
 
 def involution_symmetry_check(ctx: AlgebraContext) -> dict:
@@ -266,8 +266,11 @@ def cell_chain_check(ctx: AlgebraContext) -> dict:
     b_d g_j and b_d e have no term in a shallower layer than d (e is a
     generator from n = 2 on).  Nothing else needs checking: b_d g_j^{-1} has
     its terms among those of b_d g_j and d, by the relations report of
-    ``verify relations``; a b_d = i(b_{star d} a) for a = g_j or e, by its
-    left_action report; and star keeps layers, by
+    ``verify relations``; a b_d = i(b_{star d} a) for a = g_j or e, since
+    the involution i is an anti-automorphism that fixes both, by its
+    left_action report (i(b_d g_j) = g_j i(b_d), and i(x e) = e i(x)
+    because ``lmul_gen`` computes e y as i(i(y) e) and that report shows it
+    is left multiplication by e); and star keeps layers, by
     :func:`involution_symmetry_check`."""
     n = ctx.n
     atoms = ([E_ATOM] if n >= 2 else []) + [(j, 1) for j in range(1, n)]

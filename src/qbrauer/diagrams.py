@@ -514,15 +514,15 @@ def diagram_to_json(d: BrauerDiagram) -> dict:
 
 
 def diagram_from_json(obj: dict) -> BrauerDiagram:
-    """Read ``{"n": n, "edges": [[a, b], ...]}`` with every vertex in 1..2n;
-    raises ValueError on any other shape."""
+    """Read ``{"n": n, "edges": [[a, b], ...]}``: n edges, with every vertex
+    in 1..2n; raises ValueError on any other shape."""
     if not isinstance(obj, dict) or type(obj.get("n")) is not int or obj["n"] < 1:
         raise ValueError('a diagram must be {"n": n, "edges": [...]} with n >= 1')
     n, edges = obj["n"], obj.get("edges")
-    if not isinstance(edges, list) or not all(
+    if not isinstance(edges, list) or len(edges) != n or not all(
         isinstance(e, list) and len(e) == 2
         and all(type(v) is int and 1 <= v <= 2 * n for v in e)
         for e in edges
     ):
-        raise ValueError(f"edges must be a list of vertex pairs in 1..{2 * n}")
+        raise ValueError(f"edges must be a list of {n} vertex pairs in 1..{2 * n}")
     return diagram_from_edges(n, [tuple(e) for e in edges])

@@ -576,13 +576,15 @@ def scalar_to_json(s: Scalar) -> dict:
 
 def scalar_from_json(obj: dict) -> Scalar:
     """Read a scalar; every exponent must be a non-negative integer, so the
-    numerator lies in Z[q, r] and the denominator is a monomial, and each
-    monomial of the numerator is listed once."""
+    numerator lies in Z[q, r] and the denominator is a monomial, each
+    monomial of the numerator is listed once, and a coefficient string is
+    in the decimal form ``scalar_to_json`` writes."""
     num = obj.get("num") if isinstance(obj, dict) else None
     if not (isinstance(num, list) and isinstance(obj.get("den"), dict) and all(
-        isinstance(t, list) and len(t) == 3 and type(t[0]) in (int, str) for t in num
+        isinstance(t, list) and len(t) == 3 and type(t[0]) in (int, str)
+        and str(int(t[0])) == str(t[0]) for t in num
     )):
-        raise ValueError('a scalar must be {"num": [[c, eq, er], ...], "den": {...}}')
+        raise ValueError('a scalar must be {"num": [[c, eq, er], ...], "den": {...}}, c decimal')
     extra = set(obj["den"]) - {p.key for p in PRIMES}
     if extra:
         raise ValueError(f"unknown keys {sorted(extra)} in a scalar's den")

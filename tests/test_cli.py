@@ -304,6 +304,23 @@ def test_edge_beyond_2n_exits_2(tmp_path, capsys):
     assert_input_error(capsys, "decompose", json.dumps(bad))
 
 
+def test_repeated_edge_exits_2(tmp_path, capsys):
+    ctx = AlgebraContext(2)
+    x = element_to_json(ctx, e_k_element(ctx, 1))
+    bad = {"n": 2, "edges": [[1, 2], [3, 4], [2, 1]]}
+    x["terms"][0]["diagram"] = bad
+    assert_input_error(capsys, "mul", *write_operands(tmp_path, x, x))
+    assert_input_error(capsys, "decompose", json.dumps(bad))
+
+
+@pytest.mark.parametrize("coeff", [" +7 ", "1_000", "+7", "007", "-0"])
+def test_non_canonical_coefficient_exits_2(tmp_path, capsys, coeff):
+    ctx = AlgebraContext(2)
+    x = element_to_json(ctx, e_k_element(ctx, 1))
+    x["terms"][0]["coeff"]["num"] = [[coeff, 0, 0]]
+    assert_input_error(capsys, "mul", *write_operands(tmp_path, x, x))
+
+
 def test_integral_element_carrying_r_exits_2(tmp_path, capsys):
     ctx = AlgebraContext(2, 2)
     x = element_to_json(ctx, e_k_element(ctx, 1))
@@ -383,6 +400,14 @@ def test_sampled_pairs_are_distinct(capsys, argv, want):
     code, out, _ = run(capsys, "verify", *argv, "--format", "json")
     assert code == 0
     assert [r["pairs_tested"] for r in json.loads(out)] == want
+
+
+def test_sampled_cell_report_records_its_seed(capsys):
+    code, out, _ = run(capsys, "verify", "cell", "3", "--sample", "5", "--seed", "2",
+                       "--format", "json")
+    assert code == 0
+    params = {r["check"]: r["params"] for r in json.loads(out)}
+    assert params["inflation_product"] == {"sample": 5, "seed": 2}
 
 
 def test_repeated_monomial_in_a_scalar_exits_2(tmp_path, capsys):

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from qbrauer import algebra, hecke, suites
-from qbrauer.hecke import accumulate, asc
+from qbrauer.hecke import accumulate, asc, gen_pairs
 from qbrauer.algebra import (
     E_ATOM,
     AlgebraContext,
@@ -16,10 +16,13 @@ from qbrauer.algebra import (
     _middle,
     ek_atoms,
     involution_i,
+    lmul_gen,
+    rmul_atom,
     word_element,
 )
+from qbrauer.cellular import double_factorial_odd
 from qbrauer.cli import main
-from qbrauer.diagrams import reduced_word, swap_delta
+from qbrauer.diagrams import reduced_word, swap_delta, top_swap
 from qbrauer.scalars import Q, Q_INV, QM1
 
 from helpers import mutant_middle
@@ -29,7 +32,7 @@ from helpers import mutant_middle
 PAIRS = {
     "relations": {2: 24, 3: 210, 4: 2520},
     "spanning": {2: 3, 3: 15, 4: 105},
-    "left_action": {2: 17, 3: 168, 4: 1999},
+    "left_action": {2: 9, 3: 75, 4: 735},
     "product": {2: 12, 3: 66, 4: 600},
 }
 
@@ -41,6 +44,13 @@ def test_pairs_tested(capsys, suite, n, integral):
     assert main(["verify", suite, str(n), "--format", "json", *integral]) == 0
     got = {r["check"]: r["pairs_tested"] for r in json.loads(capsys.readouterr().out)}
     assert got == {check: PAIRS[check][n] for check in PAIRS}
+
+
+def test_left_action_pairs():
+    # one row per generator and diagram, and one per g_j and diagram
+    for n in range(2, 6):
+        rep = suites.left_action_check(AlgebraContext(n))
+        assert rep["pairs_tested"] == double_factorial_odd(n) * (2 * n - 1), n
 
 
 @pytest.mark.parametrize("rows", [suites._relation_rows])
@@ -138,7 +148,8 @@ def test_product_report_catches_product_mutants(monkeypatch, module, name, mutan
 
 
 # the product and the certificate share ek_atoms; a wrong spelling still
-# fails every report that compares against the diagram basis
+# fails every report that compares against the diagram basis, and the left
+# action, whose word images read it too
 @pytest.mark.parametrize("parts", [
     lambda up, down, inner: [E_ATOM] + up + [(j, 1) for j, _ in down] + inner,
     lambda up, down, inner: [E_ATOM] + down + up + inner,
@@ -150,4 +161,30 @@ def test_certificate_catches_a_shared_spelling_mutant(monkeypatch, parts):
     for module in (algebra, suites):
         monkeypatch.setattr(module, "ek_atoms", word)
     reps = suites.relations_suite(AlgebraContext(4))
-    assert [bool(rep["failures"]) for rep in reps] == [True, True, False, True]
+    assert [bool(rep["failures"]) for rep in reps] == [True, True, True, True]
+
+
+def _negated_lmul_g(ctx, j, d):
+    """``_lmul_g_basis`` with the length change negated."""
+    return gen_pairs(d, top_swap(d, j), -swap_delta(d, j))
+
+
+def _lmul_e(e_action):
+    """``lmul_gen`` with e on the left computed by ``e_action``."""
+    def mutant(ctx, atom, x):
+        return e_action(ctx, x) if atom == E_ATOM else lmul_gen(ctx, atom, x)
+    return mutant
+
+
+# the left action of e is read by the left_action report alone; the bottom-row
+# mutant of ``_lmul_g_basis`` stops at the assert of ``gen_pairs``, which
+# tests/test_cli.py covers
+@pytest.mark.parametrize("module, name, mutant", [
+    (algebra, "_lmul_g_basis", _negated_lmul_g),
+    (suites, "lmul_gen", _lmul_e(lambda ctx, x: rmul_atom(ctx, involution_i(x), E_ATOM))),
+    (suites, "lmul_gen", _lmul_e(lambda ctx, x: rmul_atom(ctx, x, E_ATOM))),
+], ids=["negated_length_change", "e_without_outer_involution", "e_on_the_right"])
+def test_left_action_report_catches_left_mutants(monkeypatch, module, name, mutant):
+    monkeypatch.setattr(module, name, mutant)
+    rep = suites.left_action_check(AlgebraContext(4))
+    assert any("a" in f for f in rep["failures"])
