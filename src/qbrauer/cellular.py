@@ -27,7 +27,7 @@ index of the ground-field parameter q.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from math import factorial
 
 from . import algebra
@@ -289,10 +289,7 @@ def cell_chain_check(ctx: AlgebraContext) -> dict:
 # quasi-heredity and simple modules
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CellModuleIndex:
-    k: int
-    lam: tuple
+CellModuleIndex = namedtuple("CellModuleIndex", ["k", "lam"])
 
 
 def e_of_q(q0, cap: int = 64):

@@ -26,8 +26,6 @@ type, and this module never imports :mod:`qbrauer.scalars`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 
 
@@ -113,16 +111,30 @@ def fixes_prefix(w: Perm, m: int) -> bool:
 # the t-word normal form: w = t_{n-1} t_{n-2} ... t_1, t_j = 1 or s_{i_j, j}
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class TWord:
     """Chain factorization of a permutation.
 
     ``factors`` lists the nonidentity t_j as pairs (i_j, j), j strictly
     decreasing; the concatenated chains form a reduced word, so the length
-    of the permutation is the sum of the chain lengths.
+    of the permutation is the sum of the chain lengths.  A value: equal
+    factors make equal words, and no word is changed in place.
     """
 
-    factors: tuple
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple):
+        self.factors = factors
+
+    def __eq__(self, other):
+        if type(other) is not TWord:
+            return NotImplemented
+        return self.factors == other.factors
+
+    def __hash__(self) -> int:
+        return hash((self.factors,))
+
+    def __repr__(self) -> str:
+        return f"TWord(factors={self.factors!r})"
 
     def __str__(self) -> str:
         if not self.factors:
@@ -348,31 +360,50 @@ def concat_many(*diagrams):
 # the canonical factorization through e_(k)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class ReducedExpression:
     """The unique triple (w1, wd, w2) with d = w1 e_(k) wd e_(k) w2 up to the
     k loops this concatenation closes; lengths are additive.
 
     ``left_word`` and ``right_word`` spell g_{w1} g_{wd} and g_{wd} g_{w2}
-    in ``reduced_word`` atoms, reduced since the lengths add, on the first
-    read, since many factorizations are read only for their coordinates.  g_{wd} commutes with e_(k), as wd
-    fixes 1..2k, so b_d = g_{w1} g_{wd} e_(k) g_{w2} = g_{w1} e_(k) g_{wd}
-    g_{w2}: ``product`` reads b_d as its top part g_{w1} e_(k) times
-    ``right_word``, and ``left_word`` lifts the bottom part e_(k) g_{w2} to b_d.
+    in ``reduced_word`` atoms; each is reduced, because the lengths add.
+    Each word is spelled on its first read and kept in its own slot, since
+    many factorizations are read only for their coordinates.  g_{wd}
+    commutes with e_(k), as wd fixes 1..2k, so b_d = g_{w1} g_{wd} e_(k)
+    g_{w2} = g_{w1} e_(k) g_{wd} g_{w2}: ``product`` reads b_d as its top
+    part g_{w1} e_(k) times ``right_word``, and ``left_word`` lifts the
+    bottom part e_(k) g_{w2} to b_d.  A value: equality and hash read
+    (k, w1, wd, w2) alone, and no field is changed in place.
     """
 
-    k: int
-    w1: Perm
-    wd: Perm
-    w2: Perm
+    __slots__ = ("k", "w1", "wd", "w2", "_left_word", "_right_word")
 
-    @cached_property
+    def __init__(self, k: int, w1: Perm, wd: Perm, w2: Perm):
+        self.k, self.w1, self.wd, self.w2 = k, w1, wd, w2
+        self._left_word = self._right_word = None
+
+    def __eq__(self, other):
+        if type(other) is not ReducedExpression:
+            return NotImplemented
+        return (self.k, self.w1, self.wd, self.w2) == (other.k, other.w1, other.wd, other.w2)
+
+    def __hash__(self) -> int:
+        return hash((self.k, self.w1, self.wd, self.w2))
+
+    def __repr__(self) -> str:
+        return (f"ReducedExpression(k={self.k!r}, w1={self.w1!r}, "
+                f"wd={self.wd!r}, w2={self.w2!r})")
+
+    @property
     def left_word(self) -> tuple:
-        return tuple(reduced_word(self.w1) + reduced_word(self.wd))
+        if self._left_word is None:
+            self._left_word = tuple(reduced_word(self.w1) + reduced_word(self.wd))
+        return self._left_word
 
-    @cached_property
+    @property
     def right_word(self) -> tuple:
-        return tuple(reduced_word(self.wd) + reduced_word(self.w2))
+        if self._right_word is None:
+            self._right_word = tuple(reduced_word(self.wd) + reduced_word(self.w2))
+        return self._right_word
 
     def length(self) -> int:
         return perm_length(self.w1) + perm_length(self.wd) + perm_length(self.w2)
@@ -457,13 +488,39 @@ def _matchings(vs: tuple):
             yield ((a, b),) + m
 
 
-def enumerate_diagrams(n: int):
-    """All (2n-1)!! diagrams, in a stable order (sorted partner tuples)."""
-    out = [
-        diagram_from_edges(n, m)
-        for m in _matchings(tuple(range(1, 2 * n + 1)))
-    ]
-    out.sort(key=lambda d: d.partner)
+# Process-global: the tuple of all diagrams of each rank enumerated so far.
+_ENUMERATIONS: dict = {}
+
+
+def enumerate_diagrams(n: int) -> tuple:
+    """All (2n-1)!! diagrams of rank n, in the order of their partner tuples.
+
+    The partner tuples are listed by pairing the least unmatched vertex
+    with each greater unmatched vertex in ascending order: every earlier
+    entry of the tuple is then fixed, so that order is the sorted order.
+    Each tuple goes through the validating ``BrauerDiagram``.  The result
+    is kept per rank, and every call returns that one tuple.
+    """
+    out = _ENUMERATIONS.get(n)
+    if out is None:
+        n2, partner, found = 2 * n, [0] * (2 * n), []
+
+        def pair_from(a: int) -> None:
+            # every vertex below index a is matched
+            while a < n2 and partner[a]:
+                a += 1
+            if a >= n2:
+                found.append(BrauerDiagram(n, tuple(partner)))
+                return
+            for b in range(a + 1, n2):
+                if not partner[b]:
+                    partner[a], partner[b] = b + 1, a + 1
+                    pair_from(a + 1)
+                    partner[b] = 0
+            partner[a] = 0
+
+        pair_from(0)
+        out = _ENUMERATIONS.setdefault(n, tuple(found))
     return out
 
 

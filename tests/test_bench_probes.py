@@ -67,6 +67,16 @@ def test_product_output_reads_the_terms_of_a_product():
     assert tracer.max_terms == max(len(c.num.terms) for c in x.terms.values()) > 0
 
 
+def run_python(code, *args):
+    """Run ``code`` in a fresh interpreter that imports this checkout's
+    package."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 PROBE_RUN = """
 import importlib.util, json, sys
 from qbrauer import algebra, cellular, diagrams, hecke, scalars
@@ -89,12 +99,18 @@ def test_cellular_probes_count_the_cell_checks():
     three checks at n = 3: a coordinate read and a rebuild for each of the
     15 diagrams at least, and some phi_k.  The wrappers are installed in a
     subprocess, so they cannot reach other tests."""
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
-    done = subprocess.run([sys.executable, "-c", PROBE_RUN, TRACING], env=env,
-                          capture_output=True, text=True, timeout=120)
+    done = run_python(PROBE_RUN, TRACING)
     assert done.returncode == 0, done.stderr
     metrics = json.loads(done.stdout)
     assert metrics["cellular.inflation_calls"] >= 2 * 15
     assert metrics["cellular.phi_calls"] > 0
+
+
+def test_import_path_loads_no_dataclasses():
+    """Every repetition pays for the package import in ``setup_s``; the
+    modules it loads define no dataclass, which would pull in ``inspect``."""
+    done = run_python("import sys\n"
+                      "import qbrauer.algebra, qbrauer.cellular, qbrauer.suites\n"
+                      "print('dataclasses' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

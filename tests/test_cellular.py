@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -24,6 +23,7 @@ from qbrauer.cellular import (
     to_inflation,
 )
 from qbrauer.diagrams import (
+    ReducedExpression,
     bottom_part,
     decompose,
     diagram_from_edges,
@@ -112,17 +112,17 @@ def test_inflation_round_trip():
 
 
 def _swap_outer(ex):
-    return replace(ex, w1=ex.w2, w2=ex.w1)
+    return ReducedExpression(ex.k, ex.w2, ex.wd, ex.w1)
 
 
 def _w1_is_w2(ex):
-    return replace(ex, w1=ex.w2)
+    return ReducedExpression(ex.k, ex.w2, ex.wd, ex.w2)
 
 
 def _wd_slot_off_by_one(ex):
     # the free bottom slots numbered from 2k instead of 2k + 1
     m = 2 * ex.k
-    return replace(ex, wd=ex.wd[:m] + tuple(v - 1 for v in ex.wd[m:]))
+    return ReducedExpression(ex.k, ex.w1, ex.wd[:m] + tuple(v - 1 for v in ex.wd[m:]), ex.w2)
 
 
 @pytest.mark.parametrize("mutate", [_swap_outer, _w1_is_w2, _wd_slot_off_by_one])
@@ -376,8 +376,9 @@ def _caps_by_left_end(slots, k):
 # e_(k) closes any order of the caps, so the bijection check passes; only
 # the rotation sees that the two rows are read differently
 @pytest.mark.parametrize("mutate", [
-    lambda ex: replace(ex, w2=_caps_by_left_end(ex.w2, ex.k)),
-    lambda ex: replace(ex, w1=perm_inv(_caps_by_left_end(perm_inv(ex.w1), ex.k))),
+    lambda ex: ReducedExpression(ex.k, ex.w1, ex.wd, _caps_by_left_end(ex.w2, ex.k)),
+    lambda ex: ReducedExpression(ex.k, perm_inv(_caps_by_left_end(perm_inv(ex.w1), ex.k)),
+                                 ex.wd, ex.w2),
 ], ids=["bottom_caps", "top_caps"])
 def test_involution_check_kills_cap_order_mutants(monkeypatch, mutate):
     from qbrauer import algebra

@@ -1,3 +1,4 @@
+import itertools
 import random
 from math import factorial
 
@@ -111,6 +112,35 @@ def test_diagrams_are_hash_consed():
     p = (4, 5, 6, 1, 2, 3)
     assert BrauerDiagram(3, p) is BrauerDiagram(3, p) is identity_diagram(3)
     assert repr(identity_diagram(2)) == "BrauerDiagram(n=2, partner=(3, 4, 1, 2))"
+
+
+def _is_involution(n, p):
+    """p is a fixed-point-free involution of 1..2n."""
+    return len(p) == 2 * n and all(
+        1 <= p[v - 1] <= 2 * n and p[v - 1] != v and p[p[v - 1] - 1] == v
+        for v in range(1, 2 * n + 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_enumeration_matches_brute_force(n):
+    """Every fixed-point-free involution of 1..2n, found among all
+    permutations, in sorted order."""
+    want = sorted(p for p in itertools.permutations(range(1, 2 * n + 1))
+                  if _is_involution(n, p))
+    assert [d.partner for d in enumerate_diagrams(n)] == want
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_enumeration_counts_sorted_involutions(n):
+    ds = enumerate_diagrams(n)
+    assert len(ds) == factorial(2 * n) // (2 ** n * factorial(n))
+    assert all(a.partner < b.partner for a, b in zip(ds, ds[1:]))
+    assert all(d.n == n and _is_involution(n, d.partner) for d in ds)
+
+
+def test_enumeration_is_one_tuple_per_rank():
+    ds = enumerate_diagrams(3)
+    assert type(ds) is tuple and enumerate_diagrams(3) is ds
 
 
 def test_validation_after_interning():
