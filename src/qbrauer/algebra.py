@@ -17,9 +17,9 @@ e_(k) g_{w2} of c, ``bottom_part(c)``, so every product of two basis
 elements factors through the middle product of the bottom part of c and
 the top part of d, the inflation form of the cell basis.  That one is
 filled from the side with the smaller e_(k): for k >= k' the word of
-g_{w1'} e_(k') is folded onto e_(k) g_{w2} one atom at a time; for k < k'
-the involution i maps the mirror product e_(k') g_{w1'^-1} g_{w2^-1} e_(k)
-to e_(k) g_{w2} g_{w1'} e_(k'), and the shorter e-word is folded there.
+g_{w1'} e_(k') is folded onto e_(k) g_{w2}; for k < k' the involution i
+maps the mirror product e_(k') g_{w1'^-1} g_{w2^-1} e_(k) to
+e_(k) g_{w2} g_{w1'} e_(k'), and the shorter e-word is folded there.
 The outer factors are plain g_j moves.  An atom of a word is (j, +1) for g_j,
 (j, -1) for g_j^{-1} (the encoding of ``hecke``), or ``E_ATOM`` for e;
 ``reduced_word`` spells a permutation in these atoms.
@@ -30,7 +30,10 @@ s_j . d (or d . s_j) against d decides between a plain move (length up), a
 factor q (length equal, which forces s_j . d = d), and the two-term
 quadratic expansion (length down).  ``diagrams.swap_delta`` reads that
 change off the partners of the two swapped vertices, so the rule
-factorizes neither diagram.  ``rmul_atom`` and ``lmul_gen`` are the only
+factorizes neither diagram.  A word acts in one fold on a plain
+{diagram: coeff} dict, one atom after another, and becomes an element once:
+``_rfold`` on the right, ``_lfold`` for g_j words on the left, last atom
+first.  ``rmul_atom`` and ``lmul_gen`` are their one-atom case, and the only
 single-atom multiplications.  g_j^{-1} = q^{-1} g_j + (q^{-1} - 1), from the
 pairs of g_j through ``hecke.inverse_pairs``, acts on the right only: the
 words that act on the left are reduced words of permutations.  The memo
@@ -317,43 +320,58 @@ def _rmul_fill(ctx: AlgebraContext, d: BrauerDiagram, atom) -> tuple:
     return pairs
 
 
+def _rfold(ctx: AlgebraContext, terms: dict, word) -> dict:
+    """``terms`` times the product of the atoms of ``word``, one atom at a
+    time on plain dicts: g_j reads ``ctx._rmul_g``, g_j^{-1} and e read
+    ``ctx._rmul_atom``, and a miss fills through ``_rmul_fill``."""
+    for atom in word:
+        if atom != E_ATOM and atom[1] > 0:
+            table, tag = ctx._rmul_g, atom[0]
+        else:
+            table, tag = ctx._rmul_atom, atom
+        out: dict = {}
+        for d, c in terms.items():
+            pairs = table.get((d, tag))
+            if pairs is None:
+                pairs = _rmul_fill(ctx, d, atom)
+            accumulate(out, c, pairs)
+        terms = out
+    return terms
+
+
+def _lfold(ctx: AlgebraContext, word, terms: dict) -> dict:
+    """The product of the g_j atoms of ``word`` times ``terms``, last atom
+    first, on plain dicts read from ``ctx._lmul_g``."""
+    for j, _ in reversed(word):
+        out: dict = {}
+        for d, c in terms.items():
+            pairs = ctx._lmul_g.get((j, d))
+            if pairs is None:
+                pairs = _lmul_g_basis(ctx, j, d)
+            accumulate(out, c, pairs)
+        terms = out
+    return terms
+
+
 def rmul_atom(ctx: AlgebraContext, x: QBrauerElement, atom) -> QBrauerElement:
-    """x times a single generator atom: g_j reads ``ctx._rmul_g``, g_j^{-1}
-    and e read ``ctx._rmul_atom``."""
-    if atom != E_ATOM and atom[1] > 0:
-        table, tag = ctx._rmul_g, atom[0]
-    else:
-        table, tag = ctx._rmul_atom, atom
-    out: dict = {}
-    for d, c in x.terms.items():
-        pairs = table.get((d, tag))
-        if pairs is None:
-            pairs = _rmul_fill(ctx, d, atom)
-        accumulate(out, c, pairs)
-    return QBrauerElement._adopt(ctx.n, out)
+    """x times a single generator atom, the one-atom fold."""
+    return QBrauerElement._adopt(ctx.n, _rfold(ctx, x.terms, (atom,)))
 
 
 def lmul_gen(ctx: AlgebraContext, atom, x: QBrauerElement) -> QBrauerElement:
-    """The atom times x, for g_j or e: g_j reads ``ctx._lmul_g``, and e reads
-    the right e-action through the involution i, e x = i(i(x) e).  g_j^{-1}
-    acts on the right only."""
+    """The atom times x, for g_j or e: g_j is the one-atom left fold, and e
+    reads the right e-action through the involution i, e x = i(i(x) e).
+    g_j^{-1} acts on the right only."""
     if atom == E_ATOM:
         return involution_i(rmul_atom(ctx, involution_i(x), E_ATOM))
-    j, sign = atom
-    if sign != 1:
-        raise ValueError(f"g_{j}^{sign}: only g_j and e act on the left")
-    out: dict = {}
-    for d, c in x.terms.items():
-        accumulate(out, c, _lmul_g_basis(ctx, j, d))
-    return QBrauerElement._adopt(ctx.n, out)
+    if atom[1] != 1:
+        raise ValueError(f"g_{atom[0]}^{atom[1]}: only g_j and e act on the left")
+    return QBrauerElement._adopt(ctx.n, _lfold(ctx, (atom,), x.terms))
 
 
 def word_element(ctx: AlgebraContext, word, x: QBrauerElement) -> QBrauerElement:
-    """x times the product of the atoms of ``word``, folded on one atom at a
-    time."""
-    for atom in word:
-        x = rmul_atom(ctx, x, atom)
-    return x
+    """x times the product of the atoms of ``word``, in one fold."""
+    return QBrauerElement._adopt(ctx.n, _rfold(ctx, x.terms, word))
 
 
 def _middle(ctx: AlgebraContext, c: BrauerDiagram, ec: ReducedExpression,
@@ -379,9 +397,8 @@ def _middle(ctx: AlgebraContext, c: BrauerDiagram, ec: ReducedExpression,
     if res is None:
         if ec.left_word:
             b = bottom_part(c)
-            res = _middle(ctx, b, _expr(b), d, ed)
-            for atom in reversed(ec.left_word):
-                res = lmul_gen(ctx, atom, res)
+            res = QBrauerElement._adopt(
+                ctx.n, _lfold(ctx, ec.left_word, _middle(ctx, b, _expr(b), d, ed).terms))
         elif ec.k < ed.k:
             # star(c) = g_{w2^-1} e_(k) is a top part
             mc, md = star(top_part(d)), star(c)
@@ -395,16 +412,23 @@ def _middle(ctx: AlgebraContext, c: BrauerDiagram, ec: ReducedExpression,
 
 def product(ctx: AlgebraContext, x: QBrauerElement, y: QBrauerElement) -> QBrauerElement:
     """x times y: each pair (c, d) of basis terms is ``_middle``, b_c times
-    the top part g_{w1'} e_(k') of d, times g_{wd'} g_{w2'} by ``rmul_atom``."""
+    the top part g_{w1'} e_(k') of d, with the word of g_{wd'} g_{w2'}
+    folded on by ``_rfold``.  A product of two basis elements with unit
+    coefficients is that fold alone."""
     if x.n != y.n or x.n != ctx.n:
         raise SizeMismatch("mixed ranks in product")
+    single = len(x.terms) == 1 == len(y.terms)
     out: dict = {}
     for c, a in x.terms.items():
         ec = _expr(c)
         for d, b in y.terms.items():
             ed = _expr(d)
-            z = word_element(ctx, ed.right_word, _middle(ctx, c, ec, d, ed))
-            accumulate(out, a * b, z.terms.items())
+            z = _rfold(ctx, _middle(ctx, c, ec, d, ed).terms, ed.right_word)
+            if single and a is ONE and b is ONE:
+                # a fresh dict: never hand out the terms of a memo entry
+                out = z if ed.right_word else dict(z)
+            else:
+                accumulate(out, a * b, z.items())
     return QBrauerElement._adopt(ctx.n, out)
 
 
@@ -419,11 +443,8 @@ def straighten(ctx: AlgebraContext, sigma: Perm, k: int):
     transversal and pi fixing 1..2k.  The atoms of the reduced word of
     sigma act on e_(k) from the left, last atom first.
     """
-    z = e_k_element(ctx, k)
-    for atom in reversed(reduced_word(sigma)):
-        z = lmul_gen(ctx, atom, z)
     out = []
-    for d, c in z.terms.items():
+    for d, c in _lfold(ctx, reduced_word(sigma), {e_k_diagram(ctx.n, k): ONE}).items():
         ex = _expr(d)
         assert ex.k == k and ex.w2 == identity_perm(ctx.n)
         out.append((c, ex.w1, ex.wd))

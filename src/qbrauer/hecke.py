@@ -19,7 +19,6 @@ from .diagrams import (
     SizeMismatch,
     identity_perm,
     reduced_word,
-    rmul_s,
 )
 from .scalars import ONE, Q, Q_INV, Q_INV_M1, QM1, ZERO, Scalar
 
@@ -140,23 +139,24 @@ class HeckeElement(SparseElement):
         return " + ".join(bits)
 
 
-def gen_mul_right(x: HeckeElement, j: int, sign: int = 1) -> HeckeElement:
-    """x * g_j, or x * g_j^{-1} for sign -1."""
-    if not 1 <= j <= x.n - 1:
-        raise ValueError(f"generator index {j} out of range for n={x.n}")
-    out: dict = {}
-    for w, c in x.terms.items():
-        # the length rises when w places j before j + 1
-        pairs = gen_pairs(w, rmul_s(w, j), 1 if w.index(j + 1) > w.index(j) else -1)
-        accumulate(out, c, pairs if sign > 0 else inverse_pairs(pairs, w))
-    return HeckeElement._adopt(x.n, out)
-
-
 def _fold(z: HeckeElement, atoms) -> HeckeElement:
-    """z times the product of the (j, sign) atoms, one generator at a time."""
+    """z times the product of the (j, sign) atoms, one generator at a time
+    on a plain dict, wrapped in an element once at the end."""
+    terms = z.terms
     for j, sign in atoms:
-        z = gen_mul_right(z, j, sign)
-    return z
+        if not 1 <= j <= z.n - 1:
+            raise ValueError(f"generator index {j} out of range for n={z.n}")
+        out: dict = {}
+        for w, c in terms.items():
+            # w s_j swaps the values j, j + 1; the length rises when w
+            # places j before j + 1
+            a, b = w.index(j), w.index(j + 1)
+            moved = list(w)
+            moved[a], moved[b] = j + 1, j
+            pairs = gen_pairs(w, tuple(moved), 1 if b > a else -1)
+            accumulate(out, c, pairs if sign > 0 else inverse_pairs(pairs, w))
+        terms = out
+    return HeckeElement._adopt(z.n, terms)
 
 
 def product(x: HeckeElement, y: HeckeElement) -> HeckeElement:

@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qbrauer import algebra, hecke, scalars, suites
 from qbrauer.algebra import (
@@ -182,6 +183,83 @@ def test_three_term_operands_see_the_coefficients():
         assert_product_is_the_word_fold(AlgebraContext(4), three_term_pairs(4), mul=mutant)
 
 
+# The fold kernel on random elements of 1-3 terms at n <= 4.  Coefficients
+# are not the shared unit unless a test admits it, so products take the
+# multiplying path; each reference runs on a context of its own, sharing no
+# memo table.
+
+def non_unit_coeffs():
+    q, r = q_scalar(), scalars.r_scalar()
+    return [q, q.inv(), r * q.inv(), qm1_scalar(), -ONE, q ** 2 + r, ONE + ONE]
+
+
+@st.composite
+def element_of_rank(draw, n, sizes=st.integers(1, 3), unit=False):
+    size = draw(sizes)
+    ds = draw(st.lists(st.sampled_from(enumerate_diagrams(n)), min_size=size,
+                       max_size=size, unique=True))
+    coeffs = non_unit_coeffs() + [ONE] * unit
+    return QBrauerElement(n, {d: draw(st.sampled_from(coeffs)) for d in ds})
+
+
+def words(n, atoms=(1, -1, "e")):
+    letters = [E_ATOM if s == "e" else (j, s) for j in range(1, n) for s in atoms]
+    return st.lists(st.sampled_from(letters), max_size=5)
+
+
+RANKS = st.integers(2, 4)
+KERNEL_SETTINGS = settings(max_examples=40, deadline=None)
+
+
+@KERNEL_SETTINGS
+@given(RANKS.flatmap(lambda n: st.tuples(element_of_rank(n), words(n), words(n))))
+def test_word_fold_is_the_one_atom_step_composed(case):
+    x, u, v = case
+    ctx, ref = AlgebraContext(x.n), AlgebraContext(x.n)
+    whole = word_element(ctx, u + v, x)
+    assert whole == word_element(ctx, v, word_element(ctx, u, x))
+    assert whole == fold(ref, x, u + v)
+
+
+@KERNEL_SETTINGS
+@given(RANKS.flatmap(lambda n: st.tuples(element_of_rank(n), words(n, atoms=(1,)))))
+def test_left_fold_is_lmul_gen_last_atom_first(case):
+    x, word = case
+    ctx, ref = AlgebraContext(x.n), AlgebraContext(x.n)
+    want = x
+    for atom in reversed(word):
+        want = lmul_gen(ref, atom, want)
+    assert algebra._lfold(ctx, word, x.terms) == want.terms
+
+
+@KERNEL_SETTINGS
+@given(RANKS.flatmap(lambda n: st.tuples(element_of_rank(n, st.just(1), unit=True),
+                                         element_of_rank(n, st.just(1), unit=True))))
+def test_single_term_product_scales_the_basis_product(case):
+    # one factor may have the unit coefficient: only when both do may the
+    # product skip the scaling
+    x, y = case
+    (c, a), = x.terms.items()
+    (d, b), = y.terms.items()
+    ctx, ref = AlgebraContext(x.n), AlgebraContext(x.n)
+    want = product(ref, QBrauerElement.basis(c), QBrauerElement.basis(d)).scale(a * b)
+    assert product(ctx, x, y) == want
+
+
+@KERNEL_SETTINGS
+@given(RANKS.flatmap(lambda n: st.tuples(element_of_rank(n, st.just(2)),
+                                         element_of_rank(n, st.just(2)))))
+def test_two_term_product_is_the_sum_of_basis_products(case):
+    x, y = case
+    ctx, ref = AlgebraContext(x.n), AlgebraContext(x.n)
+    want = QBrauerElement(x.n)
+    for c, a in x.terms.items():
+        for d, b in y.terms.items():
+            basis = product(ref, QBrauerElement.basis(c), QBrauerElement.basis(d))
+            want = want + basis.scale(a * b)
+    assert product(ctx, x, y) == want
+
+
 def test_middle_copy_passes_the_checks(monkeypatch):
     # the mutants below edit this copy of ``_middle``, so it must pass
     monkeypatch.setattr(algebra, "_middle", mutant_middle())
@@ -262,6 +340,11 @@ def test_memo_entries_are_never_mutated():
         assert ctx._middle[k].terms == terms, k
     for k, pairs in atoms.items():
         assert ctx._rmul_atom[k] == pairs, k
+    # no product hands out the terms of a middle entry, not even one whose
+    # right word is empty
+    for d in ds:
+        z = product(ctx, QBrauerElement.basis(ds[5]), QBrauerElement.basis(d))
+        assert all(z.terms is not m.terms for m in ctx._middle.values()), d
     x = product(ctx, QBrauerElement.basis(ds[3]), QBrauerElement.basis(ds[9]))
     assert (x + x.scale(-ONE)).terms == {}
     assert (x - x).terms == {}
@@ -308,7 +391,7 @@ def test_layer_zero_is_the_hecke_algebra():
             for j in range(1, n):
                 gj = hecke.HeckeElement.basis(s_ij(n, j, j))
                 right = hecke.accumulate({}, ONE, _rmul_g_basis(ctx, d, j))
-                assert right == on_diagrams(hecke.gen_mul_right(gw, j)), (w, j)
+                assert right == on_diagrams(hecke.product(gw, gj)), (w, j)
                 left = hecke.accumulate({}, ONE, _lmul_g_basis(ctx, j, d))
                 assert left == on_diagrams(hecke.product(gj, gw)), (w, j)
 
