@@ -292,7 +292,7 @@ def cell_chain_check(ctx: AlgebraContext) -> dict:
 CellModuleIndex = namedtuple("CellModuleIndex", ["k", "lam"])
 
 
-def e_of_q(q0, cap: int = 64):
+def e_of_q(q0, cap: int):
     """Least m <= cap with 1 + q0 + ... + q0^{m-1} = 0, else None."""
     zero = 0 * q0
     if q0 == zero:

@@ -45,6 +45,7 @@ from .diagrams import (
     decompose,
     enumerate_diagrams,
     enumerate_nocross,
+    perm_mul,
     render_diagram,
     star,
     s_ij,
@@ -83,8 +84,6 @@ def parse_perm(n: int, text: str):
     if text in ("1", "id", ""):
         return tuple(range(1, n + 1))
     w = tuple(range(1, n + 1))
-    from .diagrams import perm_mul
-
     for token in text.split():
         m = re.fullmatch(r"s(\d+)(?:,(\d+))?", token)
         if not m:
@@ -95,6 +94,12 @@ def parse_perm(n: int, text: str):
             raise InputError(f"chain {token!r} out of range for n={n}")
         w = perm_mul(w, s_ij(n, i, j))
     return w
+
+
+def chain_text(chains) -> str:
+    """The (i, j) chains of ``t_word`` in the notation of :func:`parse_perm`,
+    "1" for the empty word."""
+    return " ".join(f"s{i}" if i == j else f"s{i},{j}" for i, j in chains) or "1"
 
 
 def parse_field_value(field, text: str):
@@ -111,9 +116,14 @@ def parse_field_value(field, text: str):
 
 
 def make_field(name: str):
+    """``Fraction`` for the rationals, else the prime field F_p."""
     if name in ("rationals", "Q", "q"):
-        return "rationals"
-    return scalars.PrimeField(int(name))
+        return Fraction
+    try:
+        p = int(name)
+    except ValueError as exc:
+        raise InputError(f'--field {name!r} is neither "rationals" nor a prime p') from exc
+    return scalars.PrimeField(p)
 
 
 def _write(args, text: str) -> None:
@@ -200,7 +210,8 @@ def cmd_straighten(args) -> int:
     out = straighten(ctx, sigma, args.k)
     _emit(args, [{"coeff": scalars.scalar_to_json(c), "w": list(w), "pi": list(pi)}
                  for c, w, pi in out],
-          [f"({c}) * g[{t_word(w)}] g[{t_word(pi)}] e_({args.k})" for c, w, pi in out])
+          [f"({c}) * g[{chain_text(t_word(w))}] g[{chain_text(t_word(pi))}] e_({args.k})"
+           for c, w, pi in out])
     return 0
 
 
@@ -215,7 +226,7 @@ def cmd_decompose(args) -> int:
     words = {"w1": ex.w1, "wd": ex.wd, "w2": ex.w2}
     _emit(args, {"k": ex.k, **{key: list(w) for key, w in words.items()}, "length": ex.length()},
           [render_diagram(d), f"k = {ex.k}, length = {ex.length()}"]
-          + [f"{key} = {t_word(w)}" for key, w in words.items()])
+          + [f"{key} = {chain_text(t_word(w))}" for key, w in words.items()])
     return 0
 
 
@@ -285,8 +296,7 @@ def cmd_verify(args) -> int:
 
 def cmd_qh(args) -> int:
     field = make_field(args.field)
-    kind = Fraction if field == "rationals" else field
-    q0, r0 = (parse_field_value(kind, text) for text in (args.q0, args.r0))
+    q0, r0 = (parse_field_value(field, text) for text in (args.q0, args.r0))
     ok, why = is_quasi_hereditary(args.n, q0, r0)
     payload = {"n": args.n, "field": args.field, "q0": args.q0, "r0": args.r0,
                "quasi_hereditary": ok, "explanation": why}
@@ -295,8 +305,7 @@ def cmd_qh(args) -> int:
 
 
 def cmd_simples(args) -> int:
-    field = make_field(args.field)
-    q0 = parse_field_value(Fraction if field == "rationals" else field, args.q0)
+    q0 = parse_field_value(make_field(args.field), args.q0)
     idx = simple_module_index(args.n, q0)
     dims = cell_module_dims(args.n)
     _emit(args, [{"k": i.k, "partition": list(i.lam), "cell_dim": dims[i]} for i in idx],
@@ -375,17 +384,19 @@ def build_parser() -> argparse.ArgumentParser:
                          "every other check is always exhaustive)")
     sp.set_defaults(func=cmd_verify)
 
+    # argparse reads "-1/2" as an option, though "-1" as a number
+    value_help = 'an integer, or over the rationals a/b; write a negative fraction as --q0=-1/2'
     sp = sub.add_parser("qh", help="quasi-heredity decision")
     options(sp, "n", "format")
     sp.add_argument("--field", default="rationals", help='"rationals" or a prime p')
-    sp.add_argument("--q0", required=True)
-    sp.add_argument("--r0", required=True)
+    sp.add_argument("--q0", required=True, help=value_help)
+    sp.add_argument("--r0", required=True, help=value_help)
     sp.set_defaults(func=cmd_qh)
 
     sp = sub.add_parser("simples", help="simple-module index set")
     options(sp, "n", "format")
-    sp.add_argument("--field", default="rationals")
-    sp.add_argument("--q0", required=True)
+    sp.add_argument("--field", default="rationals", help='"rationals" or a prime p')
+    sp.add_argument("--q0", required=True, help=value_help)
     sp.set_defaults(func=cmd_simples)
     return p
 

@@ -16,12 +16,12 @@ Conventions (fixed once, used by every module and all serialized forms):
 
 This module provides the canonical factorization of a diagram through
 e_(k) (the diagram with k adjacent horizontal edges per row), read off
-the diagram's two rows by :func:`decompose`; the half-diagrams go through
-it too.  The loop count that :func:`concat` returns is the classical
-Brauer product: at r = q^N, q = 1 the deformed product of two basis
-elements is N to that count times their concatenation, so ``concat`` is
-the q = 1 oracle for the deformed kernel.  There is no classical element
-type, and this module never imports :mod:`qbrauer.scalars`.
+the diagram's two rows by :func:`decompose`.  The loop count that
+:func:`concat` returns is the classical Brauer product: at r = q^N, q = 1
+the deformed product of two basis elements is N to that count times
+their concatenation, so ``concat`` is the q = 1 oracle for the deformed
+kernel.  There is no classical element type, and this module never
+imports :mod:`qbrauer.scalars`.
 """
 
 from __future__ import annotations
@@ -111,58 +111,29 @@ def fixes_prefix(w: Perm, m: int) -> bool:
 # the t-word normal form: w = t_{n-1} t_{n-2} ... t_1, t_j = 1 or s_{i_j, j}
 # ---------------------------------------------------------------------------
 
-class TWord:
-    """Chain factorization of a permutation.
-
-    ``factors`` lists the nonidentity t_j as pairs (i_j, j), j strictly
-    decreasing; the concatenated chains form a reduced word, so the length
-    of the permutation is the sum of the chain lengths.  A value: equal
-    factors make equal words, and no word is changed in place.
-    """
-
-    __slots__ = ("factors",)
-
-    def __init__(self, factors: tuple):
-        self.factors = factors
-
-    def __eq__(self, other):
-        if type(other) is not TWord:
-            return NotImplemented
-        return self.factors == other.factors
-
-    def __hash__(self) -> int:
-        return hash((self.factors,))
-
-    def __repr__(self) -> str:
-        return f"TWord(factors={self.factors!r})"
-
-    def __str__(self) -> str:
-        if not self.factors:
-            return "1"
-        return " ".join(f"s{i}" if i == j else f"s{i},{j}" for i, j in self.factors)
-
-
-def t_word(w: Perm) -> TWord:
-    """The unique chain factorization of w.
+def t_word(w: Perm) -> tuple:
+    """The unique chain factorization of w: the nonidentity t_j as pairs
+    (i_j, j), j strictly decreasing.  The concatenated chains form a reduced
+    word, so the chain lengths add up to the length of w.
 
     t_j = s_{i,j}, where i is the position of j+1 in what remains of w.
     Peeling t_j off moves j+1 to the end, so it deletes that entry and
     leaves a permutation of 1..j.
     """
     rest = list(w)
-    factors = []
+    chains = []
     for j in range(len(w) - 1, 0, -1):
         i = rest.index(j + 1) + 1
         del rest[i - 1]
         if i <= j:
-            factors.append((i, j))
-    return TWord(tuple(factors))
+            chains.append((i, j))
+    return tuple(chains)
 
 
 def reduced_word(w: Perm) -> list:
     """The reduced word of the chain factorization of w, as (j, +1) atoms,
     the generator-word encoding of ``hecke`` and ``algebra``."""
-    return [(t, +1) for i, j in t_word(w).factors for t in range(i, j + 1)]
+    return [(t, +1) for i, j in t_word(w) for t in range(i, j + 1)]
 
 
 # ---------------------------------------------------------------------------

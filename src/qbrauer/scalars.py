@@ -445,43 +445,6 @@ class GFElem:
         self.p = p
         self.v = v % p
 
-    def _coerce(self, other):
-        if isinstance(other, GFElem):
-            if other.p != self.p:
-                raise ValueError("mixed characteristics")
-            return other.v
-        if isinstance(other, int):
-            return other % self.p
-        return NotImplemented
-
-    def __add__(self, other):
-        w = self._coerce(other)
-        if w is NotImplemented:
-            return NotImplemented
-        return GFElem(self.p, self.v + w)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        w = self._coerce(other)
-        if w is NotImplemented:
-            return NotImplemented
-        return GFElem(self.p, self.v - w)
-
-    def __rsub__(self, other):
-        w = self._coerce(other)
-        if w is NotImplemented:
-            return NotImplemented
-        return GFElem(self.p, w - self.v)
-
-    def __mul__(self, other):
-        w = self._coerce(other)
-        if w is NotImplemented:
-            return NotImplemented
-        return GFElem(self.p, self.v * w)
-
-    __rmul__ = __mul__
-
     def __pow__(self, k: int):
         if k < 0:
             return self.inv() ** (-k)
@@ -492,23 +455,29 @@ class GFElem:
             raise ZeroDivisionError("division by zero in F_p")
         return GFElem(self.p, pow(self.v, -1, self.p))
 
-    def __truediv__(self, other):
-        w = self._coerce(other)
-        if w is NotImplemented:
-            return NotImplemented
-        return self * GFElem(self.p, w).inv()
+    def _lift(op):
+        """The operator ``op(x, w)`` of x and the residue w of an int or of an
+        element of the same field; ``NotImplemented`` for any other type."""
 
-    def __rtruediv__(self, other):
-        w = self._coerce(other)
-        if w is NotImplemented:
+        def method(self, other):
+            if isinstance(other, GFElem):
+                if other.p != self.p:
+                    raise ValueError("mixed characteristics")
+                return op(self, other.v)
+            if isinstance(other, int):
+                return op(self, other % self.p)
             return NotImplemented
-        return GFElem(self.p, w) * self.inv()
 
-    def __eq__(self, other):
-        w = self._coerce(other)
-        if w is NotImplemented:
-            return NotImplemented
-        return self.v == w
+        return method
+
+    __add__ = __radd__ = _lift(lambda x, w: GFElem(x.p, x.v + w))
+    __sub__ = _lift(lambda x, w: GFElem(x.p, x.v - w))
+    __rsub__ = _lift(lambda x, w: GFElem(x.p, w - x.v))
+    __mul__ = __rmul__ = _lift(lambda x, w: GFElem(x.p, x.v * w))
+    __truediv__ = _lift(lambda x, w: x * GFElem(x.p, w).inv())
+    __rtruediv__ = _lift(lambda x, w: GFElem(x.p, w) * x.inv())
+    __eq__ = _lift(lambda x, w: x.v == w)
+    del _lift
 
     def __hash__(self):
         return hash((self.p, self.v))

@@ -23,6 +23,7 @@ from qbrauer.cellular import (
     phi_k,
     simple_module_index,
 )
+from qbrauer.cli import chain_text
 from qbrauer.diagrams import (
     concat,
     decompose,
@@ -125,7 +126,7 @@ def test_criterion_06_worked_examples():
         7, [(4, 6), (5, 7), (8, 9), (10, 11), (1, 12), (2, 13), (3, 14)]
     )
     assert top_part(dstar) == dstar
-    assert str(t_word(decompose(dstar).w1)) == "s3,6 s2,5 s1,4 s2"
+    assert chain_text(t_word(decompose(dstar).w1)) == "s3,6 s2,5 s1,4 s2"
 
     # three-term straightening at n=8, k=3
     n, k = 8, 3

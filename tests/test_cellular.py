@@ -408,16 +408,16 @@ def test_heredity_witness_square():
 
 
 def test_e_of_q():
-    assert e_of_q(Fraction(-1)) == 2
+    assert e_of_q(Fraction(-1), cap=64) == 2
     assert e_of_q(Fraction(2), cap=20) is None
     F7 = PrimeField(7)
-    assert e_of_q(F7(2)) == 3
-    assert e_of_q(F7(1)) == 7  # characteristic
+    assert e_of_q(F7(2), cap=64) == 3
+    assert e_of_q(F7(1), cap=64) == 7  # characteristic
     for p in (2, 3, 5, 7):
         F = PrimeField(p)
-        assert e_of_q(F(1)) == p
+        assert e_of_q(F(1), cap=64) == p
     with pytest.raises(ValueError):
-        e_of_q(Fraction(0))
+        e_of_q(Fraction(0), cap=64)
 
 
 def test_e_of_q_brute_force_finite_fields():

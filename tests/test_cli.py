@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import tempfile
@@ -9,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from qbrauer import algebra, cli
 from qbrauer.algebra import AlgebraContext, e_k_element, element_to_json, product
-from qbrauer.cli import main, parse_perm
-from qbrauer.diagrams import diagram_to_json, e_k_diagram, s_ij, swap_delta, top_swap
+from qbrauer.cli import chain_text, main, parse_perm
+from qbrauer.diagrams import diagram_to_json, e_k_diagram, s_ij, swap_delta, t_word, top_swap
 from qbrauer.hecke import gen_pairs
 
 
@@ -26,6 +27,13 @@ def test_parse_perm():
     assert parse_perm(3, "1") == (1, 2, 3)
     with pytest.raises(Exception):
         parse_perm(3, "s9")
+
+
+def test_chain_text_reads_back():
+    """``parse_perm`` reads the chain notation that ``chain_text`` prints."""
+    for n in range(1, 6):
+        for w in itertools.permutations(range(1, n + 1)):
+            assert parse_perm(n, chain_text(t_word(w))) == w
 
 
 def test_dim(capsys):
@@ -78,6 +86,13 @@ def test_straighten_text_and_json(capsys):
         "--format", "json",
     )
     assert out2 == out3
+    code, out4, _ = run(capsys, "straighten", "8", "3", "--sigma", "s4,7 s6 s1,5 s3,4 s2")
+    assert code == 0
+    assert out4.splitlines() == [
+        "(q^3) * g[s7 s4,6 s3,4 s2] g[s7] e_(3)",
+        "(q^3-q^2) * g[s7 s4,6 s3,4 s1,2] g[s7] e_(3)",
+        "(q^2-q) * g[s7 s4,6 s1,4 s1,2] g[s7] e_(3)",
+    ]
 
 
 def test_decompose_inline(capsys):
@@ -88,6 +103,11 @@ def test_decompose_inline(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["k"] == 2 and obj["length"] == 0
+    code, out, _ = run(capsys, "decompose", '{"n": 7, "edges": [[4,6],[5,7],[8,9],'
+                                           '[10,11],[1,12],[2,13],[3,14]]}')
+    assert code == 0
+    assert out.splitlines()[3:] == [
+        "k = 2, length = 13", "w1 = s3,6 s2,5 s1,4 s2", "wd = 1", "w2 = 1"]
 
 
 def test_table_determinism(capsys):
@@ -200,6 +220,13 @@ def test_qh(capsys):
     assert out.strip() == "true"
     code, out, err = run(capsys, "qh", "3", "--q0", "1", "--r0", "3")
     assert code == 2 and json.loads(err)["error"]
+    # a negative fraction is read after "=", as argparse takes "-1/2" for an option
+    code, out, _ = run(capsys, "qh", "3", "--q0=-1/2", "--r0", "3")
+    assert code == 0 and out == "true\n"
+    code, out, err = run(capsys, "qh", "3", "--field", "x", "--q0", "2", "--r0", "3")
+    assert code == 2 and out == ""
+    obj = json.loads(err)
+    assert obj["error"] == "InputError" and "--field" in obj["detail"]
 
 
 def test_simples(capsys):

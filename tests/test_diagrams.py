@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qbrauer.cellular import from_inflation
+from qbrauer.cli import chain_text
 from qbrauer.diagrams import (
     BrauerDiagram,
     SizeMismatch,
@@ -53,7 +54,7 @@ def through_cap(rho, k):
 
 def fits_transversal_shape(tw, k):
     """Shape of the e_(k) transversal words: below index 2k only even t_j."""
-    return all(j >= 2 * k or j % 2 == 0 for _, j in tw.factors)
+    return all(j >= 2 * k or j % 2 == 0 for _, j in tw)
 
 
 # --- permutations and t-words ---
@@ -67,23 +68,23 @@ def test_perm_length_examples():
 
 def test_t_word_identity():
     tw = t_word(identity_perm(5))
-    assert tw.factors == ()
-    assert str(tw) == "1"
+    assert tw == ()
+    assert chain_text(tw) == "1"
 
 
 def test_t_word_single_generator():
     tw = t_word(s_ij(3, 2, 2))
-    assert tw.factors == ((2, 2),)
+    assert tw == ((2, 2),)
 
 
 @given(st.permutations(list(range(1, 7))))
 def test_t_word_round_trip(p):
     w = tuple(p)
     tw = t_word(w)
-    assert chain(len(w), *tw.factors) == w
+    assert chain(len(w), *tw) == w
     assert len(reduced_word(w)) == perm_length(w)
     # chain indices strictly decreasing
-    js = [j for _, j in tw.factors]
+    js = [j for _, j in tw]
     assert js == sorted(js, reverse=True)
 
 
@@ -93,7 +94,7 @@ def test_t_word_round_trip_random_s6():
         p = list(range(1, 7))
         rng.shuffle(p)
         w = tuple(p)
-        assert chain(6, *t_word(w).factors) == w
+        assert chain(6, *t_word(w)) == w
 
 
 # --- diagrams and concatenation ---
@@ -318,11 +319,11 @@ def test_peeling_algorithm_worked_example():
     assert top_part(dstar) == dstar
     ex = decompose(dstar)
     tw = t_word(ex.w1)
-    assert tw.factors == ((3, 6), (2, 5), (1, 4), (2, 2))
-    assert str(tw) == "s3,6 s2,5 s1,4 s2"
+    assert tw == ((3, 6), (2, 5), (1, 4), (2, 2))
+    assert chain_text(tw) == "s3,6 s2,5 s1,4 s2"
     # as a full factorization: everything sits in the top part
     ident = identity_perm(7)
-    assert (ex.k, ex.w1, ex.wd, ex.w2) == (2, chain(7, *tw.factors), ident, ident)
+    assert (ex.k, ex.w1, ex.wd, ex.w2) == (2, chain(7, *tw), ident, ident)
 
 
 def test_decompose_bijection_small_ranks():
@@ -433,12 +434,12 @@ def test_transversal_word_contiguity():
         for k in range(n // 2 + 1):
             for d in enumerate_nocross(n, k):
                 tw = t_word(decompose(d).w1)
-                present = {j for _, j in tw.factors if j >= 2 * k}
+                present = {j for _, j in tw if j >= 2 * k}
                 if present:
                     assert present == set(range(2 * k, max(present) + 1))
-                for i, j in tw.factors:
+                for i, j in tw:
                     if j >= 2 * k + 1:
-                        lower = [ii for ii, jj in tw.factors if jj == j - 1]
+                        lower = [ii for ii, jj in tw if jj == j - 1]
                         if lower:
                             assert lower[0] < i
 

@@ -255,6 +255,16 @@ def test_prime_field():
     assert F7(6) ** -1 == F7(6)
     with pytest.raises(ValueError):
         PrimeField(6)
+    # an int on either side; NotImplemented for a foreign type
+    assert F7(3) + 5 == 5 + F7(3) == F7(1)
+    assert F7(3) - 5 == F7(5) and 5 - F7(3) == F7(2)
+    assert F7(3) * 5 == 5 * F7(3) == F7(1)
+    assert F7(3) / 5 == F7(2) and 5 / F7(3) == F7(4)
+    assert (F7(3) == Fraction(3)) is False
+    with pytest.raises(TypeError):
+        F7(3) + Fraction(1, 2)
+    with pytest.raises(ValueError, match="mixed characteristics"):
+        F7(1) + PrimeField(5)(1)
 
 
 def test_json_round_trip():
