@@ -120,8 +120,7 @@ class AlgebraContext:
     """Rank n plus the scalar version: generic r, or r = q^N symbolically.
 
     Immutable after construction; the memo tables are fill-once caches keyed
-    by basis data, so sharing a context across threads is safe (worst case a
-    value is recomputed and published twice, identically).
+    by basis data.
     """
 
     def __init__(self, n: int, N: int | None = None):
@@ -466,6 +465,8 @@ def element_from_json(obj) -> QBrauerElement:
 
     if not isinstance(obj, dict) or not isinstance(obj.get("terms"), list):
         raise ValueError('an element must be {"n": n, "terms": [...], ...}')
+    if "n" not in obj:
+        raise ValueError('an element has no "n"')
     n = obj["n"]
     if type(n) is not int or n < 1:
         raise ValueError(f"bad rank n={n!r}")
@@ -473,6 +474,9 @@ def element_from_json(obj) -> QBrauerElement:
     for t in obj["terms"]:
         if not isinstance(t, dict):
             raise ValueError('a term must be {"diagram": ..., "coeff": ...}')
+        for key in ("diagram", "coeff"):
+            if key not in t:
+                raise ValueError(f'a term has no "{key}"')
         d = diagram_from_json(t["diagram"])
         if d.n != n:
             raise SizeMismatch(f"a diagram has n={d.n} in an element of n={n}")

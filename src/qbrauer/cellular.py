@@ -223,7 +223,7 @@ def inflation_product_check(ctx: AlgebraContext, sample=None, seed: int = 0) -> 
     forms = {}
     for k in range(n // 2 + 1):
         layer_diags = [d for d in diagrams if d.layer() == k]
-        for c, d in _pairs(rng, layer_diags, layer_diags, sample):
+        for c, d in _pairs(rng, layer_diags, sample):
             pairs += 1
             ec, ed = to_inflation(c), to_inflation(d)
             key = (k, ec.w2, ed.w1)

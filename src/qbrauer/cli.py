@@ -170,6 +170,8 @@ def cmd_mul(args) -> int:
     x, y = (element_from_json(obj) for obj in objs)
     if x.n != y.n:
         raise InputError("operands have different n")
+    if any("version" not in obj for obj in objs):
+        raise InputError('an element has no "version"')
     version = objs[0]["version"]
     if objs[1]["version"] != version:
         raise InputError("operands have different versions")
@@ -270,15 +272,13 @@ def cmd_verify(args) -> int:
             reports = suites.relations_suite(ctx)
         elif args.suite == "oracle":
             reports = [suites.oracle_suite(ctx, sample=args.sample, seed=args.seed)]
-        elif args.suite == "cell":
+        else:
             reports = [
                 inflation_bijection_check(ctx),
                 inflation_product_check(ctx, sample=args.sample, seed=args.seed),
                 cell_chain_check(ctx),
                 involution_symmetry_check(ctx),
             ]
-        else:
-            raise InputError(f"unknown suite {args.suite!r}")
     except AssertionError as exc:
         # an internal assert of the kernel stopped a check, named after the
         # innermost ``*_check`` or ``*_suite`` frame, before its report

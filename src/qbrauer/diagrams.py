@@ -143,10 +143,10 @@ def reduced_word(w: Perm) -> list:
 class BrauerDiagram:
     """Perfect matching on 2n vertices; ``partner`` is the involution.
 
-    Hash-consed: ``BrauerDiagram(n, partner)`` validates a new matching once
-    and returns the one object kept for it, so ``==`` and ``hash`` are the
-    object defaults (identity) and the layer is counted once.  No diagram
-    may be changed in place, copied or pickled.
+    Hash-consed: ``BrauerDiagram(n, partner)`` interns the matching that its
+    caller built or checked and returns the one object kept for it, so
+    ``==`` and ``hash`` are the object defaults (identity) and the layer is
+    counted once.  No diagram may be changed in place, copied or pickled.
     """
 
     __slots__ = ("n", "partner", "_layer")
@@ -155,18 +155,10 @@ class BrauerDiagram:
         key = (n, partner)
         self = _DIAGRAMS.get(key)
         if self is None:
-            n2 = 2 * n
-            if len(partner) != n2:
-                raise ValueError("partner array has wrong length")
-            for v in range(1, n2 + 1):
-                u = partner[v - 1]
-                if u == v or not 1 <= u <= n2 or partner[u - 1] != v:
-                    raise ValueError("partner is not a fixed-point-free involution")
             self = object.__new__(cls)
             self.n, self.partner = n, partner
             self._layer = sum(1 for u in partner[:n] if u <= n) // 2
-            # setdefault keeps one object per diagram when threads race here
-            self = _DIAGRAMS.setdefault(key, self)
+            _DIAGRAMS[key] = self
         return self
 
     def layer(self) -> int:
@@ -217,8 +209,14 @@ def e_k_diagram(n: int, k: int) -> BrauerDiagram:
 
 
 def perm_to_diagram(w: Perm) -> BrauerDiagram:
+    """Top i joined to bottom (i)w; w must be a permutation of 1..len(w)."""
     n = len(w)
-    return diagram_from_edges(n, [(i, n + w[i - 1]) for i in range(1, n + 1)])
+    if sorted(w) != list(range(1, n + 1)):
+        raise ValueError(f"{w} is not a permutation of 1..{n}")
+    partner = [0] * (2 * n)
+    for i, x in enumerate(w, 1):
+        partner[i - 1], partner[n + x - 1] = n + x, i
+    return BrauerDiagram(n, tuple(partner))
 
 
 def star(d: BrauerDiagram) -> BrauerDiagram:
@@ -447,18 +445,6 @@ def bottom_part(d: BrauerDiagram) -> BrauerDiagram:
 # enumeration
 # ---------------------------------------------------------------------------
 
-def _matchings(vs: tuple):
-    if not vs:
-        yield ()
-        return
-    a = vs[0]
-    for idx in range(1, len(vs)):
-        b = vs[idx]
-        rest = vs[1:idx] + vs[idx + 1:]
-        for m in _matchings(rest):
-            yield ((a, b),) + m
-
-
 # Process-global: the tuple of all diagrams of each rank enumerated so far.
 _ENUMERATIONS: dict = {}
 
@@ -469,8 +455,9 @@ def enumerate_diagrams(n: int) -> tuple:
     The partner tuples are listed by pairing the least unmatched vertex
     with each greater unmatched vertex in ascending order: every earlier
     entry of the tuple is then fixed, so that order is the sorted order.
-    Each tuple goes through the validating ``BrauerDiagram``.  The result
-    is kept per rank, and every call returns that one tuple.
+    Each tuple is a matching by construction, so ``BrauerDiagram`` only
+    interns it.  The result is kept per rank, and every call returns that
+    one tuple.
     """
     out = _ENUMERATIONS.get(n)
     if out is None:
@@ -491,16 +478,17 @@ def enumerate_diagrams(n: int) -> tuple:
             partner[a] = 0
 
         pair_from(0)
-        out = _ENUMERATIONS.setdefault(n, tuple(found))
+        out = _ENUMERATIONS[n] = tuple(found)
     return out
 
 
 def enumerate_nocross(n: int, k: int):
-    """All no-crossing diagrams with e_(k) bottom row, sorted."""
+    """All no-crossing diagrams with e_(k) bottom row, sorted.  Each set of
+    2k top vertices is paired as a rank-k diagram pairs 1..2k."""
     out = []
     for tops in combinations(range(1, n + 1), 2 * k):
-        for pairing in _matchings(tops):
-            edges = list(pairing)
+        for m in enumerate_diagrams(k):
+            edges = [(tops[a - 1], tops[b - 1]) for a, b in m.edges()]
             for i in range(1, k + 1):
                 edges.append((n + 2 * i - 1, n + 2 * i))
             free = [v for v in range(1, n + 1) if v not in tops]
@@ -542,8 +530,8 @@ def diagram_to_json(d: BrauerDiagram) -> dict:
 
 
 def diagram_from_json(obj: dict) -> BrauerDiagram:
-    """Read ``{"n": n, "edges": [[a, b], ...]}``: n edges, with every vertex
-    in 1..2n; raises ValueError on any other shape."""
+    """Read ``{"n": n, "edges": [[a, b], ...]}``: n edges that meet each
+    vertex of 1..2n once; raises ValueError on any other shape."""
     if not isinstance(obj, dict) or type(obj.get("n")) is not int or obj["n"] < 1:
         raise ValueError('a diagram must be {"n": n, "edges": [...]} with n >= 1')
     n, edges = obj["n"], obj.get("edges")
@@ -553,4 +541,6 @@ def diagram_from_json(obj: dict) -> BrauerDiagram:
         for e in edges
     ):
         raise ValueError(f"edges must be a list of {n} vertex pairs in 1..{2 * n}")
+    if len({v for e in edges for v in e}) != 2 * n:
+        raise ValueError("the edges must meet each vertex once")
     return diagram_from_edges(n, [tuple(e) for e in edges])

@@ -259,8 +259,7 @@ class Scalar:
         if self is None:
             self = object.__new__(cls)
             self.num, self.den, self._str = num, den, None
-            # setdefault keeps one object per value when threads race here
-            self = _INTERN.setdefault(key, self)
+            _INTERN[key] = self
         return self
 
     def is_zero(self) -> bool:
@@ -554,10 +553,13 @@ def scalar_from_json(obj: dict) -> Scalar:
         and str(int(t[0])) == str(t[0]) for t in num
     )):
         raise ValueError('a scalar must be {"num": [[c, eq, er], ...], "den": {...}}, c decimal')
-    extra = set(obj["den"]) - {p.key for p in PRIMES}
+    keys = {p.key for p in PRIMES}
+    extra, missing = set(obj["den"]) - keys, keys - set(obj["den"])
     if extra:
         raise ValueError(f"unknown keys {sorted(extra)} in a scalar's den")
-    den = [obj["den"].get(p.key) for p in PRIMES]
+    if missing:
+        raise ValueError(f"missing keys {sorted(missing)} in a scalar's den")
+    den = [obj["den"][p.key] for p in PRIMES]
     exps = [e for t in num for e in t[1:]] + den
     if any(type(e) is not int or e < 0 for e in exps):
         raise ValueError("scalar exponents must be non-negative integers")

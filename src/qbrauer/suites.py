@@ -81,16 +81,15 @@ def report(check: str, ctx: AlgebraContext, params: dict, pairs: int, failures: 
     }
 
 
-def _pairs(rng: random.Random, left: list, right: list, sample):
-    """All pairs (c, d) of ``left`` x ``right``, or ``sample`` distinct ones
+def _pairs(rng: random.Random, items: list, sample):
+    """All ordered pairs (c, d) of ``items``, or ``sample`` distinct ones
     drawn by ``rng`` when there are more.  The draw is by index into the
     pairs in row-major order, which picks the same pairs as sampling the
     full list without building it."""
-    m = len(right)
-    total = len(left) * m
-    if sample is None or total <= sample:
-        return [(c, d) for c in left for d in right]
-    return [(left[i // m], right[i % m]) for i in rng.sample(range(total), sample)]
+    m = len(items)
+    if sample is None or m * m <= sample:
+        return [(c, d) for c in items for d in items]
+    return [(items[i // m], items[i % m]) for i in rng.sample(range(m * m), sample)]
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +258,7 @@ def oracle_suite(ctx: AlgebraContext, sample=None, seed: int = 0) -> dict:
     generic, for the context's own N when r = q^N."""
     Ns = (1, 2, 3) if ctx.N is None else (ctx.N,)
     diagrams = enumerate_diagrams(ctx.n)
-    pairs = _pairs(random.Random(seed), diagrams, diagrams, sample)
+    pairs = _pairs(random.Random(seed), diagrams, sample)
     failures = []
     for d1, d2 in pairs:
         P = product(ctx, QBrauerElement.basis(d1), QBrauerElement.basis(d2))

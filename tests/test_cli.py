@@ -340,6 +340,38 @@ def test_repeated_edge_exits_2(tmp_path, capsys):
     assert_input_error(capsys, "decompose", json.dumps(bad))
 
 
+@pytest.mark.parametrize("edges", [[[1, 2], [2, 3]], [[1, 1], [3, 4]]])
+def test_edges_meeting_a_vertex_twice_exit_2(tmp_path, capsys, edges):
+    # n pairs in 1..2n that are no perfect matching
+    ctx = AlgebraContext(2)
+    x = element_to_json(ctx, e_k_element(ctx, 1))
+    bad = {"n": 2, "edges": edges}
+    x["terms"][0]["diagram"] = bad
+    assert_input_error(capsys, "mul", *write_operands(tmp_path, x, x))
+    assert_input_error(capsys, "decompose", json.dumps(bad))
+
+
+@pytest.mark.parametrize("path, key", [
+    ((), "version"),
+    ((), "n"),
+    (("terms", 0), "diagram"),
+    (("terms", 0), "coeff"),
+    (("terms", 0, "coeff", "den"), "qm1"),
+])
+def test_missing_key_is_named(tmp_path, capsys, path, key):
+    ctx = AlgebraContext(2)
+    x = element_to_json(ctx, e_k_element(ctx, 1))
+    bad = json.loads(json.dumps(x))
+    parent = bad
+    for step in path:
+        parent = parent[step]
+    del parent[key]
+    code, _, err = run(capsys, "mul", *write_operands(tmp_path, x, bad))
+    error = json.loads(err)
+    assert code == 2 and error["error"] in ("ValueError", "InputError")
+    assert f'"{key}"' in error["detail"] or f"'{key}'" in error["detail"]
+
+
 @pytest.mark.parametrize("coeff", [" +7 ", "1_000", "+7", "007", "-0"])
 def test_non_canonical_coefficient_exits_2(tmp_path, capsys, coeff):
     ctx = AlgebraContext(2)

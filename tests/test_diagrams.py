@@ -10,6 +10,7 @@ from qbrauer.cli import chain_text
 from qbrauer.diagrams import (
     BrauerDiagram,
     SizeMismatch,
+    bottom_part,
     bottom_swap,
     concat,
     concat_many,
@@ -100,10 +101,11 @@ def test_t_word_round_trip_random_s6():
 # --- diagrams and concatenation ---
 
 def test_diagram_validation():
-    with pytest.raises(ValueError):
-        BrauerDiagram(2, (1, 2, 3, 4))
-    with pytest.raises(ValueError):
-        BrauerDiagram(2, (2, 1, 3, 4))  # 3 fixed
+    # the constructor trusts its caller; the reader of outside input checks
+    # for a perfect matching
+    for edges in ([[1, 2], [2, 3]], [[1, 1], [3, 4]], [[1, 2], [3, 4], [1, 3]]):
+        with pytest.raises(ValueError):
+            diagram_from_json({"n": 2, "edges": edges})
 
 
 def test_diagrams_are_hash_consed():
@@ -145,16 +147,35 @@ def test_enumeration_is_one_tuple_per_rank():
 
 
 def test_validation_after_interning():
-    # every n = 3 diagram is interned, and a bad partner still raises each time
+    # every n = 3 diagram is interned, and a non-permutation still raises
+    # each time it is read back as a diagram
     enumerate_diagrams(3)
     for _ in range(2):
-        with pytest.raises(ValueError):
-            BrauerDiagram(3, (2, 1, 3, 5, 4, 6))
-        with pytest.raises(ValueError):
-            BrauerDiagram(3, (2, 1, 7, 6, 5, 4))
-        # a valid n = 3 partner is the wrong length for n = 2
-        with pytest.raises(ValueError):
-            BrauerDiagram(2, identity_diagram(3).partner)
+        for w in ((1, 1, 3), (0, 1, 2), (2, 3, 4)):
+            with pytest.raises(ValueError):
+                perm_to_diagram(w)
+
+
+def test_builders_make_matchings():
+    """Each builder hands the trusting constructor a fixed-point-free
+    involution."""
+    for n in range(1, 5):
+        ds = enumerate_diagrams(n)
+        built = [star(d) for d in ds] + [top_part(d) for d in ds]
+        built += [bottom_part(d) for d in ds]
+        built += [swap(d, j) for swap in (top_swap, bottom_swap) for d in ds for j in range(1, n)]
+        built += [concat(c, d)[0] for c in ds for d in ds]
+        built += [e_k_diagram(n, k) for k in range(n // 2 + 1)]
+        built += [perm_to_diagram(w) for w in itertools.permutations(range(1, n + 1))]
+        built += [d for k in range(n // 2 + 1) for d in enumerate_nocross(n, k)]
+        assert all(d.n == n and _is_involution(n, d.partner) for d in built)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_nocross_lists_the_top_parts(n):
+    for k in range(n // 2 + 1):
+        tops = {top_part(d) for d in enumerate_diagrams(n) if d.layer() == k}
+        assert enumerate_nocross(n, k) == sorted(tops, key=lambda d: d.partner)
 
 
 def test_swaps_relabel_two_vertices():
