@@ -156,12 +156,6 @@ class AlgebraContext:
         return f"AlgebraContext(n={self.n}, {tag})"
 
 
-def basis_element(ctx: AlgebraContext, d: BrauerDiagram) -> QBrauerElement:
-    if d.n != ctx.n:
-        raise SizeMismatch(f"diagram has n={d.n}, context n={ctx.n}")
-    return QBrauerElement.basis(d)
-
-
 def e_k_element(ctx: AlgebraContext, k: int) -> QBrauerElement:
     return QBrauerElement.basis(e_k_diagram(ctx.n, k))
 

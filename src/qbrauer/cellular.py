@@ -34,7 +34,6 @@ from . import algebra
 from .algebra import (
     AlgebraContext,
     QBrauerElement,
-    basis_element,
     product,
     rmul_atom,
     E_ATOM,
@@ -164,7 +163,7 @@ def phi_k(ctx: AlgebraContext, c: BrauerDiagram, d: BrauerDiagram) -> HeckeEleme
     k = c.layer()
     if d.layer() != k or bottom_part(c) != c or top_part(d) != d:
         raise ValueError("phi_k needs a bottom part and a top part of one layer")
-    P = product(ctx, basis_element(ctx, c), basis_element(ctx, d))
+    P = product(ctx, QBrauerElement.basis(c), QBrauerElement.basis(d))
     ident = identity_perm(ctx.n)
     return _layer_form(P, k, ident, ident)
 

@@ -73,7 +73,8 @@ def _error(error: str, detail: str, **fields) -> None:
 
 
 def parse_perm(n: int, text: str):
-    """Chain notation "s3,6 s2,5 s2" or a one-line JSON array "[5,1,3,2,4]"."""
+    """Chain notation "s3,6 s2,5 s2", with "1" or the empty chain for the
+    identity, or a one-line JSON array "[5,1,3,2,4]"."""
     text = text.strip()
     if text.startswith("["):
         w = json.loads(text)
@@ -81,7 +82,7 @@ def parse_perm(n: int, text: str):
                 and sorted(w) == list(range(1, n + 1))):
             raise InputError(f"{text} is not a permutation of 1..{n}")
         return tuple(w)
-    if text in ("1", "id", ""):
+    if text == "1":
         return tuple(range(1, n + 1))
     w = tuple(range(1, n + 1))
     for token in text.split():
@@ -117,7 +118,7 @@ def parse_field_value(field, text: str):
 
 def make_field(name: str):
     """``Fraction`` for the rationals, else the prime field F_p."""
-    if name in ("rationals", "Q", "q"):
+    if name == "rationals":
         return Fraction
     try:
         p = int(name)
@@ -141,8 +142,7 @@ def _emit(args, payload, lines) -> None:
 
 
 def _context(args) -> AlgebraContext:
-    N = getattr(args, "integral", None)
-    return AlgebraContext(args.n, N)
+    return AlgebraContext(args.n, args.integral)
 
 
 def _check_k(args) -> None:
@@ -206,7 +206,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_straighten(args) -> int:
-    ctx = _context(args)
+    ctx = AlgebraContext(args.n)
     _check_k(args)
     sigma = parse_perm(args.n, args.sigma)
     out = straighten(ctx, sigma, args.k)
@@ -351,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_table)
 
     sp = sub.add_parser("straighten", help="normal form of g_sigma e_(k)")
-    options(sp, "n", "integral", "format")
+    options(sp, "n", "format")
     sp.add_argument("k", type=int)
     sp.add_argument("--sigma", required=True,
                     help='chain notation "s3,6 s2,5" or one-line "[3,1,2]"')

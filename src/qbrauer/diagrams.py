@@ -175,9 +175,6 @@ class BrauerDiagram:
     def __repr__(self) -> str:
         return f"BrauerDiagram(n={self.n!r}, partner={self.partner!r})"
 
-    def __str__(self) -> str:
-        return render_diagram(self)
-
 
 # Process-global: every diagram by (n, partner).  Entries are never removed.
 _DIAGRAMS: dict = {}
@@ -340,8 +337,7 @@ class ReducedExpression:
     commutes with e_(k), as wd fixes 1..2k, so b_d = g_{w1} g_{wd} e_(k)
     g_{w2} = g_{w1} e_(k) g_{wd} g_{w2}: ``product`` reads b_d as its top
     part g_{w1} e_(k) times ``right_word``, and ``left_word`` lifts the
-    bottom part e_(k) g_{w2} to b_d.  A value: equality and hash read
-    (k, w1, wd, w2) alone, and no field is changed in place.
+    bottom part e_(k) g_{w2} to b_d.  No field is changed in place.
     """
 
     __slots__ = ("k", "w1", "wd", "w2", "_left_word", "_right_word")
@@ -349,14 +345,6 @@ class ReducedExpression:
     def __init__(self, k: int, w1: Perm, wd: Perm, w2: Perm):
         self.k, self.w1, self.wd, self.w2 = k, w1, wd, w2
         self._left_word = self._right_word = None
-
-    def __eq__(self, other):
-        if type(other) is not ReducedExpression:
-            return NotImplemented
-        return (self.k, self.w1, self.wd, self.w2) == (other.k, other.w1, other.wd, other.w2)
-
-    def __hash__(self) -> int:
-        return hash((self.k, self.w1, self.wd, self.w2))
 
     def __repr__(self) -> str:
         return (f"ReducedExpression(k={self.k!r}, w1={self.w1!r}, "

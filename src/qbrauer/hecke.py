@@ -65,9 +65,6 @@ class SparseElement:
         x.n, x.terms = n, terms
         return x
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def _plus(self, other, c: Scalar):
         if self.n != other.n:
             raise SizeMismatch("mixed ranks in sum")
@@ -174,9 +171,9 @@ def asc(l: int, k: int, sign: int = 1):
     return [(j, sign) for j in range(l, k + 1)]
 
 
-def desc(l: int, k: int, sign: int = 1):
-    """Descending generator chain for j = l..k downwards; empty when l < k."""
-    return [(j, sign) for j in range(l, k - 1, -1)]
+def desc(l: int, k: int):
+    """Descending generator chain (j, +1) for j = l..k downwards; empty when l < k."""
+    return [(j, 1) for j in range(l, k - 1, -1)]
 
 
 def word_element(n: int, letters) -> HeckeElement:

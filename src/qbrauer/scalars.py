@@ -89,9 +89,6 @@ class IntPoly:
     def monomial(cls, c: int, eq: int, er: int) -> "IntPoly":
         return cls({(eq, er): c} if c else {})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __add__(self, other: "IntPoly") -> "IntPoly":
         out = dict(self.terms)
         for m, c in other.terms.items():
@@ -104,9 +101,6 @@ class IntPoly:
 
     def __neg__(self) -> "IntPoly":
         return IntPoly._adopt({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "IntPoly") -> "IntPoly":
-        return self + (-other)
 
     def __mul__(self, other: "IntPoly") -> "IntPoly":
         out: dict = {}
@@ -262,9 +256,6 @@ class Scalar:
             _INTERN[key] = self
         return self
 
-    def is_zero(self) -> bool:
-        return self is ZERO
-
     def __add__(self, other: "Scalar") -> "Scalar":
         key = (self, other)
         out = _ADD.get(key)
@@ -304,7 +295,7 @@ class Scalar:
         """Inverse; the numerator must be, up to sign, a monomial in the
         four primes q, r, q-1, r-1.
         """
-        if self.is_zero():
+        if self is ZERO:
             raise NotAUnit("zero is not invertible")
         num, exps = self.num, []
         for i in range(len(PRIMES)):

@@ -14,11 +14,12 @@ the free algebra on g_j^{±1} and e.
 * relations: each defining relation (Wenzl), its mirror under the
   involution, which reverses words, and g_j g_j^{-1} = g_j^{-1} g_j = 1
   hold on every basis element of M.  So M is a module of the algebra.
-* spanning: the word of g_{w1} e_(k) g_{wd} g_{w2}, folded onto the unit,
-  is b_d for every diagram d.  So M is cyclic, generated by the unit.
-  Wenzl's spanning set has (2n-1)!! elements, so the algebra has at most
-  that rank, and a cyclic module of that rank is the regular one: every
-  right action the kernel computes is right multiplication.
+* spanning: the word of g_{w1} e_(k) g_{wd} g_{w2}, folded onto the unit
+  by ``word_element``, is b_d for every diagram d.  So M is cyclic,
+  generated by the unit.  Wenzl's spanning set has (2n-1)!! elements, so
+  the algebra has at most that rank, and a cyclic module of that rank is
+  the regular one: every right action the kernel computes is right
+  multiplication.
 * left_action: for a = g_j and e, the generators that act on the left,
   ``lmul_gen(a, b_d)`` is a 1 times the word of d, folded on as in the
   spanning report, for every diagram d.  Right actions are right
@@ -174,7 +175,8 @@ def relations_check(ctx: AlgebraContext) -> dict:
 def _word_images(ctx: AlgebraContext, starts: list, diagrams: list):
     """(d, [s g_{w1} e_(k) g_{wd} g_{w2} for s in starts]) for each diagram
     d of ``diagrams``: the word of d folded onto each start with
-    ``rmul_atom``."""
+    ``word_element``, the multi-atom fold.  The product report's one-atom
+    :func:`_fold` checks that fold against the ``rmul_atom`` step."""
     heads = {}
     for d in diagrams:
         ex = decompose(d)
@@ -198,7 +200,7 @@ def spanning_check(ctx: AlgebraContext) -> dict:
 def left_action_check(ctx: AlgebraContext) -> dict:
     """For each generator a in g_j and e and every diagram d,
     ``lmul_gen(a, b_d)`` is a 1 times the word g_{w1} e_(k) g_{wd} g_{w2}
-    of d, folded on with ``rmul_atom``; and i(b_d g_j) = g_j i(b_d).  The
+    of d, folded on with ``word_element``; and i(b_d g_j) = g_j i(b_d).  The
     spanning report makes right actions right multiplications, so the fold
     is a b_d, and the linear map ``lmul_gen(a, .)`` is left multiplication
     by a.  i(x e) = e i(x) needs no row: ``lmul_gen`` computes e y as

@@ -24,6 +24,7 @@ from qbrauer.cellular import (
 )
 from qbrauer.diagrams import (
     ReducedExpression,
+    SizeMismatch,
     bottom_part,
     decompose,
     diagram_from_edges,
@@ -165,8 +166,8 @@ def test_inflation_coords_worked_example():
     d = diagram_from_edges(
         7, [(2, 4), (3, 5), (1, 11), (6, 8), (7, 9), (10, 12), (13, 14)]
     )
-    ex = to_inflation(d)
-    assert ex == decompose(d)
+    ex, fresh = to_inflation(d), decompose(d)
+    assert (ex.k, ex.w1, ex.wd, ex.w2) == (fresh.k, fresh.w1, fresh.wd, fresh.w2)
     assert ex.k == 2
     assert ex.w1 == perm_mul(s_ij(7, 1, 4), s_ij(7, 2, 2))
     assert ex.wd == perm_mul(s_ij(7, 5, 5), s_ij(7, 6, 6))
@@ -191,6 +192,9 @@ def test_phi_rejects_malformed_parts():
         phi_k(ctx, skew, top)
     with pytest.raises(ValueError):
         phi_k(ctx, top, e_k_diagram(4, 2))
+    # parts of another rank than the context's
+    with pytest.raises(SizeMismatch):
+        phi_k(AlgebraContext(3), top, top)
 
 
 def test_phi_cap_values():

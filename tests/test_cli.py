@@ -265,6 +265,17 @@ def test_bad_one_line_perm_exits_2(capsys):
     assert_input_error(capsys, "straighten", "4", "1", "--sigma", '["a",2,3,4]')
 
 
+def test_unlisted_spellings_exit_2(capsys):
+    """``straighten`` reads no --integral, --field is "rationals" or a
+    prime, and the identity is spelled "1" or as the empty chain."""
+    for argv in (("straighten", "3", "1", "--sigma", "s1", "--integral", "2"),
+                 ("qh", "3", "--field", "Q", "--q0", "2", "--r0", "3"),
+                 ("straighten", "3", "1", "--sigma", "id")):
+        assert_input_error(capsys, *argv)
+    code, out, _ = run(capsys, "straighten", "3", "1", "--sigma", "")
+    assert code == 0 and out == "(1) * g[1] g[1] e_(1)\n"
+
+
 def test_zero_denominator_field_value_exits_2(capsys):
     assert_input_error(capsys, "qh", "3", "--q0", "1/0", "--r0", "2")
 
@@ -568,7 +579,7 @@ COMMANDS = {
     "dim": (("n",), ()),
     "mul": (("x", "y"), ()),
     "table": (("n",), ("--integral",)),
-    "straighten": (("n", "k"), ("--integral", "--format", "--sigma")),
+    "straighten": (("n", "k"), ("--format", "--sigma")),
     "decompose": (("diagram",), ("--format",)),
     "phi": (("n", "k"), ("--integral",)),
     "verify": (("suite", "n"), ("--integral", "--format", "--seed", "--sample")),

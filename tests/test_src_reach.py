@@ -1,7 +1,9 @@
 """Every module-level function and class in ``src/qbrauer`` is used outside
 the tests: somewhere else in ``src/qbrauer``, or by the benchmark harness in
 ``qbench/``.  A definition that only the tests reach is dead code to the
-program; it goes, and its test calls what remains."""
+program; it goes, and its test calls what remains.  The same holds for the
+methods, class methods and properties of the classes in ``src/qbrauer``,
+matched by name."""
 
 import ast
 from pathlib import Path
@@ -15,6 +17,12 @@ ALLOWED = {
     # evaluation of a scalar at field points, the base of the Gram-matrix
     # and F_p work the ROADMAP plans
     "specialize",
+}
+
+# class members kept without a caller in src, each for a stated reason
+ALLOWED_MEMBERS = {
+    # argparse calls it on a malformed command line
+    "_Parser.error",
 }
 
 
@@ -99,11 +107,59 @@ def unreached_definitions():
         dead |= found
 
 
+def _members(tree):
+    """(class, function) for each function defined in the body of a class of
+    ``tree`` whose name is not a dunder, which Python itself calls."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                        node.name.startswith("__") and node.name.endswith("__")):
+                    yield cls, node
+
+
+def unreached_members():
+    """``Class.name`` of each member that no code in ``src`` reads, outside
+    the member's own body, as ``.name`` on any object or as a bare name in
+    its class body, and that ``qbench/`` neither reads as ``.name`` nor
+    names as the string ``"Class.name"``.  Reads are matched by name, not
+    by class."""
+    trees = [_parse(path) for path in sorted(SRC.glob("*.py"))]
+    reads = [(node.attr, id(node)) for tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
+    bench = set()
+    for path in sorted(QBENCH.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Attribute):
+                bench.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                bench.add(node.value)
+    out = []
+    for tree in trees:
+        for cls, node in _members(tree):
+            key, inside = f"{cls.name}.{node.name}", {id(n) for n in ast.walk(node)}
+            bare = any(isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                       and n.id == node.name and id(n) not in inside for n in ast.walk(cls))
+            dotted = any(name == node.name and i not in inside for name, i in reads)
+            if not (bare or dotted or key in ALLOWED_MEMBERS
+                    or node.name in bench or key in bench):
+                out.append(key)
+    return sorted(out)
+
+
 def test_every_src_definition_is_reached_outside_the_tests():
     unreached = unreached_definitions()
+    assert unreached == [], f"reached only by the tests: {unreached}"
+
+
+def test_every_src_class_member_is_reached_outside_the_tests():
+    unreached = unreached_members()
     assert unreached == [], f"reached only by the tests: {unreached}"
 
 
 def test_allowed_names_are_defined():
     names = {node.name for path in SRC.glob("*.py") for node in _definitions(_parse(path))}
     assert ALLOWED <= names
+    members = {f"{cls.name}.{node.name}" for path in SRC.glob("*.py")
+               for cls, node in _members(_parse(path))}
+    assert ALLOWED_MEMBERS <= members
