@@ -44,12 +44,12 @@ from .diagrams import (
     diagram_from_json,
     decompose,
     enumerate_diagrams,
-    enumerate_nocross,
     perm_mul,
     render_diagram,
     star,
     s_ij,
     t_word,
+    top_part,
 )
 from .hecke import hecke_to_json
 from math import factorial
@@ -235,7 +235,7 @@ def cmd_decompose(args) -> int:
 def cmd_phi(args) -> int:
     ctx = _context(args)
     _check_k(args)
-    tops = enumerate_nocross(args.n, args.k)
+    tops = [d for d in enumerate_diagrams(args.n) if d.layer() == args.k and top_part(d) is d]
     bots = [star(t) for t in tops]
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -374,8 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
                          "relation on every basis element, the basis spanned "
                          "from the unit, the left action and the involution, "
                          "and the product against the word fold), which proves "
-                         "the product at n; oracle: q -> 1 "
-                         "limits against the classical product; cell: the "
+                         "the product at n; oracle: every structure constant "
+                         "lies in Z[q^±1, r^±1, δ] and maps at q = r = 1 to "
+                         "the classical product, exactly in δ; cell: the "
                          "cell-basis checks")
     options(sp, "n", "integral", "format", "seed")
     sp.add_argument("--sample", type=int, default=None,

@@ -17,16 +17,14 @@ Conventions (fixed once, used by every module and all serialized forms):
 This module provides the canonical factorization of a diagram through
 e_(k) (the diagram with k adjacent horizontal edges per row), read off
 the diagram's two rows by :func:`decompose`.  The loop count that
-:func:`concat` returns is the classical Brauer product: at r = q^N, q = 1
-the deformed product of two basis elements is N to that count times
-their concatenation, so ``concat`` is the q = 1 oracle for the deformed
+:func:`concat` returns is the classical Brauer product: at q = r = 1
+the deformed product of two basis elements is δ = (r-1)/(q-1) to that
+count times their concatenation, so ``concat`` is the q = 1 oracle for the deformed
 kernel.  There is no classical element type, and this module never
 imports :mod:`qbrauer.scalars`.
 """
 
 from __future__ import annotations
-
-from itertools import combinations
 
 
 class SizeMismatch(ValueError):
@@ -467,23 +465,6 @@ def enumerate_diagrams(n: int) -> tuple:
 
         pair_from(0)
         out = _ENUMERATIONS[n] = tuple(found)
-    return out
-
-
-def enumerate_nocross(n: int, k: int):
-    """All no-crossing diagrams with e_(k) bottom row, sorted.  Each set of
-    2k top vertices is paired as a rank-k diagram pairs 1..2k."""
-    out = []
-    for tops in combinations(range(1, n + 1), 2 * k):
-        for m in enumerate_diagrams(k):
-            edges = [(tops[a - 1], tops[b - 1]) for a, b in m.edges()]
-            for i in range(1, k + 1):
-                edges.append((n + 2 * i - 1, n + 2 * i))
-            free = [v for v in range(1, n + 1) if v not in tops]
-            for i, ft in enumerate(free):
-                edges.append((ft, n + 2 * k + i + 1))
-            out.append(diagram_from_edges(n, edges))
-    out.sort(key=lambda d: d.partner)
     return out
 
 

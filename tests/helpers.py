@@ -12,6 +12,7 @@ from qbrauer.algebra import (
 from qbrauer.diagrams import (
     bottom_part,
     decompose,
+    enumerate_diagrams,
     identity_perm,
     perm_inv,
     perm_mul,
@@ -28,6 +29,12 @@ def chain(n, *pairs):
     for i, j in pairs:
         w = perm_mul(w, s_ij(n, i, j))
     return w
+
+
+def top_parts(n, k):
+    """The top parts w1 . e_(k) of layer k, in partner order: the layer-k
+    diagrams d with ``top_part(d) is d``, as ``phi`` lists them."""
+    return [d for d in enumerate_diagrams(n) if d.layer() == k and top_part(d) is d]
 
 
 def straighten_by_inverse_word(ctx, sigma, k):

@@ -470,7 +470,7 @@ def test_straightening_never_involves_r():
 def test_oracle_integral_version(N):
     # in the integral version the limit is taken at the context's own N
     rep = suites.oracle_suite(AlgebraContext(4, N), sample=300, seed=N)
-    assert rep["version"] == {"N": N} and rep["params"]["Ns"] == [N]
+    assert rep["version"] == {"N": N} and rep["params"] == {"sample": 300, "seed": N}
     assert rep["pairs_tested"] == 300 and rep["failures"] == []
 
 

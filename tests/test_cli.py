@@ -8,10 +8,12 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qbrauer import algebra, cli
+from qbrauer import algebra, cli, scalars
 from qbrauer.algebra import AlgebraContext, e_k_element, element_to_json, product
 from qbrauer.cli import chain_text, main, parse_perm
-from qbrauer.diagrams import diagram_to_json, e_k_diagram, s_ij, swap_delta, t_word, top_swap
+from qbrauer.diagrams import (
+    concat, diagram_to_json, e_k_diagram, s_ij, swap_delta, t_word, top_swap,
+)
 from qbrauer.hecke import gen_pairs
 
 
@@ -187,7 +189,7 @@ def test_verify_oracle_and_involution_read_integral(capsys):
                            "--format", "json")
         assert code == 0
         (rep,) = json.loads(out)
-        assert rep["version"] == {"N": M} and rep["params"]["Ns"] == [M]
+        assert rep["version"] == {"N": M} and rep["params"] == {"sample": None, "seed": 0}
         assert rep["pairs_tested"] == 225 and rep["failures"] == []
         code, out, _ = run(capsys, "verify", "cell", "3", "--integral", str(M),
                            "--sample", "20", "--format", "json")
@@ -197,7 +199,7 @@ def test_verify_oracle_and_involution_read_integral(capsys):
         assert all(r["failures"] == [] and r["version"] == {"N": M} for r in reps)
     code, out, _ = run(capsys, "verify", "oracle", "3", "--format", "json")
     (rep,) = json.loads(out)
-    assert rep["version"] == {"generic": True} and rep["params"]["Ns"] == [1, 2, 3]
+    assert rep["version"] == {"generic": True} and rep["params"] == {"sample": None, "seed": 0}
 
 
 def test_involution_counts_the_basis_images(capsys):
@@ -446,6 +448,55 @@ def test_verify_leaves_out_reports_that_tested_nothing(capsys, monkeypatch, argv
     reports = json.loads(out)
     assert reports and all(r["pairs_tested"] > 0 for r in reports)
     assert gone not in [r["check"] for r in reports]
+
+
+def _patch_oracle_products(monkeypatch, change):
+    """Make the oracle suite see each product with its terms passed
+    through ``change(ctx, x, y, terms)``."""
+    from qbrauer import suites
+
+    def changed(ctx, x, y):
+        terms = dict(product(ctx, x, y).terms)
+        change(ctx, x, y, terms)
+        return algebra.QBrauerElement._adopt(ctx.n, terms)
+
+    monkeypatch.setattr(suites, "product", changed)
+
+
+def test_verify_oracle_reports_a_pole(capsys, monkeypatch):
+    # each coefficient divided by q - 1: the concatenation's, whose image is
+    # δ^loops, then has a pole at q = 1, a failure of its pair, not an error
+    def divide(ctx, x, y, terms):
+        for d, c in terms.items():
+            terms[d] = c * scalars.QM1.inv()
+
+    _patch_oracle_products(monkeypatch, divide)
+    code, out, err = run(capsys, "verify", "oracle", "3", "--sample", "5", "--format", "json")
+    assert code == 1 and "Traceback" not in err
+    (rep,) = json.loads(out)
+    assert rep["pairs_tested"] == 5 and len(rep["failures"]) == 5
+    assert all(set(f) == {"d1", "d2", "pole"} for f in rep["failures"])
+    code, out, err = run(capsys, "verify", "oracle", "3", "--sample", "5")
+    assert code == 1 and out == "oracle n=3 version={'generic': True} pairs=5: FAIL (5)\n"
+    assert "Traceback" not in err
+
+
+def test_verify_oracle_is_exact_in_delta(capsys, monkeypatch):
+    # (δ-1)(δ-2)(δ-3) on the concatenation's coefficient vanishes at the
+    # three sample values δ = 1, 2, 3 but is not 0 in Z[δ]
+    def add_cubic(ctx, x, y, terms):
+        (d1,), (d2,) = x.terms, y.terms
+        dd, _ = concat(d1, d2)
+        b, one = ctx.b(), scalars.ONE
+        cubic = (b - one) * (b - one - one) * (b - one - one - one)
+        terms[dd] = terms.get(dd, scalars.ZERO) + cubic
+
+    _patch_oracle_products(monkeypatch, add_cubic)
+    code, out, err = run(capsys, "verify", "oracle", "3", "--format", "json")
+    (rep,) = json.loads(out)
+    assert code == 1 and err == ""
+    assert rep["pairs_tested"] == 225 and len(rep["failures"]) == 225
+    assert all(set(f) == {"d1", "d2"} for f in rep["failures"])
 
 
 def test_verify_with_no_report_left_exits_2(capsys, monkeypatch):

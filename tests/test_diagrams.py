@@ -1,6 +1,6 @@
 import itertools
 import random
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,7 +21,6 @@ from qbrauer.diagrams import (
     diagram_to_json,
     e_k_diagram,
     enumerate_diagrams,
-    enumerate_nocross,
     identity_diagram,
     identity_perm,
     perm_inv,
@@ -37,13 +36,13 @@ from qbrauer.diagrams import (
     top_swap,
 )
 
-from helpers import chain
+from helpers import chain, top_parts
 
 
 def transversal(n, k):
     """The no-crossing transversal of layer k: the w1 of each no-crossing
     diagram with the e_(k) bottom row."""
-    return [decompose(d).w1 for d in enumerate_nocross(n, k)]
+    return [decompose(d).w1 for d in top_parts(n, k)]
 
 
 def through_cap(rho, k):
@@ -167,15 +166,17 @@ def test_builders_make_matchings():
         built += [concat(c, d)[0] for c in ds for d in ds]
         built += [e_k_diagram(n, k) for k in range(n // 2 + 1)]
         built += [perm_to_diagram(w) for w in itertools.permutations(range(1, n + 1))]
-        built += [d for k in range(n // 2 + 1) for d in enumerate_nocross(n, k)]
         assert all(d.n == n and _is_involution(n, d.partner) for d in built)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_nocross_lists_the_top_parts(n):
+    # top_part is idempotent, so the layer-k diagrams it fixes are its image:
+    # one for each pairing of 2k of the n top vertices
     for k in range(n // 2 + 1):
         tops = {top_part(d) for d in enumerate_diagrams(n) if d.layer() == k}
-        assert enumerate_nocross(n, k) == sorted(tops, key=lambda d: d.partner)
+        assert top_parts(n, k) == sorted(tops, key=lambda d: d.partner)
+        assert len(tops) == comb(n, 2 * k) * factorial(2 * k) // (2 ** k * factorial(k))
 
 
 def test_swaps_relabel_two_vertices():
@@ -453,7 +454,7 @@ def test_transversal_word_contiguity():
     # higher chains to be missing too
     for n in (4, 5, 6):
         for k in range(n // 2 + 1):
-            for d in enumerate_nocross(n, k):
+            for d in top_parts(n, k):
                 tw = t_word(decompose(d).w1)
                 present = {j for _, j in tw if j >= 2 * k}
                 if present:
@@ -472,7 +473,7 @@ def test_length_one_step_moves():
 
     for n in (3, 4, 5):
         for k in range(n // 2 + 1):
-            base = enumerate_nocross(n, k)
+            base = top_parts(n, k)
             fixers = _parabolic(n, k)
             diagrams = set()
             for d in base:

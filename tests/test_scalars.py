@@ -16,6 +16,7 @@ from qbrauer.scalars import (
     ONE,
     ZERO,
     brauer_limit,
+    classical_limit,
     q_scalar,
     qm1_scalar,
     r_scalar,
@@ -167,16 +168,6 @@ def test_poly_ring_axioms(aterms, bterms):
     assert (a + -a).terms == {}
 
 
-def test_subs_r_power_drops_cancelled_terms():
-    # r := q^N can cancel terms: q - r is 0 at N = 1, and only the constant
-    # of q^2 - r + 3 survives at N = 2
-    q_minus_r = IntPoly({(1, 0): 1, (0, 1): -1})
-    assert q_minus_r.subs_r_power(1).terms == {}
-    assert q_minus_r.subs_r_power(1) == IntPoly()
-    assert IntPoly({(2, 0): 1, (0, 1): -1, (0, 0): 3}).subs_r_power(2).terms == {(0, 0): 3}
-    assert brauer_limit(Scalar(q_minus_r), 1) == 0
-
-
 def test_quantum_integer():
     assert q_sum(0) == ZERO
     assert q_sum(1) == ONE
@@ -245,6 +236,20 @@ def test_brauer_limit():
         assert brauer_limit(r_scalar(), N) == 1
     with pytest.raises(PoleAtSpecialization):
         brauer_limit(qm1_scalar().inv(), 2)
+
+
+def test_classical_limit():
+    # the image at q = r = 1 in Z[δ], δ = (r-1)/(q-1) = B
+    assert classical_limit(B) == {1: 1}
+    assert classical_limit(r_scalar() * B) == {1: 1}
+    q_minus_r = Scalar(IntPoly({(1, 0): 1, (0, 1): -1}))
+    assert classical_limit(q_minus_r) == {}
+    assert brauer_limit(q_minus_r, 1) == 0
+    # outside Z[q^±1, r^±1, δ], though r - q^2 vanishes along r = q^2
+    r_minus_q2 = Scalar(IntPoly({(0, 1): 1, (2, 0): -1}), 0, 0, 2)
+    for s in (qm1_scalar().inv(), r_minus_q2, RM1.inv()):
+        with pytest.raises(PoleAtSpecialization):
+            classical_limit(s)
 
 
 def test_prime_field():
