@@ -17,12 +17,13 @@ e_(k) g_{w2} of c, ``bottom_part(c)``, so every product of two basis
 elements factors through the middle product of the bottom part of c and
 the top part of d, the inflation form of the cell basis.  That one is
 filled from the side with the smaller e_(k): for k >= k' the word of
-g_{w1'} e_(k') is folded onto e_(k) g_{w2}; for k < k' the involution i
-maps the mirror product e_(k') g_{w1'^-1} g_{w2^-1} e_(k) to
-e_(k) g_{w2} g_{w1'} e_(k'), and the shorter e-word is folded there.
+g_{w1'} and the atom e_(k') are folded onto e_(k) g_{w2}; for k < k' the
+involution i maps the mirror product e_(k') g_{w1'^-1} g_{w2^-1} e_(k) to
+e_(k) g_{w2} g_{w1'} e_(k'), and the smaller e_(k) is folded there.
 The outer factors are plain g_j moves.  An atom of a word is (j, +1) for g_j,
-(j, -1) for g_j^{-1} (the encoding of ``hecke``), or ``E_ATOM`` for e;
-``reduced_word`` spells a permutation in these atoms.
+(j, -1) for g_j^{-1} (the encoding of ``hecke``), or ("e", k) for e_(k), with
+e = e_(1) = ``E_ATOM``; ``reduced_word`` spells a permutation in these atoms,
+and ``ek_atoms(k)`` spells e_(k) in e and g_j^{±1}.
 
 Single-generator multiplication is the Hecke rule ``hecke.gen_pairs``, with
 the diagram playing the role of the permutation: the length change of
@@ -40,8 +41,12 @@ words that act on the left are reduced words of permutations.  The memo
 tables of a context hold one action or product each.  ``_lmul_g`` and
 ``_rmul_g`` hold the g_j rule on the left and the right, as a tuple of
 (diagram, coeff) pairs per basis element, and ``_rmul_atom`` g_j^{-1} and
-e on the right; e on the left reads ``_rmul_atom`` through the involution
-i, e x = i(i(x) e).  ``_middle`` holds the products b_c g_{w1'} e_(k'),
+every e_(k) on the right, under (diagram, atom); e on the left reads
+``_rmul_atom`` through the involution i, e x = i(i(x) e).  The entry of
+e_(k), k >= 2, folds one step of Wenzl's recursion
+e_(k) = e g^+_{2,2k-1} g^-_{1,2k-2} e_(k-1), with the atom ("e", k-1) last,
+so the e_(k-1) tail of each diagram is filled once per context.
+``_middle`` holds the products b_c g_{w1'} e_(k'),
 ``_core`` the core products below, and the module-global ``_EXPR_CACHE``
 the factorization of each diagram read so far.
 
@@ -128,6 +133,8 @@ class AlgebraContext:
             raise ValueError("need n >= 1")
         if N == 0:
             raise ValueError("the integral version needs N != 0")
+        if N is not None and abs(N) > scalars.MAX_EXPONENT:
+            raise ValueError(f"the integral version needs |N| <= {scalars.MAX_EXPONENT}")
         self.n = n
         self.N = N
         self._r = scalars.r_scalar() if N is None else scalars.r_power(N)
@@ -279,24 +286,46 @@ def _lmul_e_basis(ctx: AlgebraContext, d: BrauerDiagram) -> QBrauerElement:
 # single-atom actions and the general product
 # ---------------------------------------------------------------------------
 
-E_ATOM = ("e",)
+E_ATOM = ("e", 1)
 
 
-def ek_atoms(k: int):
-    """Word for e_(k) from the recursion e_(k) = e g^+_{2,2k-1} g^-_{1,2k-2} e_(k-1)."""
-    if k == 0:
-        return []
-    return [E_ATOM] + asc(2, 2 * k - 1) + asc(1, 2 * k - 2, -1) + ek_atoms(k - 1)
+def ek_step(k: int, inner: list) -> list:
+    """The word e g^+_{2,2k-1} g^-_{1,2k-2} followed by ``inner``, a word for
+    e_(k-1): one step of the recursion
+    e_(k) = e g^+_{2,2k-1} g^-_{1,2k-2} e_(k-1)."""
+    return [E_ATOM] + asc(2, 2 * k - 1) + asc(1, 2 * k - 2, -1) + inner
+
+
+def ek_atoms(k: int) -> list:
+    """The word for e_(k) in e and g_j^{±1}, the recursion spelled down to
+    e_(0) = 1; its product is the atom ("e", k)."""
+    return ek_step(k, ek_atoms(k - 1)) if k else []
+
+
+def _atom_text(atom) -> str:
+    """How a message names ``atom``: e_(k), g_j or g_j^-1."""
+    tag, s = atom
+    if tag == "e":
+        return f"e_({s})"
+    return f"g_{tag}" if s == 1 else f"g_{tag}^{s}"
 
 
 def _rmul_fill(ctx: AlgebraContext, d: BrauerDiagram, atom) -> tuple:
     """The pairs of the basis element of d times ``atom``, computed and
-    stored on a miss of ``rmul_atom``."""
-    if atom == E_ATOM:
-        # d e = i(e i(d)), i the involution
-        pairs = tuple((star(b), c) for b, c in _lmul_e_basis(ctx, star(d)).terms.items())
+    stored on a miss of ``rmul_atom``.  e_(k) for k >= 2 folds one step of
+    its recursion onto d, with e_(k-1) as the atom ("e", k-1), so each
+    diagram's e_(k-1) tail is filled once per context."""
+    tag, k = atom
+    if tag == "e":
+        if not 1 <= k <= ctx.n // 2:
+            raise ValueError(f"{_atom_text(atom)}: need 1 <= k <= {ctx.n // 2} for n={ctx.n}")
+        if k == 1:
+            # d e = i(e i(d)), i the involution
+            pairs = tuple((star(b), c) for b, c in _lmul_e_basis(ctx, star(d)).terms.items())
+        else:
+            pairs = tuple(_rfold(ctx, {d: ONE}, ek_step(k, [("e", k - 1)])).items())
     else:
-        pairs = _rmul_g_basis(ctx, d, atom[0])
+        pairs = _rmul_g_basis(ctx, d, tag)
         if atom[1] > 0:
             return pairs
         pairs = inverse_pairs(pairs, d)
@@ -306,10 +335,10 @@ def _rmul_fill(ctx: AlgebraContext, d: BrauerDiagram, atom) -> tuple:
 
 def _rfold(ctx: AlgebraContext, terms: dict, word) -> dict:
     """``terms`` times the product of the atoms of ``word``, one atom at a
-    time on plain dicts: g_j reads ``ctx._rmul_g``, g_j^{-1} and e read
-    ``ctx._rmul_atom``, and a miss fills through ``_rmul_fill``."""
+    time on plain dicts: g_j reads ``ctx._rmul_g``, g_j^{-1} and every
+    e_(k) read ``ctx._rmul_atom``, and a miss fills through ``_rmul_fill``."""
     for atom in word:
-        if atom != E_ATOM and atom[1] > 0:
+        if atom[0] != "e" and atom[1] > 0:
             table, tag = ctx._rmul_g, atom[0]
         else:
             table, tag = ctx._rmul_atom, atom
@@ -338,18 +367,19 @@ def _lfold(ctx: AlgebraContext, word, terms: dict) -> dict:
 
 
 def rmul_atom(ctx: AlgebraContext, x: QBrauerElement, atom) -> QBrauerElement:
-    """x times a single generator atom, the one-atom fold."""
+    """x times a single atom, the one-atom fold: g_j^{±1}, or e_(k) for
+    1 <= k <= n // 2, and ValueError for any other k."""
     return QBrauerElement._adopt(ctx.n, _rfold(ctx, x.terms, (atom,)))
 
 
 def lmul_gen(ctx: AlgebraContext, atom, x: QBrauerElement) -> QBrauerElement:
     """The atom times x, for g_j or e: g_j is the one-atom left fold, and e
     reads the right e-action through the involution i, e x = i(i(x) e).
-    g_j^{-1} acts on the right only."""
+    g_j^{-1} and e_(k) for k >= 2 act on the right only."""
     if atom == E_ATOM:
         return involution_i(rmul_atom(ctx, involution_i(x), E_ATOM))
-    if atom[1] != 1:
-        raise ValueError(f"g_{atom[0]}^{atom[1]}: only g_j and e act on the left")
+    if atom[0] == "e" or atom[1] != 1:
+        raise ValueError(f"{_atom_text(atom)}: only g_j and e act on the left")
     return QBrauerElement._adopt(ctx.n, _lfold(ctx, (atom,), x.terms))
 
 
@@ -367,9 +397,9 @@ def _middle(ctx: AlgebraContext, c: BrauerDiagram, ec: ReducedExpression,
     times the basis element e_(k) g_{w2} of ``bottom_part(c)``, so the fill
     reads that entry and applies the word of g_{w1} g_{wd} on the left.  For
     a bottom part c the product is filled from the side with the smaller
-    e_(k).  For k >= k' the word of g_{w1'} e_(k') is folded onto b_c.  For
-    k < k' that would fold the long word of e_(k') onto a small start; the
-    involution i swaps the two sides instead,
+    e_(k).  For k >= k' the reduced word of w1' and the one atom ("e", k')
+    are folded onto b_c.  For k < k' that would fill e_(k') onto a small
+    start; the involution i swaps the two sides instead,
 
         e_(k) g_{w2} g_{w1'} e_(k') = i(e_(k') g_{w1'^-1} g_{w2^-1} e_(k)),
 
@@ -388,7 +418,9 @@ def _middle(ctx: AlgebraContext, c: BrauerDiagram, ec: ReducedExpression,
             mc, md = star(top_part(d)), star(c)
             res = involution_i(_middle(ctx, mc, _expr(mc), md, _expr(md)))
         else:
-            word = reduced_word(ed.w1) + ek_atoms(ed.k)
+            word = reduced_word(ed.w1)
+            if ed.k:
+                word.append(("e", ed.k))
             res = word_element(ctx, word, QBrauerElement.basis(c))
         ctx._middle[key] = res
     return res

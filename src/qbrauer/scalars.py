@@ -535,9 +535,18 @@ def scalar_to_json(s: Scalar) -> dict:
     }
 
 
+# The largest exponent that comes in from outside: of q or r in a numerator
+# or of a prime in a denominator read by ``scalar_from_json``, and |N| of the
+# integral version r = q^N.  The kernel's own coefficients stay far below it
+# (q-degree 27, r-degree 3 and denominator exponents 2 on 1,000 sampled
+# n = 7 products).  Above it the work grows fast: a sum over (q-1)^u (r-1)^v
+# has about u v terms of u + v bits each.
+MAX_EXPONENT = 128
+
+
 def scalar_from_json(obj: dict) -> Scalar:
-    """Read a scalar; every exponent must be a non-negative integer, so the
-    numerator lies in Z[q, r] and the denominator is a monomial, each
+    """Read a scalar; every exponent must be an integer in 0..MAX_EXPONENT,
+    so the numerator lies in Z[q, r] and the denominator is a monomial, each
     monomial of the numerator is listed once, and a coefficient string is
     in the decimal form ``scalar_to_json`` writes."""
     num = obj.get("num") if isinstance(obj, dict) else None
@@ -554,8 +563,8 @@ def scalar_from_json(obj: dict) -> Scalar:
         raise ValueError(f"missing keys {sorted(missing)} in a scalar's den")
     den = [obj["den"][p.key] for p in PRIMES]
     exps = [e for t in num for e in t[1:]] + den
-    if any(type(e) is not int or e < 0 for e in exps):
-        raise ValueError("scalar exponents must be non-negative integers")
+    if any(type(e) is not int or not 0 <= e <= MAX_EXPONENT for e in exps):
+        raise ValueError(f"scalar exponents must be integers in 0..{MAX_EXPONENT}")
     terms = {(eq, er): int(c) for c, eq, er in num}
     if len(terms) != len(num):
         raise ValueError("a monomial occurs twice in a scalar's num")

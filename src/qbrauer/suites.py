@@ -46,10 +46,13 @@ A relation row is (tag, lhs, rhs, mirror_tag); a side is a list of terms
 (c, v), meaning x c g_v with v a tuple of atoms, and ``_value`` folds it
 onto a basis element x one ``rmul_atom`` at a time, sharing the prefixes
 of one element's words.  A row with a mirror tag is checked again with
-every word reversed.  e_(k) is spelled by ``algebra.ek_atoms``, as in the
-product: a wrong spelling still fails the relations, spanning and product
-reports, which compare against the diagram basis, and the left_action
-report, whose word images read it too.
+every word reversed.  The certificate spells e_(k) in e and g_j^{±1} by
+``algebra.ek_atoms``.  The product reads e_(k) as the one atom ("e", k),
+whose entry folds one step of the same recursion over the atom
+("e", k-1), so the product report checks that atom against its spelled
+word.  A wrong spelling in the certificate fails the relations, spanning
+and product reports, which compare against the diagram basis, and the
+left_action report, whose word images read it too.
 """
 
 from __future__ import annotations

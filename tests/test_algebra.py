@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import permutations
 
@@ -350,14 +351,17 @@ def test_memo_entries_are_never_mutated():
 
 
 def test_one_table_per_atom_kind():
-    # g_j lives only in _rmul_g; every generator memo value is a tuple of
-    # (diagram, coeff) pairs
+    # g_j lives only in _rmul_g, and g_j^{-1} and each e_(k), one atom
+    # ("e", k) with e = ("e", 1), in _rmul_atom; every generator memo value
+    # is a tuple of (diagram, coeff) pairs
     ds = enumerate_diagrams(4)
     ctx = AlgebraContext(4)
     for i in range(60):
         product(ctx, QBrauerElement.basis(ds[i]), QBrauerElement.basis(ds[(7 * i + 2) % len(ds)]))
     assert ctx._rmul_g and ctx._lmul_g and ctx._rmul_atom
-    assert {atom for _, atom in ctx._rmul_atom} <= {E_ATOM} | {(j, -1) for j in range(1, 4)}
+    kinds = {atom for _, atom in ctx._rmul_atom}
+    assert E_ATOM == ("e", 1) and ("e", 2) in kinds
+    assert kinds <= {("e", 1), ("e", 2)} | {(j, -1) for j in range(1, 4)}
     for table in (ctx._rmul_g, ctx._lmul_g, ctx._rmul_atom):
         for pairs in table.values():
             assert type(pairs) is tuple and pairs
@@ -606,6 +610,34 @@ def test_lmul_rmul_gen_dispatch():
     e2 = e_k_element(ctx6, 2)
     for t in (1, 3):
         assert rmul_atom(ctx6, e2, (t, +1)) == e2.scale(q_scalar())
+
+
+@pytest.mark.parametrize("N", [None, 2])
+def test_ek_atom_is_its_spelled_word(N):
+    # the atom ("e", k) fills one recursion step over ("e", k-1); the spelled
+    # word reaches only e = ("e", 1) and g_j^{±1}, on a context of its own
+    for n in range(1, 6):
+        ctx, spelled = AlgebraContext(n, N), AlgebraContext(n, N)
+        for d in enumerate_diagrams(n):
+            x = QBrauerElement.basis(d)
+            for k in range(1, n // 2 + 1):
+                assert rmul_atom(ctx, x, ("e", k)) == fold(spelled, x, ek_atoms(k)), (d, k)
+        assert not any(atom[0] == "e" and atom[1] > 1 for _, atom in spelled._rmul_atom)
+
+
+def test_atoms_out_of_range_are_named():
+    ctx = AlgebraContext(5)
+    x = ctx.unit()
+    for k in (0, -1, 3):
+        with pytest.raises(ValueError, match=rf"e_\({k}\): need 1 <= k <= 2 for n=5"):
+            rmul_atom(ctx, x, ("e", k))
+    one = AlgebraContext(1)
+    with pytest.raises(ValueError, match=r"e_\(1\): need 1 <= k <= 0 for n=1"):
+        rmul_atom(one, one.unit(), E_ATOM)
+    for atom, name in ((("e", 2), "e_(2)"), ((1, -1), "g_1^-1")):
+        with pytest.raises(ValueError, match=re.escape(f"{name}: only g_j and e act on the left")):
+            lmul_gen(ctx, atom, x)
+    assert not any(atom[0] == "e" for _, atom in ctx._rmul_atom)
 
 
 def test_size_mismatch():

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qbrauer import algebra, cli, scalars
-from qbrauer.algebra import AlgebraContext, e_k_element, element_to_json, product
+from qbrauer.algebra import AlgebraContext, QBrauerElement, e_k_element, element_to_json, product
 from qbrauer.cli import chain_text, main, parse_perm
 from qbrauer.diagrams import (
-    concat, diagram_to_json, e_k_diagram, s_ij, swap_delta, t_word, top_swap,
+    concat, diagram_to_json, e_k_diagram, perm_to_diagram, s_ij, swap_delta, t_word, top_swap,
 )
 from qbrauer.hecke import gen_pairs
 
@@ -407,6 +407,36 @@ def test_integral_element_carrying_r_exits_2(tmp_path, capsys):
         bad["terms"][0]["coeff"] = {"num": [["1", 0, 0]], "den": den}
         want = 2 if key in ("r", "rm1") else 0
         assert run(capsys, "mul", *write_operands(tmp_path, bad, x))[0] == want, key
+
+
+def test_exponent_beyond_the_bound_exits_2(tmp_path, capsys):
+    # 1/(q-1)^E beside g_1, both of which land on e: the sum lifts q onto
+    # (q-1)^E, which took 0.9 s at E = 1000 and 12 s at E = 4000
+    ctx, B = AlgebraContext(3), scalars.MAX_EXPONENT
+    y = element_to_json(ctx, e_k_element(ctx, 1))
+    x = element_to_json(ctx, ctx.unit() + QBrauerElement.basis(perm_to_diagram((2, 1, 3))))
+
+    def operands(E):
+        x["terms"][0]["coeff"] = {"num": [["1", 0, 0]], "den": {"q": 0, "r": 0, "qm1": E, "rm1": 0}}
+        return write_operands(tmp_path, x, y)
+    assert run(capsys, "mul", *operands(B))[0] == 0
+    assert_input_error(capsys, "mul", *operands(B + 1))
+
+
+def test_integral_beyond_the_bound_exits_2(tmp_path, capsys):
+    # AlgebraContext(2, 10**6) took 1.0 s, linear in N
+    B = scalars.MAX_EXPONENT
+    for N in (10 ** 6, B + 1, -B - 1):
+        with pytest.raises(ValueError, match=f"needs \\|N\\| <= {B}"):
+            AlgebraContext(2, N)
+        assert_input_error(capsys, "table", "2", "--integral", str(N))
+    assert run(capsys, "table", "2", "--integral", str(-B))[0] == 0
+    # the version of a mul operand reaches the same check
+    ctx = AlgebraContext(2, B)
+    x = element_to_json(ctx, ctx.unit())
+    assert run(capsys, "mul", *write_operands(tmp_path, x, x))[0] == 0
+    x["version"] = {"N": 10 ** 6}
+    assert_input_error(capsys, "mul", *write_operands(tmp_path, x, x))
 
 
 def test_sample_below_one_exits_2(capsys):

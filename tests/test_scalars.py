@@ -281,6 +281,17 @@ def test_json_round_trip():
     assert scalar_from_json(scalar_to_json(big)) == big
 
 
+def test_exponents_beyond_the_bound_are_refused():
+    # q^(10^7) / (q-1) took 9.5 s to canonicalize, linear in the exponent
+    B = scalars.MAX_EXPONENT
+    for eq, er, u in ((10 ** 7, 0, 1), (B + 1, 0, 0), (0, B + 1, 0), (0, 0, B + 1)):
+        obj = {"num": [["1", eq, er]], "den": {"q": 0, "r": 0, "qm1": u, "rm1": 0}}
+        with pytest.raises(ValueError, match=f"integers in 0..{B}"):
+            scalar_from_json(obj)
+    at = {"num": [["1", 0, 0], ["1", B, B]], "den": {"q": B, "r": B, "qm1": B, "rm1": B}}
+    assert scalar_to_json(scalar_from_json(at)) == at
+
+
 # --- interning: one object per value, memoized ring operations ---
 
 def test_equal_values_are_one_object():

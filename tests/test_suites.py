@@ -15,6 +15,7 @@ from qbrauer.algebra import (
     _expr,
     _middle,
     ek_atoms,
+    ek_step,
     involution_i,
     lmul_gen,
     rmul_atom,
@@ -134,22 +135,27 @@ def _product_reading(right):
 # the mirrored fills of ``_middle`` are in tests/test_algebra.py,
 # test_mirrored_fill_mutants_fail_the_checks
 @pytest.mark.parametrize("module, name, mutant", [
-    # the only g^{-1} atoms of the word of e_(k) are those of g^-_{1,2k-2}
-    (algebra, "ek_atoms", lambda k: [a if a == E_ATOM else (a[0], 1) for a in ek_atoms(k)]),
+    # the only g^{-1} atoms of the fill's recursion step are those of g^-_{1,2k-2}
+    (algebra, "ek_step", lambda k, inner: [(a[0], 1) for a in ek_step(k, [])] + inner),
     # the word of g_{w1} g_{wd} applied on the left first atom first
     (algebra, "_middle", mutant_middle(lift=lambda word: word)),
     (suites, "product", _product_reading(lambda ed: ed.right_word[::-1])),
     (suites, "product", _product_reading(lambda ed: tuple(reduced_word(ed.w2)))),
 ], ids=["ek_atoms_sign", "left_word_unreversed", "right_word_reversed", "right_word_without_wd"])
 def test_product_report_catches_product_mutants(monkeypatch, module, name, mutant):
+    # the certificate keeps the true spelling of e_(k), which ek_step builds too
+    spelled = {k: ek_atoms(k) for k in range(3)}
+    monkeypatch.setattr(suites, "ek_atoms", spelled.__getitem__)
     monkeypatch.setattr(module, name, mutant)
     reps = suites.relations_suite(AlgebraContext(4))
     assert [bool(rep["failures"]) for rep in reps] == [False, False, False, True]
 
 
-# the product and the certificate share ek_atoms; a wrong spelling still
-# fails every report that compares against the diagram basis, and the left
-# action, whose word images read it too
+# the certificate spells e_(k) with ek_atoms, and the product reads it as
+# the atom ("e", k); a wrong spelling in the certificate fails every report
+# that compares against the diagram basis, the left action, whose word
+# images read it too, and the product report, which folds it against the
+# product
 @pytest.mark.parametrize("parts", [
     lambda up, down, inner: [E_ATOM] + up + [(j, 1) for j, _ in down] + inner,
     lambda up, down, inner: [E_ATOM] + down + up + inner,
