@@ -368,7 +368,9 @@ def _lfold(ctx: AlgebraContext, word, terms: dict) -> dict:
 
 def rmul_atom(ctx: AlgebraContext, x: QBrauerElement, atom) -> QBrauerElement:
     """x times a single atom, the one-atom fold: g_j^{±1}, or e_(k) for
-    1 <= k <= n // 2, and ValueError for any other k."""
+    1 <= k <= n // 2, and ValueError for any other k or sign."""
+    if atom[0] != "e" and atom[1] not in (1, -1):
+        raise ValueError(f"{_atom_text(atom)}: the sign of a g atom is 1 or -1")
     return QBrauerElement._adopt(ctx.n, _rfold(ctx, x.terms, (atom,)))
 
 

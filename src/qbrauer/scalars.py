@@ -1,23 +1,21 @@
 """
-Exact coefficient arithmetic in the localization Z[q^{±1}, r^{±1}, (q-1)^{-1}, (r-1)^{-1}].
+Exact coefficient arithmetic in the localization Z[q^{±1}, r^{±1}, (q-1)^{-1}].
 
 A scalar is a fraction
 
-    num / (q^a * r^c * (q-1)^u * (r-1)^v)
+    num / (q-1)^u
 
-where ``num`` is a polynomial in Z[q, r] and the denominator is a monomial in
-the four prime elements q, r, q-1, r-1 of Z[q, r].  Scalars are kept in
-canonical form: whenever a denominator exponent is positive, ``num`` is not
-divisible by the corresponding prime.  Since the four primes are pairwise
-non-associated irreducibles of the UFD Z[q, r], the canonical form is unique
-and equality of ring elements is structural equality.
+where ``num`` is a Laurent polynomial in Z[q^{±1}, r^{±1}] and u >= 0.  It
+is in canonical form when q - 1 does not divide ``num`` while u > 0.  Since
+q - 1 is a prime of the UFD Z[q^{±1}, r^{±1}], the canonical form is unique
+and equality of ring elements is structural equality.  The paper's ring
+R0 = Z[q^{±1}, r^{±1}, δ], δ = (r-1)/(q-1), lies inside; r - 1 is not a
+unit, and no structure constant needs its inverse.
 
-The four primes are defined once, in ``PRIMES``: each entry holds the
-polynomial, the key of its exponent in the JSON ``"den"`` object and its
-printed symbol.  A ``Scalar`` stores ``num`` and ``den``, the tuple of the
-four exponents (a, c, u, v) in the order of ``PRIMES``, and every operation
-on the denominator is one loop over ``PRIMES`` and ``den``; no other module
-reads the exponents.
+``Scalar.split`` is the one place that writes a scalar with a polynomial
+numerator, as num' / (q^a r^c (q-1)^u) with num' in Z[q, r]; the printed
+text, the JSON ``"den"`` keys ``q``, ``r``, ``qm1`` and ``classical_limit``
+read it.
 
 Scalars are hash-consed: the constructor canonicalizes and then returns the
 one object kept for that canonical form, so equal values are the same object
@@ -30,16 +28,18 @@ process-global and never shrink.
 No floating point is used anywhere; specialization targets are exact fields
 (``fractions.Fraction`` or the prime fields provided here).
 
-``classical_limit`` maps R0 = Z[q^{±1}, r^{±1}, δ], δ = (r-1)/(q-1), the ring
-the defining relations need, onto Z[δ] by q = r = 1.  ``brauer_limit(s, N)``
+``classical_limit`` maps R0 onto Z[δ] by q = r = 1.  ``brauer_limit(s, N)``
 is its value at δ = N, so it raises outside R0 even where a limit along
 r = q^N exists, as for (r - q^2)/(q-1)^2 at N = 2; no structure constant is.
 
->>> b = Scalar(PRIMES[3].poly, 0, 0, 1)  # (r-1)/(q-1), the loop value
+>>> b = Scalar(IntPoly({(0, 1): 1, (0, 0): -1}), 1)  # (r-1)/(q-1), the loop value
 >>> print(b)
 (r-1) / (q-1)
 >>> b * QM1 is r_scalar() - ONE
 True
+>>> s = b * Q_INV  # num = r q^-1 - q^-1, a Laurent polynomial
+>>> s.split()[1:], str(s)
+((1, 0, 1), '(r-1) / q*(q-1)')
 >>> classical_limit(b * b - r_scalar() * b), brauer_limit(b, 3)  # δ^2 - δ, and δ = 3
 ({1: -1, 2: 1}, 3)
 """
@@ -47,8 +47,6 @@ True
 from __future__ import annotations
 
 from math import comb
-from operator import add, sub
-from typing import NamedTuple
 
 
 class NotAUnit(ArithmeticError):
@@ -60,11 +58,12 @@ class PoleAtSpecialization(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
-# polynomials in Z[q, r], sparse: {(deg_q, deg_r): coefficient}
+# Laurent polynomials in Z[q^{±1}, r^{±1}], sparse: {(deg_q, deg_r): coefficient}
 # ---------------------------------------------------------------------------
 
 class IntPoly:
-    """Sparse polynomial in Z[q, r] with arbitrary-precision coefficients.
+    """Sparse Laurent polynomial in Z[q^{±1}, r^{±1}] with arbitrary-precision
+    coefficients.
 
     Invariant: no stored coefficient is zero; the zero polynomial is the
     empty map.  ``IntPoly(terms)`` drops zeros from any dict; the ring
@@ -127,30 +126,30 @@ class IntPoly:
             self._hash = hash(tuple(sorted(self.terms.items())))
         return self._hash
 
-    def divide(self, i: int):
-        """Exact division by the prime ``PRIMES[i]``, x - a, or None.
+    def divide_qm1(self):
+        """Exact division by q - 1, or None.
 
-        Viewing the polynomial in x with coefficients in the other variable,
-        synthetic division gives the quotient coefficients from the top,
-        b_{k-1} = c_k + a b_k; the remainder, the value at x = a, must vanish.
+        Each column of one r-degree is a Laurent polynomial in q; synthetic
+        division gives its quotient coefficients from the top down,
+        b_{k-1} = c_k + b_k, and the remainder, the column's value at
+        q = 1, must vanish.
         """
-        x, a = PRIMES[i].var, PRIMES[i].root
         cols: dict = {}
-        for m, c in self.terms.items():
-            cols.setdefault(m[1 - x], {})[m[x]] = c
+        for (eq, er), c in self.terms.items():
+            cols.setdefault(er, {})[eq] = c
         out: dict = {}
-        for y, col in cols.items():
-            acc = 0
-            for d in range(max(col), 0, -1):
-                acc = col.get(d, 0) + a * acc
+        for er, col in cols.items():
+            acc, low = 0, min(col)
+            for d in range(max(col), low, -1):
+                acc += col.get(d, 0)
                 if acc:
-                    out[(d - 1, y) if x == 0 else (y, d - 1)] = acc
-            if col.get(0, 0) + a * acc:
+                    out[(d - 1, er)] = acc
+            if col[low] + acc:
                 return None
         return IntPoly._adopt(out)
 
     def evaluate(self, q0, r0):
-        """Evaluate at field elements q0, r0 (exact field arithmetic)."""
+        """Evaluate at nonzero field elements q0, r0 (exact field arithmetic)."""
         acc = 0 * q0
         for (eq, er), c in self.terms.items():
             acc = acc + c * q0 ** eq * r0 ** er
@@ -183,71 +182,35 @@ class IntPoly:
         return s[1:] if s.startswith("+") else s
 
 
-class Prime(NamedTuple):
-    """A prime x - a of the denominator, for x = q or r and a = 0 or 1."""
-
-    poly: IntPoly  # x - a
-    var: int  # the position of x's degree in a monomial (deg_q, deg_r)
-    root: int  # a
-    key: str  # the key of its exponent in the JSON "den" object
-    symbol: str  # how ``str`` prints it
-
-
-# the four primes of the localization, in the order of ``Scalar.den``
-PRIMES = (
-    Prime(IntPoly({(1, 0): 1}), 0, 0, "q", "q"),
-    Prime(IntPoly({(0, 1): 1}), 1, 0, "r", "r"),
-    Prime(IntPoly({(1, 0): 1, (0, 0): -1}), 0, 1, "qm1", "(q-1)"),
-    Prime(IntPoly({(0, 1): 1, (0, 0): -1}), 1, 1, "rm1", "(r-1)"),
-)
-_P_ZERO = IntPoly()
-_P_ONE = IntPoly.const(1)
-
-
-def _power_product(exps) -> IntPoly:
-    """The product of ``PRIMES[i].poly ** exps[i]``."""
-    out = _P_ONE
-    for p, e in zip(PRIMES, exps):
-        for _ in range(e):
-            out = out * p.poly
-    return out
+def _qm1_power(k: int) -> IntPoly:
+    """(q-1)^k for k >= 0, by the binomial theorem."""
+    return IntPoly._adopt({(i, 0): (-1) ** (k - i) * comb(k, i) for i in range(k + 1)})
 
 
 # ---------------------------------------------------------------------------
-# scalars: canonical fractions num / q^a r^c (q-1)^u (r-1)^v
+# scalars: canonical fractions num / (q-1)^u, num a Laurent polynomial
 # ---------------------------------------------------------------------------
 
 class Scalar:
-    """Element of Z[q^{±1}, r^{±1}, (q-1)^{-1}, (r-1)^{-1}] in canonical form:
-    ``num`` over the product of ``PRIMES[i].poly ** den[i]``.
-
-    ``den`` is the tuple of the four exponents (a, c, u, v) of q, r, q-1 and
-    r-1, the order of ``PRIMES``; ``Scalar(num, a, c, u, v)`` builds one.
+    """Element of Z[q^{±1}, r^{±1}, (q-1)^{-1}] in canonical form: the Laurent
+    polynomial ``num`` over (q-1)^``u``; ``Scalar(num, u)`` builds one.
 
     Hash-consed: each value is one object, so ``==`` and ``hash`` are the
     object defaults (identity), and ``*``, ``+`` and ``str`` are computed
     once per operand and then looked up.
     """
 
-    __slots__ = ("num", "den", "_str")
+    __slots__ = ("num", "u", "_str")
 
-    def __new__(cls, num: IntPoly, a: int = 0, c: int = 0, u: int = 0, v: int = 0):
-        # divide each prime out of num while its exponent is positive; zero
-        # ends with every exponent 0
-        den = [a, c, u, v]
-        for i, e in enumerate(den):
-            while e > 0:
-                d = num.divide(i)
-                if d is None:
-                    break
-                num, e = d, e - 1
-            den[i] = e
-        den = tuple(den)
-        key = (num, den)
+    def __new__(cls, num: IntPoly, u: int = 0):
+        # divide q - 1 out of num while u is positive; zero ends with u = 0
+        while u > 0 and (d := num.divide_qm1()) is not None:
+            num, u = d, u - 1
+        key = (num, u)
         self = _INTERN.get(key)
         if self is None:
             self = object.__new__(cls)
-            self.num, self.den, self._str = num, den, None
+            self.num, self.u, self._str = num, u, None
             _INTERN[key] = self
         return self
 
@@ -255,27 +218,21 @@ class Scalar:
         key = (self, other)
         out = _ADD.get(key)
         if out is None:
-            den = self.den
-            if den == other.den:
-                num = self.num + other.num
-            else:
-                # least common denominator monomial: pointwise max of exponents
-                den = tuple(map(max, den, other.den))
-                num = _lift(self, den) + _lift(other, den)
-            out = _ADD[key] = Scalar(num, *den)
+            u = max(self.u, other.u)
+            out = _ADD[key] = Scalar(_lift(self, u) + _lift(other, u), u)
         return out
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         return self + (-other)
 
     def __neg__(self) -> "Scalar":
-        return Scalar(-self.num, *self.den)
+        return Scalar(-self.num, self.u)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         key = (self, other)
         out = _MUL.get(key)
         if out is None:
-            out = _MUL[key] = Scalar(self.num * other.num, *map(add, self.den, other.den))
+            out = _MUL[key] = Scalar(self.num * other.num, self.u + other.u)
         return out
 
     def __pow__(self, k: int) -> "Scalar":
@@ -287,41 +244,44 @@ class Scalar:
         return out
 
     def inv(self) -> "Scalar":
-        """Inverse; the numerator must be, up to sign, a monomial in the
-        four primes q, r, q-1, r-1.
-        """
+        """Inverse; ``num`` must be ± a monomial times a power of q - 1."""
         if self is ZERO:
             raise NotAUnit("zero is not invertible")
-        num, exps = self.num, []
-        for i in range(len(PRIMES)):
-            e = 0
-            while (d := num.divide(i)) is not None:
-                num, e = d, e + 1
-            exps.append(e)
-        if num.terms not in ({(0, 0): 1}, {(0, 0): -1}):
+        num, k = self.num, 0
+        while (d := num.divide_qm1()) is not None:
+            num, k = d, k + 1
+        (m, c), *rest = num.terms.items()
+        if rest or c not in (1, -1):
             raise NotAUnit(f"numerator {self.num} has a non-monomial factor")
-        # num is the sign left over
-        return Scalar(num * _power_product(self.den), *exps)
+        return Scalar(IntPoly._adopt({(-m[0], -m[1]): c}) * _qm1_power(self.u), k)
+
+    def split(self) -> tuple:
+        """``(num', a, c, u)`` with ``self`` = num' / (q^a r^c (q-1)^u), where
+        num' is in Z[q, r] and a, c are the least exponents that allow it."""
+        terms = self.num.terms
+        a = -min([0, *(eq for eq, _ in terms)])
+        c = -min([0, *(er for _, er in terms)])
+        num = self.num
+        if a or c:
+            num = IntPoly._adopt({(eq + a, er + c): x for (eq, er), x in terms.items()})
+        return num, a, c, self.u
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
 
     def __str__(self) -> str:
         if self._str is None:
-            den = []
-            for p, e in zip(PRIMES, self.den):
-                if e == 1:
-                    den.append(p.symbol)
-                elif e > 1:
-                    den.append(f"{p.symbol}^{e}")
-            num = str(self.num)
-            if den and len(self.num.terms) > 1:
-                num = f"({num})"
-            self._str = f"{num} / {'*'.join(den)}" if den else num
+            num, a, c, u = self.split()
+            den = [x if e == 1 else f"{x}^{e}"
+                   for x, e in (("q", a), ("r", c), ("(q-1)", u)) if e]
+            text = str(num)
+            if den and len(num.terms) > 1:
+                text = f"({text})"
+            self._str = f"{text} / {'*'.join(den)}" if den else text
         return self._str
 
 
-# Process-global tables: every Scalar by its canonical form (num, den), and
+# Process-global tables: every Scalar by its canonical form (num, u), and
 # the results of * and + by their operand objects.  Entries are never
 # removed.
 _INTERN: dict = {}
@@ -329,26 +289,25 @@ _MUL: dict = {}
 _ADD: dict = {}
 
 
-def _lift(s: Scalar, den: tuple) -> IntPoly:
-    """Numerator of ``s`` over the denominator with the exponents ``den``."""
-    f = _power_product(map(sub, den, s.den))
-    return s.num if f is _P_ONE else s.num * f
+def _lift(s: Scalar, u: int) -> IntPoly:
+    """Numerator of ``s`` over (q-1)^u, for u >= s.u."""
+    return s.num if u == s.u else s.num * _qm1_power(u - s.u)
 
 
-ZERO = Scalar(_P_ZERO)
-ONE = Scalar(_P_ONE)
+ZERO = Scalar(IntPoly())
+ONE = Scalar(IntPoly.const(1))
 
 
 def q_scalar() -> Scalar:
-    return Scalar(PRIMES[0].poly)
+    return Scalar(IntPoly.monomial(1, 1, 0))
 
 
 def r_scalar() -> Scalar:
-    return Scalar(PRIMES[1].poly)
+    return Scalar(IntPoly.monomial(1, 0, 1))
 
 
 def qm1_scalar() -> Scalar:
-    return Scalar(PRIMES[2].poly)
+    return Scalar(_qm1_power(1))
 
 
 # the coefficients of the generator rules, shared by the hot loops
@@ -359,16 +318,13 @@ Q_INV_M1 = Q_INV - ONE
 
 
 def r_power(N: int) -> Scalar:
-    """q^N as a scalar (used when r is specialized to q^N symbolically)."""
-    if N >= 0:
-        return Scalar(IntPoly.monomial(1, N, 0))
-    return Scalar(_P_ONE, -N)
+    """q^N as a scalar, for N of either sign (r specialized to q^N)."""
+    return Scalar(IntPoly.monomial(1, N, 0))
 
 
 def involves_r(s: Scalar) -> bool:
-    """Whether r occurs in ``s``, in its numerator or in its denominator."""
-    return any(er for _, er in s.num.terms) or any(
-        e and p.var == 1 for p, e in zip(PRIMES, s.den))
+    """Whether r occurs in ``s``; only ``num`` can hold it."""
+    return any(er for _, er in s.num.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -378,18 +334,14 @@ def involves_r(s: Scalar) -> bool:
 def specialize(s: Scalar, q0, r0):
     """Evaluate ``s`` at field elements q0, r0.
 
-    Raises PoleAtSpecialization when a denominator factor vanishes there.
+    Raises PoleAtSpecialization when q0 or r0 is zero, or q0 = 1 and u > 0.
     """
     zero = 0 * q0
     if q0 == zero or r0 == zero:
         raise PoleAtSpecialization("q and r must be nonzero")
-    den = q0 ** 0
-    for p, e in zip(PRIMES, s.den):
-        if e:
-            f = p.poly.evaluate(q0, r0)
-            if f == zero:
-                raise PoleAtSpecialization(f"{p.symbol} vanishes at the specialization")
-            den = den * f ** e
+    den = (q0 - 1) ** s.u
+    if den == zero:
+        raise PoleAtSpecialization("(q-1) vanishes at the specialization")
     return s.num.evaluate(q0, r0) / den
 
 
@@ -397,14 +349,12 @@ def classical_limit(s: Scalar) -> dict:
     """The image of ``s`` in Z[δ] under q = r = 1, as a zero-free
     ``{degree: coefficient}`` dict; PoleAtSpecialization if ``s`` is not in R0.
 
-    With x = q - 1 and y = r - 1 = x δ, num / (q^a r^c x^u y^v) is in R0 iff
-    v = 0 and num(x+1, y+1) has no monomial x^i y^j with i + j < u; the
+    With x = q - 1, y = r - 1 = x δ and ``s.split()`` = (num, a, c, u),
+    s is in R0 iff num(x+1, y+1) has no monomial x^i y^j with i + j < u; the
     image is the part with i + j = u, as x^i y^j / x^u = x^(i+j-u) δ^j.
     """
-    if any(e and p.root and p.var for p, e in zip(PRIMES, s.den)):
-        raise PoleAtSpecialization("an (r-1) denominator is not in Z[q^±1, r^±1, δ]")
-    u = sum(e for p, e in zip(PRIMES, s.den) if p.root)
-    terms, out = s.num.terms.items(), {}
+    num, _, _, u = s.split()
+    terms, out = num.terms.items(), {}
     for d in range(u + 1):
         for j in range(d + 1):
             # the coefficient of x^(d-j) y^j in num(x+1, y+1)
@@ -529,43 +479,46 @@ class PrimeField:
 # ---------------------------------------------------------------------------
 
 def scalar_to_json(s: Scalar) -> dict:
+    num, a, c, u = s.split()
     return {
-        "num": [[str(c), eq, er] for (eq, er), c in sorted(s.num.terms.items())],
-        "den": {p.key: e for p, e in zip(PRIMES, s.den)},
+        "num": [[str(x), eq, er] for (eq, er), x in sorted(num.terms.items())],
+        "den": {"q": a, "r": c, "qm1": u},
     }
 
 
-# The largest exponent that comes in from outside: of q or r in a numerator
-# or of a prime in a denominator read by ``scalar_from_json``, and |N| of the
-# integral version r = q^N.  The kernel's own coefficients stay far below it
-# (q-degree 27, r-degree 3 and denominator exponents 2 on 1,000 sampled
-# n = 7 products).  Above it the work grows fast: a sum over (q-1)^u (r-1)^v
-# has about u v terms of u + v bits each.
+# The largest exponent that comes in from outside: of q or r in a numerator,
+# of q, r or q - 1 in a denominator read by ``scalar_from_json``, and |N| of
+# the integral version r = q^N.  The kernel's own coefficients stay far below
+# it (q-degree 27, r-degree 3 and denominator exponents 2 on 1,000 sampled
+# n = 7 products).  Above it the work grows fast: dividing by q - 1 walks
+# every q-degree between a numerator's least and greatest, and (q-1)^u has
+# u + 1 terms of up to u bits each.
 MAX_EXPONENT = 128
 
 
 def scalar_from_json(obj: dict) -> Scalar:
-    """Read a scalar; every exponent must be an integer in 0..MAX_EXPONENT,
-    so the numerator lies in Z[q, r] and the denominator is a monomial, each
-    monomial of the numerator is listed once, and a coefficient string is
-    in the decimal form ``scalar_to_json`` writes."""
+    """Read a scalar; ``den`` holds exactly the keys ``q``, ``r`` and
+    ``qm1``, every exponent must be an integer in 0..MAX_EXPONENT, so the
+    numerator lies in Z[q, r], each monomial of the numerator is listed
+    once, and a coefficient string is in the decimal form ``scalar_to_json``
+    writes."""
     num = obj.get("num") if isinstance(obj, dict) else None
     if not (isinstance(num, list) and isinstance(obj.get("den"), dict) and all(
         isinstance(t, list) and len(t) == 3 and type(t[0]) in (int, str)
         and str(int(t[0])) == str(t[0]) for t in num
     )):
         raise ValueError('a scalar must be {"num": [[c, eq, er], ...], "den": {...}}, c decimal')
-    keys = {p.key for p in PRIMES}
+    keys = {"q", "r", "qm1"}
     extra, missing = set(obj["den"]) - keys, keys - set(obj["den"])
     if extra:
         raise ValueError(f"unknown keys {sorted(extra)} in a scalar's den")
     if missing:
         raise ValueError(f"missing keys {sorted(missing)} in a scalar's den")
-    den = [obj["den"][p.key] for p in PRIMES]
-    exps = [e for t in num for e in t[1:]] + den
+    a, c, u = (obj["den"][k] for k in ("q", "r", "qm1"))
+    exps = [e for t in num for e in t[1:]] + [a, c, u]
     if any(type(e) is not int or not 0 <= e <= MAX_EXPONENT for e in exps):
         raise ValueError(f"scalar exponents must be integers in 0..{MAX_EXPONENT}")
-    terms = {(eq, er): int(c) for c, eq, er in num}
+    terms = {(eq - a, er - c): int(x) for x, eq, er in num}
     if len(terms) != len(num):
         raise ValueError("a monomial occurs twice in a scalar's num")
-    return Scalar(IntPoly(terms), *den)
+    return Scalar(IntPoly(terms), u)

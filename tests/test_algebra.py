@@ -640,6 +640,15 @@ def test_atoms_out_of_range_are_named():
     assert not any(atom[0] == "e" for _, atom in ctx._rmul_atom)
 
 
+def test_g_atom_signs_other_than_one_are_refused():
+    # (1, 0) and (1, -2) would act as g_1^-1 and (1, 2) as g_1
+    ctx = AlgebraContext(3)
+    for atom, name in (((1, 0), "g_1^0"), ((1, -2), "g_1^-2"), ((1, 2), "g_1^2")):
+        with pytest.raises(ValueError, match=re.escape(f"{name}: the sign of a g atom is 1 or -1")):
+            rmul_atom(ctx, ctx.unit(), atom)
+    assert ctx._rmul_atom == {}
+
+
 def test_size_mismatch():
     from qbrauer.diagrams import SizeMismatch
 

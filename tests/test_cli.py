@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -120,6 +121,17 @@ def test_table_determinism(capsys):
     lines = out1.strip().splitlines()
     assert lines[0] == "d_left_id,d_right_id,d_out_id,coeff"
     assert len(lines) >= 1 + 9  # 3x3 products, at least one row each
+
+
+@pytest.mark.parametrize("argv, md5", [
+    (("table", "4"), "c324816e7a15e5ea8cb0739b4eed067e"),
+    # r = q^-1 puts negative powers of q into the coefficients
+    (("table", "3", "--integral", "-1"), "99e6bc1832d1de8592eab85785f3fdbd"),
+])
+def test_table_bytes_are_pinned(capsys, argv, md5):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.md5(out.encode()).hexdigest() == md5
 
 
 def test_verify_failure_exit_code(capsys):
@@ -301,18 +313,21 @@ def write_operands(tmp_path, x, y):
 def test_negative_scalar_exponent_exits_2(tmp_path, capsys):
     ctx = AlgebraContext(3)
     x = element_to_json(ctx, e_k_element(ctx, 1))
-    bad = json.loads(json.dumps(x))
-    bad["terms"][0]["coeff"]["den"]["rm1"] = -1
-    assert_input_error(capsys, "mul", *write_operands(tmp_path, x, bad))
+    for key in ("q", "r", "qm1"):
+        bad = json.loads(json.dumps(x))
+        bad["terms"][0]["coeff"]["den"][key] = -1
+        assert_input_error(capsys, "mul", *write_operands(tmp_path, x, bad))
 
 
 def test_unknown_denominator_key_exits_2(tmp_path, capsys):
-    # an exponent under any other key than q, r, qm1, rm1 would be dropped
+    # an exponent under any other key than q, r, qm1 would be dropped; r - 1
+    # is no unit of the ring, so rm1 is refused too, even at exponent 0
     ctx = AlgebraContext(3)
     x = element_to_json(ctx, e_k_element(ctx, 1))
-    bad = json.loads(json.dumps(x))
-    bad["terms"][0]["coeff"]["den"]["x"] = 5
-    assert_input_error(capsys, "mul", *write_operands(tmp_path, x, bad))
+    for key, e in (("x", 5), ("rm1", 0), ("rm1", 1)):
+        bad = json.loads(json.dumps(x))
+        bad["terms"][0]["coeff"]["den"][key] = e
+        assert_input_error(capsys, "mul", *write_operands(tmp_path, x, bad))
 
 
 def test_diagram_of_other_rank_exits_2(tmp_path, capsys):
@@ -399,14 +414,17 @@ def test_integral_element_carrying_r_exits_2(tmp_path, capsys):
     assert run(capsys, "mul", *write_operands(tmp_path, x, x))[0] == 0
     bad = json.loads(json.dumps(x))
     bad["terms"][0]["coeff"] = {"num": [["1", 0, 1]],
-                                "den": {"q": 0, "r": 0, "qm1": 0, "rm1": 0}}
+                                "den": {"q": 0, "r": 0, "qm1": 0}}
     assert_input_error(capsys, "mul", *write_operands(tmp_path, bad, x))
-    # r in the denominator, as r or as r - 1; q and q - 1 there are fine
-    for key in ("r", "rm1", "q", "qm1"):
-        den = {"q": 0, "r": 0, "qm1": 0, "rm1": 0, key: 1}
+    # r in the denominator; q and q - 1 there are fine
+    for key in ("r", "q", "qm1"):
+        den = {"q": 0, "r": 0, "qm1": 0, key: 1}
         bad["terms"][0]["coeff"] = {"num": [["1", 0, 0]], "den": den}
-        want = 2 if key in ("r", "rm1") else 0
+        want = 2 if key == "r" else 0
         assert run(capsys, "mul", *write_operands(tmp_path, bad, x))[0] == want, key
+    # r / r is 1, which carries no r
+    bad["terms"][0]["coeff"] = {"num": [["1", 0, 1]], "den": {"q": 0, "r": 1, "qm1": 0}}
+    assert run(capsys, "mul", *write_operands(tmp_path, bad, x))[0] == 0
 
 
 def test_exponent_beyond_the_bound_exits_2(tmp_path, capsys):
@@ -417,7 +435,7 @@ def test_exponent_beyond_the_bound_exits_2(tmp_path, capsys):
     x = element_to_json(ctx, ctx.unit() + QBrauerElement.basis(perm_to_diagram((2, 1, 3))))
 
     def operands(E):
-        x["terms"][0]["coeff"] = {"num": [["1", 0, 0]], "den": {"q": 0, "r": 0, "qm1": E, "rm1": 0}}
+        x["terms"][0]["coeff"] = {"num": [["1", 0, 0]], "den": {"q": 0, "r": 0, "qm1": E}}
         return write_operands(tmp_path, x, y)
     assert run(capsys, "mul", *operands(B))[0] == 0
     assert_input_error(capsys, "mul", *operands(B + 1))
@@ -588,13 +606,14 @@ def test_large_prime_field_and_composites(capsys):
 
 
 WIRE_KEYS = ("n", "edges", "terms", "diagram", "coeff", "num", "den", "version",
-             "N", "generic", "q", "r", "qm1", "rm1")
+             "N", "generic", "q", "r", "qm1")
 JSON_LEAVES = (st.none() | st.booleans() | st.integers(-3, 40)
                | st.sampled_from(WIRE_KEYS + ("1", "-2", "x")))
+# objects also draw rm1, a den key the reader refuses
 JSON_VALUES = st.recursive(
     JSON_LEAVES,
     lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.sampled_from(WIRE_KEYS), inner, max_size=4),
+    | st.dictionaries(st.sampled_from(WIRE_KEYS + ("rm1",)), inner, max_size=4),
     max_leaves=12,
 )
 _CTX2 = AlgebraContext(2)
