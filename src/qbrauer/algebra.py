@@ -48,7 +48,11 @@ e_(k) = e g^+_{2,2k-1} g^-_{1,2k-2} e_(k-1), with the atom ("e", k-1) last,
 so the e_(k-1) tail of each diagram is filled once per context.
 ``_middle`` holds the products b_c g_{w1'} e_(k'),
 ``_core`` the core products below, and the module-global ``_EXPR_CACHE``
-the factorization of each diagram read so far.
+the factorization of each diagram read so far.  The process-global
+``functools.cache`` tables of ``star``, ``top_part`` and ``reduced_word``
+in ``diagrams``, and of the g_j step ``hecke._step``, hold values free of
+r, so every context shares them; ``star`` and ``top_part`` make
+``bottom_part`` and the involution i lookups.
 
 Multiplication by e reduces to the core products e g_sigma e_(k).  These
 are peeled by exact one-letter rules (e g_1 = q e; e g_i = g_i e for
@@ -420,9 +424,7 @@ def _middle(ctx: AlgebraContext, c: BrauerDiagram, ec: ReducedExpression,
             mc, md = star(top_part(d)), star(c)
             res = involution_i(_middle(ctx, mc, _expr(mc), md, _expr(md)))
         else:
-            word = reduced_word(ed.w1)
-            if ed.k:
-                word.append(("e", ed.k))
+            word = reduced_word(ed.w1) + ((("e", ed.k),) if ed.k else ())
             res = word_element(ctx, word, QBrauerElement.basis(c))
         ctx._middle[key] = res
     return res

@@ -22,9 +22,20 @@ the deformed product of two basis elements is δ = (r-1)/(q-1) to that
 count times their concatenation, so ``concat`` is the q = 1 oracle for the deformed
 kernel.  There is no classical element type, and this module never
 imports :mod:`qbrauer.scalars`.
+
+Three pure functions are cached with ``functools.cache``, each filled on
+first use and never cleared.  :func:`star` and :func:`top_part` are keyed
+by a diagram, which is interned, so the key hashes by address; each holds
+at most (2n-1)!! entries per rank, and :func:`bottom_part` is three cache
+reads.  :func:`reduced_word` is keyed by a permutation, an immutable
+tuple, holds at most n! entries per rank, and returns a tuple of atoms
+that no caller can change.  No value involves a scalar, so the generic
+and the integral versions share them.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 
 class SizeMismatch(ValueError):
@@ -128,10 +139,12 @@ def t_word(w: Perm) -> tuple:
     return tuple(chains)
 
 
-def reduced_word(w: Perm) -> list:
-    """The reduced word of the chain factorization of w, as (j, +1) atoms,
-    the generator-word encoding of ``hecke`` and ``algebra``."""
-    return [(t, +1) for i, j in t_word(w) for t in range(i, j + 1)]
+@cache
+def reduced_word(w: Perm) -> tuple:
+    """The reduced word of the chain factorization of w, as a tuple of
+    (j, +1) atoms, the generator-word encoding of ``hecke`` and ``algebra``.
+    Cached: one tuple per permutation, which no caller can change."""
+    return tuple((t, +1) for i, j in t_word(w) for t in range(i, j + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +227,9 @@ def perm_to_diagram(w: Perm) -> BrauerDiagram:
     return BrauerDiagram(n, tuple(partner))
 
 
+@cache
 def star(d: BrauerDiagram) -> BrauerDiagram:
-    """Rotate around the horizontal axis: swap the two rows."""
+    """Rotate around the horizontal axis: swap the two rows.  Cached."""
     n = d.n
     flip = [u + n if u <= n else u - n for u in d.partner]
     return BrauerDiagram(n, tuple(flip[n:] + flip[:n]))
@@ -351,13 +365,13 @@ class ReducedExpression:
     @property
     def left_word(self) -> tuple:
         if self._left_word is None:
-            self._left_word = tuple(reduced_word(self.w1) + reduced_word(self.wd))
+            self._left_word = reduced_word(self.w1) + reduced_word(self.wd)
         return self._left_word
 
     @property
     def right_word(self) -> tuple:
         if self._right_word is None:
-            self._right_word = tuple(reduced_word(self.wd) + reduced_word(self.w2))
+            self._right_word = reduced_word(self.wd) + reduced_word(self.w2)
         return self._right_word
 
     def length(self) -> int:
@@ -410,9 +424,11 @@ def diagram_length(d: BrauerDiagram) -> int:
     return decompose(d).length()
 
 
+@cache
 def top_part(d: BrauerDiagram) -> BrauerDiagram:
     """The diagram w1 . e_(k) of d: the top row of d, the e_(k) bottom row,
-    and the free top vertices joined to bottom 2k+1..n without crossings."""
+    and the free top vertices joined to bottom 2k+1..n without crossings.
+    Cached."""
     n = d.n
     caps, free = _row(d, 0)
     k = len(caps) // 2
@@ -423,7 +439,8 @@ def top_part(d: BrauerDiagram) -> BrauerDiagram:
 
 
 def bottom_part(d: BrauerDiagram) -> BrauerDiagram:
-    """The diagram e_(k) . w2 of d: the mirror image of :func:`top_part`."""
+    """The diagram e_(k) . w2 of d: the mirror image of :func:`top_part`,
+    three cache reads."""
     return star(top_part(star(d)))
 
 

@@ -9,9 +9,19 @@ from its chain factorization and folding single-generator multiplications.
 The sparse-sum step ``accumulate``, the element base ``SparseElement`` and
 the g_j rule ``gen_pairs`` live here, the lowest module, and ``algebra``
 builds on all three: layer 0 of the q-Brauer algebra is this algebra.
+
+The step of ``_fold``, g_w times g_j^{±1} as (basis, coeff) pairs, is
+``_step(w, j, sign)``, cached with ``functools.cache``: its key is an
+immutable permutation and two ints, and its coefficients are 1, q, q-1,
+q^{-1} and q^{-1}-1, none of which involves r, so the generic and the
+integral versions share it.  It holds at most 2(n-1) n! entries per rank.
+``_fold`` refuses a sign other than ±1 before the cache is read, so no
+other key is stored.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 from . import scalars
 from .diagrams import (
@@ -136,6 +146,18 @@ class HeckeElement(SparseElement):
         return " + ".join(bits)
 
 
+@cache
+def _step(w: Perm, j: int, sign: int) -> tuple:
+    """g_w g_j^{sign}, sign = 1 or -1, as (basis, coeff) pairs.  Cached:
+    w s_j swaps the values j, j + 1, and the length rises when w places j
+    before j + 1."""
+    a, b = w.index(j), w.index(j + 1)
+    moved = list(w)
+    moved[a], moved[b] = j + 1, j
+    pairs = gen_pairs(w, tuple(moved), 1 if b > a else -1)
+    return pairs if sign > 0 else inverse_pairs(pairs, w)
+
+
 def _fold(z: HeckeElement, atoms) -> HeckeElement:
     """z times the product of the (j, sign) atoms, one generator at a time
     on a plain dict, wrapped in an element once at the end."""
@@ -143,15 +165,11 @@ def _fold(z: HeckeElement, atoms) -> HeckeElement:
     for j, sign in atoms:
         if not 1 <= j <= z.n - 1:
             raise ValueError(f"generator index {j} out of range for n={z.n}")
+        if sign not in (1, -1):
+            raise ValueError(f"g_{j}^{sign}: the sign of a letter is 1 or -1")
         out: dict = {}
         for w, c in terms.items():
-            # w s_j swaps the values j, j + 1; the length rises when w
-            # places j before j + 1
-            a, b = w.index(j), w.index(j + 1)
-            moved = list(w)
-            moved[a], moved[b] = j + 1, j
-            pairs = gen_pairs(w, tuple(moved), 1 if b > a else -1)
-            accumulate(out, c, pairs if sign > 0 else inverse_pairs(pairs, w))
+            accumulate(out, c, _step(w, j, sign))
         terms = out
     return HeckeElement._adopt(z.n, terms)
 

@@ -188,7 +188,7 @@ def _word_images(ctx: AlgebraContext, starts: list, diagrams: list):
         # many diagrams share w1 and k: fold that head once
         head = heads.get((ex.w1, ex.k))
         if head is None:
-            word = reduced_word(ex.w1) + ek_atoms(ex.k)
+            word = reduced_word(ex.w1) + tuple(ek_atoms(ex.k))
             head = heads[ex.w1, ex.k] = [word_element(ctx, word, s) for s in starts]
         yield d, [word_element(ctx, ex.right_word, h) for h in head]
 

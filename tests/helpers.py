@@ -73,7 +73,7 @@ def mutant_middle(lift=lambda word: word[::-1], mirror=mirror_entry):
             elif ec.k < ed.k:
                 res = mirror(ctx, c, ec, d, middle)
             else:
-                word = reduced_word(ed.w1) + ([("e", ed.k)] if ed.k else [])
+                word = reduced_word(ed.w1) + ((("e", ed.k),) if ed.k else ())
                 res = word_element(ctx, word, QBrauerElement.basis(c))
             ctx._middle[key] = res
         return res

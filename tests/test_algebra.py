@@ -73,7 +73,7 @@ def spelled_word(d):
     """A word in g_j, g_j^{-1}, e whose product is the basis element of d:
     g_{w1} g_{wd} e_(k) g_{w2}, each permutation by its reduced word."""
     ex = _expr(d)
-    return reduced_word(ex.w1) + reduced_word(ex.wd) + cap_word(ex.k) + reduced_word(ex.w2)
+    return [*reduced_word(ex.w1), *reduced_word(ex.wd), *cap_word(ex.k), *reduced_word(ex.w2)]
 
 
 def fold(ctx, x, word):
@@ -94,8 +94,8 @@ def test_generator_word_examples():
     # the words that the product reads are the stored reduced words
     for d in enumerate_diagrams(n):
         ex = _expr(d)
-        assert list(ex.left_word) == reduced_word(ex.w1) + reduced_word(ex.wd)
-        assert list(ex.right_word) == reduced_word(ex.wd) + reduced_word(ex.w2)
+        assert ex.left_word == reduced_word(ex.w1) + reduced_word(ex.wd)
+        assert ex.right_word == reduced_word(ex.wd) + reduced_word(ex.w2)
 
 
 def test_generator_word_rebuilds_basis():
@@ -272,7 +272,7 @@ def test_middle_copy_passes_the_checks(monkeypatch):
     lambda ctx, c, ec, d, middle: mirror_entry(ctx, c, ec, d, middle, image=lambda x: x),
     # the mirror read at w2 in place of w2^-1: e_(k') g_{w1'^-1} g_{w2} e_(k)
     lambda ctx, c, ec, d, middle: involution_i(word_element(
-        ctx, reduced_word(ec.w2) + ek_atoms(ec.k),
+        ctx, reduced_word(ec.w2) + tuple(ek_atoms(ec.k)),
         QBrauerElement.basis(star(top_part(d))))),
 ], ids=["no_involution", "mirror_at_w2"])
 def test_mirrored_fill_mutants_fail_the_checks(monkeypatch, mirror):

@@ -28,6 +28,7 @@ from qbrauer.diagrams import (
     perm_mul,
     perm_to_diagram,
     reduced_word,
+    rmul_s,
     s_ij,
     star,
     swap_delta,
@@ -491,12 +492,42 @@ def test_length_one_step_moves():
                         assert dd == d
 
 
+# --- the cached functions, each against a rebuild that does not read it ---
+
 def test_star():
-    for n in (3, 4):
+    # every diagram with n <= 5 against its two rows swapped, built here
+    for n in range(1, 6):
+        flip = {v: v + n if v <= n else v - n for v in range(1, 2 * n + 1)}
         for d in enumerate_diagrams(n):
-            assert star(star(d)) == d
+            assert star(star(d)) is d
+            assert star(d) is diagram_from_edges(n, [(flip[a], flip[b]) for a, b in d.edges()])
     for k in range(3):
         assert star(e_k_diagram(5, k)) == e_k_diagram(5, k)
+
+
+def test_parts_are_their_rebuilds():
+    # all 1,069 diagrams with n <= 5
+    for n in range(1, 6):
+        for d in enumerate_diagrams(n):
+            ex = decompose(d)
+            ek = e_k_diagram(n, ex.k)
+            assert (top_part(d), 0) == concat(perm_to_diagram(ex.w1), ek)
+            assert (bottom_part(d), 0) == concat(ek, perm_to_diagram(ex.w2))
+
+
+def test_reduced_word_is_a_reduced_word_that_no_caller_can_change():
+    for n in range(1, 6):
+        for w in itertools.permutations(range(1, n + 1)):
+            word = reduced_word(w)
+            assert len(word) == perm_length(w)
+            u = identity_perm(n)
+            for j, sign in word:
+                assert sign == 1
+                u = rmul_s(u, j)
+            assert u == w
+            # a tuple of tuples, the same object on every call
+            assert type(word) is tuple and all(type(a) is tuple for a in word)
+            assert reduced_word(w) is word
 
 
 def test_star_conjugates_transversal_parts():

@@ -1,7 +1,19 @@
 import random
 from itertools import permutations
 
-from qbrauer.diagrams import identity_perm, perm_length, perm_mul, reduced_word, rmul_s, s_ij
+import pytest
+
+from qbrauer import hecke
+from qbrauer.algebra import AlgebraContext, QBrauerElement, product as algebra_product
+from qbrauer.diagrams import (
+    enumerate_diagrams,
+    identity_perm,
+    perm_length,
+    perm_mul,
+    reduced_word,
+    rmul_s,
+    s_ij,
+)
 from qbrauer.hecke import (
     HeckeElement,
     accumulate,
@@ -13,7 +25,16 @@ from qbrauer.hecke import (
     product,
     word_element,
 )
-from qbrauer.scalars import ONE, ZERO, IntPoly, Scalar, q_scalar, qm1_scalar, scalar_from_json
+from qbrauer.scalars import (
+    ONE,
+    ZERO,
+    IntPoly,
+    Scalar,
+    involves_r,
+    q_scalar,
+    qm1_scalar,
+    scalar_from_json,
+)
 
 
 def g(n, j):
@@ -142,3 +163,42 @@ def test_json_round_trip():
         perms = [tuple(t["perm"]) for t in obj]
         assert perms == sorted(x.terms)
         assert all(scalar_from_json(t["coeff"]) is x.terms[w] for w, t in zip(perms, obj))
+
+
+def test_cached_step_is_the_rule():
+    # the rule rebuilt: w s_j by ``rmul_s``, the length change by inversions
+    for w in permutations(range(1, 5)):
+        for j in range(1, 4):
+            moved = rmul_s(w, j)
+            pairs = gen_pairs(w, moved, perm_length(moved) - perm_length(w))
+            for sign, want in ((1, pairs), (-1, inverse_pairs(pairs, w))):
+                assert hecke._step(w, j, sign) == want == hecke._step.__wrapped__(w, j, sign)
+
+
+@pytest.mark.parametrize("sign", [0, 2, -2])
+def test_letter_signs_other_than_one_are_refused(sign):
+    before = hecke._step.cache_info()
+    with pytest.raises(ValueError, match=rf"g_1\^{sign}: the sign"):
+        word_element(3, [(1, sign)])
+    assert hecke._step.cache_info() == before
+
+
+def test_step_cache_is_shared_by_the_versions():
+    # the integral products reach the steps that the generic ones stored
+    hecke._step.cache_clear()
+    ds = enumerate_diagrams(5)
+    infos = []
+    for N in (None, 2):
+        ctx = AlgebraContext(5, N)
+        for d in ds[::3]:
+            for c in ds[::97]:
+                algebra_product(ctx, QBrauerElement.basis(c), QBrauerElement.basis(d))
+        infos.append(hecke._step.cache_info())
+    generic, integral = infos
+    assert generic.currsize > 0 and integral.misses == generic.misses
+    assert integral.hits > generic.hits
+    # no value that the cache can hold at n = 5 involves r
+    for w in permutations(range(1, 6)):
+        for j in range(1, 5):
+            for sign in (1, -1):
+                assert not any(involves_r(c) for _, c in hecke._step(w, j, sign))

@@ -140,7 +140,7 @@ def _product_reading(right):
     # the word of g_{w1} g_{wd} applied on the left first atom first
     (algebra, "_middle", mutant_middle(lift=lambda word: word)),
     (suites, "product", _product_reading(lambda ed: ed.right_word[::-1])),
-    (suites, "product", _product_reading(lambda ed: tuple(reduced_word(ed.w2)))),
+    (suites, "product", _product_reading(lambda ed: reduced_word(ed.w2))),
 ], ids=["ek_atoms_sign", "left_word_unreversed", "right_word_reversed", "right_word_without_wd"])
 def test_product_report_catches_product_mutants(monkeypatch, module, name, mutant):
     # the certificate keeps the true spelling of e_(k), which ek_step builds too
