@@ -12,6 +12,9 @@ in the parabolic Hecke algebra on the generators g_{2k+1}..g_{n-1}.
 :func:`to_inflation` reads the coordinate and :func:`from_inflation`
 rebuilds the diagram from all of it by concatenation;
 :func:`inflation_bijection_check` runs that round trip on every diagram.
+The rebuild is one ``concat`` of a head w1 e_(k) wd and a tail e_(k) w2,
+each cached by value with ``functools.cache`` and never cleared;
+:func:`from_inflation` says why that is safe and bounds both caches.
 Multiplication of two layer-k elements is governed, modulo the lower
 layers, by a bilinear form phi_k with values in that Hecke algebra; phi_k
 and the product check read coordinates through one reader,
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
+from functools import cache
 from math import factorial
 
 from . import algebra
@@ -43,6 +47,7 @@ from .diagrams import (
     Perm,
     ReducedExpression,
     bottom_part,
+    concat,
     concat_many,
     e_k_diagram,
     enumerate_diagrams,
@@ -128,10 +133,36 @@ def to_inflation(d: BrauerDiagram) -> ReducedExpression:
 def from_inflation(n: int, ex: ReducedExpression):
     """``(diagram, loops)`` of the concatenation w1 e_(k) wd e_(k) w2, which
     shares no code with ``decompose``; a cell coordinate of a diagram
-    rebuilds that diagram and closes k loops."""
-    ek = e_k_diagram(n, ex.k)
-    return concat_many(perm_to_diagram(ex.w1), ek, perm_to_diagram(ex.wd), ek,
-                       perm_to_diagram(ex.w2))
+    rebuilds that diagram and closes k loops.
+
+    It is one ``concat`` of the head w1 e_(k) wd (:func:`_head`) and the
+    tail e_(k) w2 (:func:`_tail`): concatenation is associative and the
+    loops add up.  Both halves are cached with ``functools.cache``, filled
+    on first use and never cleared.  That is safe: the keys are values
+    (ints and permutation tuples), the values are an interned diagram and a
+    loop count, and neither involves r, so the generic and the integral
+    versions share them.  Over the coordinates of the diagrams of rank n
+    there are sum_k n!/(2^k k!) heads (195 at n = 5, 8,295 at n = 7) and
+    sum_k transversal_count(n, k) tails (26 and 232).  A w1, wd or w2 that
+    is no permutation raises ValueError on every call, as the cache keeps
+    no exception.
+    """
+    head, a = _head(n, ex.k, ex.w1, ex.wd)
+    tail, b = _tail(n, ex.k, ex.w2)
+    d, c = concat(head, tail)
+    return d, a + b + c
+
+
+@cache
+def _head(n: int, k: int, w1: Perm, wd: Perm):
+    """``(diagram, loops)`` of w1 e_(k) wd; cached by value."""
+    return concat_many(perm_to_diagram(w1), e_k_diagram(n, k), perm_to_diagram(wd))
+
+
+@cache
+def _tail(n: int, k: int, w2: Perm):
+    """``(diagram, loops)`` of e_(k) w2; cached by value."""
+    return concat(e_k_diagram(n, k), perm_to_diagram(w2))
 
 
 # ---------------------------------------------------------------------------

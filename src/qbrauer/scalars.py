@@ -28,7 +28,8 @@ process-global and never shrink.
 No floating point is used anywhere; specialization targets are exact fields
 (``fractions.Fraction`` or the prime fields provided here).
 
-``classical_limit`` maps R0 onto Z[δ] by q = r = 1.  ``brauer_limit(s, N)``
+``classical_limit`` maps R0 onto Z[δ] by q = r = 1, and is cached per
+interned scalar with ``functools.cache``.  ``brauer_limit(s, N)``
 is its value at δ = N, so it raises outside R0 even where a limit along
 r = q^N exists, as for (r - q^2)/(q-1)^2 at N = 2; no structure constant is.
 
@@ -46,6 +47,7 @@ True
 
 from __future__ import annotations
 
+from functools import cache
 from math import comb
 
 
@@ -345,6 +347,7 @@ def specialize(s: Scalar, q0, r0):
     return s.num.evaluate(q0, r0) / den
 
 
+@cache
 def classical_limit(s: Scalar) -> dict:
     """The image of ``s`` in Z[δ] under q = r = 1, as a zero-free
     ``{degree: coefficient}`` dict; PoleAtSpecialization if ``s`` is not in R0.
@@ -352,6 +355,11 @@ def classical_limit(s: Scalar) -> dict:
     With x = q - 1, y = r - 1 = x δ and ``s.split()`` = (num, a, c, u),
     s is in R0 iff num(x+1, y+1) has no monomial x^i y^j with i + j < u; the
     image is the part with i + j = u, as x^i y^j / x^u = x^(i+j-u) δ^j.
+
+    The value is cached with ``functools.cache``, keyed by the interned
+    scalar, filled on first use and never cleared; a pole is raised again on
+    every call, since the cache keeps no exception.  Every caller gets the
+    one dict of its scalar, so no caller may change it.
     """
     num, _, _, u = s.split()
     terms, out = num.terms.items(), {}

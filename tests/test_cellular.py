@@ -26,6 +26,7 @@ from qbrauer.diagrams import (
     ReducedExpression,
     SizeMismatch,
     bottom_part,
+    concat_many,
     decompose,
     diagram_from_edges,
     e_k_diagram,
@@ -35,6 +36,7 @@ from qbrauer.diagrams import (
     identity_perm,
     perm_inv,
     perm_mul,
+    perm_to_diagram,
     s_ij,
     top_part,
 )
@@ -137,6 +139,43 @@ def test_bijection_check_kills_decompose_mutants(monkeypatch, mutate):
     monkeypatch.setattr(algebra, "_EXPR_CACHE", {})
     rep = inflation_bijection_check(AlgebraContext(4))
     assert rep["pairs_tested"] == 105 and rep["failures"]
+
+
+@pytest.mark.parametrize("mutate", [_swap_outer, _w1_is_w2, _wd_slot_off_by_one])
+def test_warm_halves_do_not_hide_a_wrong_coordinate(monkeypatch, mutate):
+    """The cached halves of ``from_inflation`` are keyed by value, so after
+    an unmutated check has filled them, a ``decompose`` mutant still fails."""
+    from qbrauer import algebra, cellular
+
+    assert inflation_bijection_check(AlgebraContext(4))["failures"] == []
+    assert cellular._head.cache_info().currsize and cellular._tail.cache_info().currsize
+    real = algebra.decompose
+    monkeypatch.setattr(algebra, "decompose", lambda d: mutate(real(d)))
+    monkeypatch.setattr(algebra, "_EXPR_CACHE", {})
+    rep = inflation_bijection_check(AlgebraContext(4))
+    assert rep["pairs_tested"] == 105 and rep["failures"]
+
+
+def test_from_inflation_is_the_five_diagram_concat():
+    worked = diagram_from_edges(
+        7, [(2, 4), (3, 5), (1, 11), (6, 8), (7, 9), (10, 12), (13, 14)]
+    )
+    cases = [(n, d) for n in range(1, 6) for d in enumerate_diagrams(n)] + [(7, worked)]
+    for n, d in cases:
+        ex = to_inflation(d)
+        ek = e_k_diagram(n, ex.k)
+        five = concat_many(perm_to_diagram(ex.w1), ek, perm_to_diagram(ex.wd), ek,
+                           perm_to_diagram(ex.w2))
+        assert from_inflation(n, ex) == five == (d, ex.k)
+
+
+def test_from_inflation_refuses_a_non_permutation_on_every_call():
+    ident = identity_perm(4)
+    for bad in (ReducedExpression(1, (1, 1, 3, 4), ident, ident),
+                ReducedExpression(1, ident, ident, (2, 2, 3, 4))):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                from_inflation(4, bad)
 
 
 def test_bijection_check_counts_each_layer(monkeypatch):

@@ -257,6 +257,23 @@ def test_classical_limit():
             classical_limit(s)
 
 
+def test_classical_limit_is_cached():
+    """One dict per interned scalar; a pole is raised on every call; the
+    values, and those of brauer_limit, are the uncached ones."""
+    uncached = classical_limit.__wrapped__
+    for s in (B, r_scalar() * B, B * B - r_scalar() * B, q_scalar() ** 3, ZERO):
+        first = classical_limit(s)
+        assert classical_limit(s) is first and first == uncached(s)
+        for N in (-2, 1, 2, 3):
+            assert brauer_limit(s, N) == sum(c * N ** j for j, c in uncached(s).items())
+    pole = qm1_scalar().inv()
+    for _ in range(2):
+        with pytest.raises(PoleAtSpecialization):
+            classical_limit(pole)
+        with pytest.raises(PoleAtSpecialization):
+            brauer_limit(pole, 2)
+
+
 def test_prime_field():
     F7 = PrimeField(7)
     assert F7(3) + F7(5) == F7(1)
