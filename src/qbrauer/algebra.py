@@ -48,7 +48,13 @@ e_(k) = e g^+_{2,2k-1} g^-_{1,2k-2} e_(k-1), with the atom ("e", k-1) last,
 so the e_(k-1) tail of each diagram is filled once per context.
 ``_middle`` holds the products b_c g_{w1'} e_(k'),
 ``_core`` the core products below, and the module-global ``_EXPR_CACHE``
-the factorization of each diagram read so far.  The process-global
+the factorization of each diagram read so far.  The module-global
+``_BASIS`` holds the one shared basis element of each diagram that
+``QBrauerElement.basis`` was asked for: at most (2n-1)!! entries per rank,
+filled on first use and never cleared.  Sharing is safe because no element
+is changed in place, the one coefficient ``ONE`` is free of r, so every
+context reads the same element, and ``product`` returns a fresh dict, never
+the terms of a basis element or of a memo entry.  The process-global
 ``functools.cache`` tables of ``star``, ``top_part`` and ``reduced_word``
 in ``diagrams``, and of the g_j step ``hecke._step``, hold values free of
 r, so every context shares them; ``star`` and ``top_part`` make
@@ -102,6 +108,8 @@ from .scalars import ONE, Q, QM1, Scalar
 
 # decomposition data is version-independent; shared across contexts
 _EXPR_CACHE: dict = {}
+# the basis element of each diagram, one shared element per diagram
+_BASIS: dict = {}
 
 
 def _expr(d: BrauerDiagram) -> ReducedExpression:
@@ -119,7 +127,16 @@ class QBrauerElement(SparseElement):
 
     @classmethod
     def basis(cls, d: BrauerDiagram) -> "QBrauerElement":
-        return cls._adopt(d.n, {d: ONE})
+        """The basis element b_d, one shared element per diagram, kept in
+        the process-global ``_BASIS``: at most (2n-1)!! entries per rank,
+        filled on first use and never cleared.  Sharing it is safe because
+        no element is changed in place, its one coefficient ``ONE`` is free
+        of r, so every context reads the same element, and ``product``
+        returns a fresh dict."""
+        x = _BASIS.get(d)
+        if x is None:
+            x = _BASIS[d] = cls._adopt(d.n, {d: ONE})
+        return x
 
     def __repr__(self) -> str:
         return f"QBrauerElement(n={self.n}, {len(self.terms)} terms)"
@@ -351,6 +368,12 @@ def _rfold(ctx: AlgebraContext, terms: dict, word) -> dict:
             pairs = table.get((d, tag))
             if pairs is None:
                 pairs = _rmul_fill(ctx, d, atom)
+            if len(pairs) == 1:
+                key, v = pairs[0]
+                if v is ONE and key not in out:
+                    # a unit move into a fresh key keeps its coefficient
+                    out[key] = c
+                    continue
             accumulate(out, c, pairs)
         terms = out
     return terms
@@ -365,6 +388,11 @@ def _lfold(ctx: AlgebraContext, word, terms: dict) -> dict:
             pairs = ctx._lmul_g.get((j, d))
             if pairs is None:
                 pairs = _lmul_g_basis(ctx, j, d)
+            if len(pairs) == 1:
+                key, v = pairs[0]
+                if v is ONE and key not in out:
+                    out[key] = c
+                    continue
             accumulate(out, c, pairs)
         terms = out
     return terms
@@ -434,21 +462,28 @@ def product(ctx: AlgebraContext, x: QBrauerElement, y: QBrauerElement) -> QBraue
     """x times y: each pair (c, d) of basis terms is ``_middle``, b_c times
     the top part g_{w1'} e_(k') of d, with the word of g_{wd'} g_{w2'}
     folded on by ``_rfold``.  A product of two basis elements with unit
-    coefficients is that fold alone."""
+    coefficients, such as two shared ``basis`` elements, takes the first
+    branch: the ``_middle`` entry is read in place and the fold is the
+    result.  Either branch returns a fresh dict, never the terms of a
+    basis element or of a memo entry."""
     if x.n != y.n or x.n != ctx.n:
         raise SizeMismatch("mixed ranks in product")
-    single = len(x.terms) == 1 == len(y.terms)
+    if len(x.terms) == 1 == len(y.terms):
+        (c, a), = x.terms.items()
+        (d, b), = y.terms.items()
+        if a is ONE and b is ONE:
+            ed = _EXPR_CACHE.get(d) or _expr(d)
+            m = ctx._middle.get((c, ed.k, ed.w1)) or _middle(ctx, c, _expr(c), d, ed)
+            word = ed.right_word
+            return QBrauerElement._adopt(
+                ctx.n, _rfold(ctx, m.terms, word) if word else dict(m.terms))
     out: dict = {}
     for c, a in x.terms.items():
         ec = _expr(c)
         for d, b in y.terms.items():
             ed = _expr(d)
             z = _rfold(ctx, _middle(ctx, c, ec, d, ed).terms, ed.right_word)
-            if single and a is ONE and b is ONE:
-                # a fresh dict: never hand out the terms of a memo entry
-                out = z if ed.right_word else dict(z)
-            else:
-                accumulate(out, a * b, z.items())
+            accumulate(out, a * b, z.items())
     return QBrauerElement._adopt(ctx.n, out)
 
 

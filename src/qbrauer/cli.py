@@ -218,7 +218,7 @@ def cmd_straighten(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    if args.diagram.strip().startswith("{"):
+    if args.diagram.strip().startswith(("{", "[")):
         obj = json.loads(args.diagram)
     else:
         with open(args.diagram, encoding="utf-8") as fh:

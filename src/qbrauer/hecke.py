@@ -60,7 +60,10 @@ def accumulate(out: dict, c: Scalar, pairs) -> dict:
 
 class SparseElement:
     """Finitely supported map basis -> Scalar of an algebra of rank n;
-    no zero coefficients stored.  Elements are never changed in place."""
+    no zero coefficients stored.  Elements are never changed in place, so
+    one element may be shared, as ``QBrauerElement.basis`` shares the basis
+    element of each diagram, and a caller that wants to change terms copies
+    them first."""
 
     __slots__ = ("n", "terms")
 

@@ -113,6 +113,16 @@ def test_decompose_inline(capsys):
         "k = 2, length = 13", "w1 = s3,6 s2,5 s1,4 s2", "wd = 1", "w2 = 1"]
 
 
+def test_decompose_inline_list_names_the_diagram_form(capsys):
+    # a JSON array is read inline, not opened as a file, and the diagram
+    # reader names the form it expects
+    code, out, err = run(capsys, "decompose", "[1,2]")
+    assert code == 2 and out == ""
+    obj = json.loads(err)
+    assert obj["error"] == "ValueError"
+    assert '{"n": n, "edges": [...]}' in obj["detail"]
+
+
 def test_table_determinism(capsys):
     code, out1, _ = run(capsys, "table", "2")
     code2, out2, _ = run(capsys, "table", "2")
@@ -127,6 +137,9 @@ def test_table_determinism(capsys):
     (("table", "4"), "c324816e7a15e5ea8cb0739b4eed067e"),
     # r = q^-1 puts negative powers of q into the coefficients
     (("table", "3", "--integral", "-1"), "99e6bc1832d1de8592eab85785f3fdbd"),
+    (("verify", "oracle", "5", "--sample", "1000"), "ef04939cc58c2efb1fcb1d5b8d5384c6"),
+    (("verify", "cell", "5", "--sample", "200"), "db1d5a8158fa31d0aa2caac414d9b728"),
+    (("verify", "relations", "4"), "aa41c4438d5d3ff9a5786339d0a201a2"),
 ])
 def test_table_bytes_are_pinned(capsys, argv, md5):
     code, out, _ = run(capsys, *argv)
@@ -658,7 +671,7 @@ def test_json_readers_never_raise(x, y, diagram):
                 json.dump(obj, fh)
         assert main(["mul", paths[0], paths[1]]) in (0, 2)
         text = json.dumps(diagram)
-        assert main(["decompose", text if text.startswith("{") else paths[2]]) in (0, 2)
+        assert main(["decompose", text if text.startswith(("{", "[")) else paths[2]]) in (0, 2)
 
 
 def test_argument_errors_exit_2(capsys):
