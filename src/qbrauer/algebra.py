@@ -48,17 +48,17 @@ e_(k) = e g^+_{2,2k-1} g^-_{1,2k-2} e_(k-1), with the atom ("e", k-1) last,
 so the e_(k-1) tail of each diagram is filled once per context.
 ``_middle`` holds the products b_c g_{w1'} e_(k'),
 ``_core`` the core products below, and the module-global ``_EXPR_CACHE``
-the factorization of each diagram read so far.  The module-global
-``_BASIS`` holds the one shared basis element of each diagram that
-``QBrauerElement.basis`` was asked for: at most (2n-1)!! entries per rank,
-filled on first use and never cleared.  Sharing is safe because no element
-is changed in place, the one coefficient ``ONE`` is free of r, so every
-context reads the same element, and ``product`` returns a fresh dict, never
-the terms of a basis element or of a memo entry.  The process-global
-``functools.cache`` tables of ``star``, ``top_part`` and ``reduced_word``
-in ``diagrams``, and of the g_j step ``hecke._step``, hold values free of
-r, so every context shares them; ``star`` and ``top_part`` make
-``bottom_part`` and the involution i lookups.
+the factorization of each diagram read so far.  The ``functools.cache``
+of ``QBrauerElement.basis`` holds the one shared basis element of each
+diagram asked for: at most (2n-1)!! entries per rank, filled on first use
+and never cleared.  Sharing is safe because no element is changed in
+place, the one coefficient ``ONE`` is free of r, so every context reads the
+same element, and ``product`` returns a fresh dict, never the terms of a
+basis element or of a memo entry.  The process-global ``functools.cache``
+tables of ``star``, ``top_part``, ``reduced_word`` and
+``enumerate_diagrams`` in ``diagrams``, and of the g_j step ``hecke._step``,
+hold values free of r, so every context shares them; ``star`` and
+``top_part`` make ``bottom_part`` and the involution i lookups.
 
 Multiplication by e reduces to the core products e g_sigma e_(k).  These
 are peeled by exact one-letter rules (e g_1 = q e; e g_i = g_i e for
@@ -80,6 +80,8 @@ localization by construction.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 from . import hecke, scalars
 from .diagrams import (
@@ -108,8 +110,6 @@ from .scalars import ONE, Q, QM1, Scalar
 
 # decomposition data is version-independent; shared across contexts
 _EXPR_CACHE: dict = {}
-# the basis element of each diagram, one shared element per diagram
-_BASIS: dict = {}
 
 
 def _expr(d: BrauerDiagram) -> ReducedExpression:
@@ -125,18 +125,16 @@ class QBrauerElement(SparseElement):
 
     __slots__ = ()
 
-    @classmethod
-    def basis(cls, d: BrauerDiagram) -> "QBrauerElement":
-        """The basis element b_d, one shared element per diagram, kept in
-        the process-global ``_BASIS``: at most (2n-1)!! entries per rank,
-        filled on first use and never cleared.  Sharing it is safe because
-        no element is changed in place, its one coefficient ``ONE`` is free
-        of r, so every context reads the same element, and ``product``
-        returns a fresh dict."""
-        x = _BASIS.get(d)
-        if x is None:
-            x = _BASIS[d] = cls._adopt(d.n, {d: ONE})
-        return x
+    @staticmethod
+    @cache
+    def basis(d: BrauerDiagram) -> "QBrauerElement":
+        """The basis element b_d, one shared element per diagram, kept by
+        this method's process-global ``functools.cache``: at most (2n-1)!!
+        entries per rank, filled on first use and never cleared.  Sharing it
+        is safe because no element is changed in place, its one coefficient
+        ``ONE`` is free of r, so every context reads the same element, and
+        ``product`` returns a fresh dict."""
+        return QBrauerElement._adopt(d.n, {d: ONE})
 
     def __repr__(self) -> str:
         return f"QBrauerElement(n={self.n}, {len(self.terms)} terms)"

@@ -23,14 +23,15 @@ count times their concatenation, so ``concat`` is the q = 1 oracle for the defor
 kernel.  There is no classical element type, and this module never
 imports :mod:`qbrauer.scalars`.
 
-Three pure functions are cached with ``functools.cache``, each filled on
+Four pure functions are cached with ``functools.cache``, each filled on
 first use and never cleared.  :func:`star` and :func:`top_part` are keyed
 by a diagram, which is interned, so the key hashes by address; each holds
 at most (2n-1)!! entries per rank, and :func:`bottom_part` is three cache
 reads.  :func:`reduced_word` is keyed by a permutation, an immutable
 tuple, holds at most n! entries per rank, and returns a tuple of atoms
-that no caller can change.  No value involves a scalar, so the generic
-and the integral versions share them.
+that no caller can change.  :func:`enumerate_diagrams` holds one tuple
+per rank.  No value involves a scalar, so the generic and the integral
+versions share them.
 """
 
 from __future__ import annotations
@@ -344,8 +345,11 @@ class ReducedExpression:
 
     ``left_word`` and ``right_word`` spell g_{w1} g_{wd} and g_{wd} g_{w2}
     in ``reduced_word`` atoms; each is reduced, because the lengths add.
-    Each word is spelled on its first read and kept in its own slot, since
-    many factorizations are read only for their coordinates.  g_{wd}
+    Each word is spelled on its first read and kept in its own slot, so a
+    coordinate whose wd or w2 is no permutation reaches
+    ``inflation_bijection_check`` as a failure instead of raising in
+    ``decompose`` (``test_bijection_check_kills_decompose_mutants``,
+    ``_wd_slot_off_by_one``); eager words measured no faster.  g_{wd}
     commutes with e_(k), as wd fixes 1..2k, so b_d = g_{w1} g_{wd} e_(k)
     g_{w2} = g_{w1} e_(k) g_{wd} g_{w2}: ``product`` reads b_d as its top
     part g_{w1} e_(k) times ``right_word``, and ``left_word`` lifts the
@@ -448,10 +452,7 @@ def bottom_part(d: BrauerDiagram) -> BrauerDiagram:
 # enumeration
 # ---------------------------------------------------------------------------
 
-# Process-global: the tuple of all diagrams of each rank enumerated so far.
-_ENUMERATIONS: dict = {}
-
-
+@cache
 def enumerate_diagrams(n: int) -> tuple:
     """All (2n-1)!! diagrams of rank n, in the order of their partner tuples.
 
@@ -459,30 +460,27 @@ def enumerate_diagrams(n: int) -> tuple:
     with each greater unmatched vertex in ascending order: every earlier
     entry of the tuple is then fixed, so that order is the sorted order.
     Each tuple is a matching by construction, so ``BrauerDiagram`` only
-    interns it.  The result is kept per rank, and every call returns that
-    one tuple.
+    interns it.  The result is cached per rank, and every call returns
+    that one tuple.
     """
-    out = _ENUMERATIONS.get(n)
-    if out is None:
-        n2, partner, found = 2 * n, [0] * (2 * n), []
+    n2, partner, found = 2 * n, [0] * (2 * n), []
 
-        def pair_from(a: int) -> None:
-            # every vertex below index a is matched
-            while a < n2 and partner[a]:
-                a += 1
-            if a >= n2:
-                found.append(BrauerDiagram(n, tuple(partner)))
-                return
-            for b in range(a + 1, n2):
-                if not partner[b]:
-                    partner[a], partner[b] = b + 1, a + 1
-                    pair_from(a + 1)
-                    partner[b] = 0
-            partner[a] = 0
+    def pair_from(a: int) -> None:
+        # every vertex below index a is matched
+        while a < n2 and partner[a]:
+            a += 1
+        if a >= n2:
+            found.append(BrauerDiagram(n, tuple(partner)))
+            return
+        for b in range(a + 1, n2):
+            if not partner[b]:
+                partner[a], partner[b] = b + 1, a + 1
+                pair_from(a + 1)
+                partner[b] = 0
+        partner[a] = 0
 
-        pair_from(0)
-        out = _ENUMERATIONS[n] = tuple(found)
-    return out
+    pair_from(0)
+    return tuple(found)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import cache
 
 from qbrauer import algebra, cellular, diagrams, hecke, scalars
 
@@ -90,20 +91,42 @@ ctx = algebra.AlgebraContext(3)
 for check in (cellular.inflation_bijection_check, cellular.inflation_product_check,
               cellular.cell_chain_check):
     assert check(ctx)["failures"] == [], check
-print(json.dumps(tracer.layer_metrics(0, 1.0)))
+ds = diagrams.enumerate_diagrams(3)
+x = algebra.product(ctx, algebra.QBrauerElement.basis(ds[4]), algebra.QBrauerElement.basis(ds[9]))
+str(next(iter(x.terms.values())))
+formats = tracer.span_stats().get("scalars.format", [0])[0]
+print(json.dumps({"metrics": tracer.layer_metrics(0, 1.0), "formats": formats}))
 """
+
+
+@cache
+def probe_run():
+    """The output of ``PROBE_RUN``, run once for the tests that read it.
+    The wrappers are installed in a subprocess, so they cannot reach other
+    tests."""
+    done = run_python(PROBE_RUN, TRACING)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
 
 
 def test_cellular_probes_count_the_cell_checks():
     """The tracer's ``cellular`` probes see the calls of ``verify cell``'s
     three checks at n = 3: a coordinate read and a rebuild for each of the
-    15 diagrams at least, and some phi_k.  The wrappers are installed in a
-    subprocess, so they cannot reach other tests."""
-    done = run_python(PROBE_RUN, TRACING)
-    assert done.returncode == 0, done.stderr
-    metrics = json.loads(done.stdout)
+    15 diagrams at least, and some phi_k."""
+    metrics = probe_run()["metrics"]
     assert metrics["cellular.inflation_calls"] >= 2 * 15
     assert metrics["cellular.phi_calls"] > 0
+
+
+def test_scalar_probes_see_the_cached_dunders():
+    """``Scalar.__mul__`` and ``__add__`` are ``functools.cache`` objects in
+    the class namespace; the tracer wraps them there and still counts every
+    call, and it counts a ``str`` of a product coefficient as a
+    ``scalars.format`` span."""
+    out = probe_run()
+    assert out["metrics"]["scalars.mul_calls"] > 0
+    assert out["metrics"]["scalars.add_calls"] > 0
+    assert out["formats"] >= 1
 
 
 def test_import_path_loads_no_dataclasses():
@@ -114,3 +137,37 @@ def test_import_path_loads_no_dataclasses():
                       "print('dataclasses' in sys.modules)")
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+COLD_RUN = """
+import json
+import qbrauer.algebra, qbrauer.cellular, qbrauer.cli, qbrauer.suites
+from qbrauer import algebra, cellular, diagrams, hecke, scalars
+tables = {
+    "QBrauerElement.basis": algebra.QBrauerElement.basis,
+    "enumerate_diagrams": diagrams.enumerate_diagrams,
+    "star": diagrams.star,
+    "top_part": diagrams.top_part,
+    "reduced_word": diagrams.reduced_word,
+    "hecke._step": hecke._step,
+    "cellular._head": cellular._head,
+    "cellular._tail": cellular._tail,
+    "classical_limit": scalars.classical_limit,
+    "Scalar.__mul__": scalars.Scalar.__mul__,
+}
+sizes = {name: f.cache_info().currsize for name, f in tables.items()}
+sizes["_EXPR_CACHE"] = len(algebra._EXPR_CACHE)
+print(json.dumps(sizes))
+"""
+
+
+def test_process_global_caches_start_empty():
+    """Importing the package fills none of the process-global memo tables
+    that hold no value of a context, which the benchmark's cold-run check
+    in ``qbench/rep.py`` does not read.  ``Scalar.__add__`` is left out: the
+    import forms one sum, ``Q_INV_M1 = Q_INV - ONE``, so its cache starts
+    with that entry."""
+    done = run_python(COLD_RUN)
+    assert done.returncode == 0, done.stderr
+    sizes = json.loads(done.stdout)
+    assert {name: n for name, n in sizes.items() if n} == {}
