@@ -11,8 +11,8 @@ part g_{w1'} e_(k') of d, ``top_part(d)``:
 
     b_c b_d = [b_c g_{w1'} e_(k')] g_{wd'} g_{w2'}.
 
-The product in brackets is memoized per (c, k', w1').  For c that is not a
-bottom part it is g_{w1} g_{wd} times the entry of the bottom part
+The product in brackets is memoized per (c, top_part(d)).  For c that is
+not a bottom part it is g_{w1} g_{wd} times the entry of the bottom part
 e_(k) g_{w2} of c, ``bottom_part(c)``, so every product of two basis
 elements factors through the middle product of the bottom part of c and
 the top part of d, the inflation form of the cell basis.  That one is
@@ -330,9 +330,9 @@ def _atom_text(atom) -> str:
 
 
 def _rmul_fill(ctx: AlgebraContext, d: BrauerDiagram, atom) -> tuple:
-    """The pairs of the basis element of d times ``atom``, computed and
-    stored on a miss of ``rmul_atom``.  e_(k) for k >= 2 folds one step of
-    its recursion onto d, with e_(k-1) as the atom ("e", k-1), so each
+    """The pairs of the basis element of d times ``atom``, g_j^{-1} or e_(k),
+    stored on a miss of ``_rfold``.  e_(k) for k >= 2 folds one step of its
+    recursion onto d, with e_(k-1) as the atom ("e", k-1), so each
     diagram's e_(k-1) tail is filled once per context."""
     tag, k = atom
     if tag == "e":
@@ -344,28 +344,26 @@ def _rmul_fill(ctx: AlgebraContext, d: BrauerDiagram, atom) -> tuple:
         else:
             pairs = tuple(_rfold(ctx, {d: ONE}, ek_step(k, [("e", k - 1)])).items())
     else:
-        pairs = _rmul_g_basis(ctx, d, tag)
-        if atom[1] > 0:
-            return pairs
-        pairs = inverse_pairs(pairs, d)
+        pairs = inverse_pairs(_rmul_g_basis(ctx, d, tag), d)
     ctx._rmul_atom[(d, atom)] = pairs
     return pairs
 
 
 def _rfold(ctx: AlgebraContext, terms: dict, word) -> dict:
     """``terms`` times the product of the atoms of ``word``, one atom at a
-    time on plain dicts: g_j reads ``ctx._rmul_g``, g_j^{-1} and every
-    e_(k) read ``ctx._rmul_atom``, and a miss fills through ``_rmul_fill``."""
+    time on plain dicts: g_j reads ``ctx._rmul_g`` and fills a miss through
+    ``_rmul_g_basis``; g_j^{-1} and e_(k) read ``ctx._rmul_atom`` and fill
+    through ``_rmul_fill``.  Signs are checked by ``word_element``."""
     for atom in word:
         if atom[0] != "e" and atom[1] > 0:
-            table, tag = ctx._rmul_g, atom[0]
+            table, tag, fill = ctx._rmul_g, atom[0], _rmul_g_basis
         else:
-            table, tag = ctx._rmul_atom, atom
+            table, tag, fill = ctx._rmul_atom, atom, _rmul_fill
         out: dict = {}
         for d, c in terms.items():
             pairs = table.get((d, tag))
             if pairs is None:
-                pairs = _rmul_fill(ctx, d, atom)
+                pairs = fill(ctx, d, tag)
             if len(pairs) == 1:
                 key, v = pairs[0]
                 if v is ONE and key not in out:
@@ -379,7 +377,9 @@ def _rfold(ctx: AlgebraContext, terms: dict, word) -> dict:
 
 def _lfold(ctx: AlgebraContext, word, terms: dict) -> dict:
     """The product of the g_j atoms of ``word`` times ``terms``, last atom
-    first, on plain dicts read from ``ctx._lmul_g``."""
+    first, on plain dicts read from ``ctx._lmul_g``.  It reads only j, so
+    each atom must be (j, +1): ``lmul_gen`` checks its one atom, and
+    ``_middle`` and ``straighten`` pass reduced words."""
     for j, _ in reversed(word):
         out: dict = {}
         for d, c in terms.items():
@@ -397,11 +397,9 @@ def _lfold(ctx: AlgebraContext, word, terms: dict) -> dict:
 
 
 def rmul_atom(ctx: AlgebraContext, x: QBrauerElement, atom) -> QBrauerElement:
-    """x times a single atom, the one-atom fold: g_j^{±1}, or e_(k) for
-    1 <= k <= n // 2, and ValueError for any other k or sign."""
-    if atom[0] != "e" and atom[1] not in (1, -1):
-        raise ValueError(f"{_atom_text(atom)}: the sign of a g atom is 1 or -1")
-    return QBrauerElement._adopt(ctx.n, _rfold(ctx, x.terms, (atom,)))
+    """x times a single atom, the one-atom ``word_element``: g_j^{±1}, or
+    e_(k) for 1 <= k <= n // 2, and ValueError for any other k or sign."""
+    return word_element(ctx, (atom,), x)
 
 
 def lmul_gen(ctx: AlgebraContext, atom, x: QBrauerElement) -> QBrauerElement:
@@ -416,14 +414,17 @@ def lmul_gen(ctx: AlgebraContext, atom, x: QBrauerElement) -> QBrauerElement:
 
 
 def word_element(ctx: AlgebraContext, word, x: QBrauerElement) -> QBrauerElement:
-    """x times the product of the atoms of ``word``, in one fold."""
+    """x times the product of the atoms of ``word``, in one fold; ValueError
+    for a g atom whose sign is not 1 or -1, before any atom acts."""
+    for atom in word:
+        if atom[0] != "e" and atom[1] not in (1, -1):
+            raise ValueError(f"{_atom_text(atom)}: the sign of a g atom is 1 or -1")
     return QBrauerElement._adopt(ctx.n, _rfold(ctx, x.terms, word))
 
 
-def _middle(ctx: AlgebraContext, c: BrauerDiagram, ec: ReducedExpression,
-            d: BrauerDiagram, ed: ReducedExpression) -> QBrauerElement:
-    """b_c times g_{w1'} e_(k'), the basis element of ``top_part(d)``, for
-    d = (k', w1', wd', w2'); memoized in ``ctx._middle`` under (c, k', w1').
+def _middle(ctx: AlgebraContext, c: BrauerDiagram, t: BrauerDiagram) -> QBrauerElement:
+    """b_c times b_t for a top part t = g_{w1'} e_(k'), ``top_part(d)`` of
+    d = (k', w1', wd', w2'); memoized in ``ctx._middle`` under (c, t).
 
     When c = (k, w1, wd, w2) is not a bottom part, b_c is g_{w1} g_{wd}
     times the basis element e_(k) g_{w2} of ``bottom_part(c)``, so the fill
@@ -435,22 +436,20 @@ def _middle(ctx: AlgebraContext, c: BrauerDiagram, ec: ReducedExpression,
 
         e_(k) g_{w2} g_{w1'} e_(k') = i(e_(k') g_{w1'^-1} g_{w2^-1} e_(k)),
 
-    so the fill reads the mirror entry (star(top_part(d)), k, w2^-1), a
-    direct fold, and maps it through i.
+    so the fill reads the mirror entry (star(t), star(c)), a direct fold,
+    and maps it through i.
     """
-    key = (c, ed.k, ed.w1)
+    key = (c, t)
     res = ctx._middle.get(key)
     if res is None:
+        ec, et = _expr(c), _expr(t)
         if ec.left_word:
-            b = bottom_part(c)
             res = QBrauerElement._adopt(
-                ctx.n, _lfold(ctx, ec.left_word, _middle(ctx, b, _expr(b), d, ed).terms))
-        elif ec.k < ed.k:
-            # star(c) = g_{w2^-1} e_(k) is a top part
-            mc, md = star(top_part(d)), star(c)
-            res = involution_i(_middle(ctx, mc, _expr(mc), md, _expr(md)))
+                ctx.n, _lfold(ctx, ec.left_word, _middle(ctx, bottom_part(c), t).terms))
+        elif ec.k < et.k:
+            res = involution_i(_middle(ctx, star(t), star(c)))
         else:
-            word = reduced_word(ed.w1) + ((("e", ed.k),) if ed.k else ())
+            word = reduced_word(et.w1) + ((("e", et.k),) if et.k else ())
             res = word_element(ctx, word, QBrauerElement.basis(c))
         ctx._middle[key] = res
     return res
@@ -470,17 +469,15 @@ def product(ctx: AlgebraContext, x: QBrauerElement, y: QBrauerElement) -> QBraue
         (c, a), = x.terms.items()
         (d, b), = y.terms.items()
         if a is ONE and b is ONE:
-            ed = _EXPR_CACHE.get(d) or _expr(d)
-            m = ctx._middle.get((c, ed.k, ed.w1)) or _middle(ctx, c, _expr(c), d, ed)
-            word = ed.right_word
+            t = top_part(d)
+            m = ctx._middle.get((c, t)) or _middle(ctx, c, t)
+            word = (_EXPR_CACHE.get(d) or _expr(d)).right_word
             return QBrauerElement._adopt(
                 ctx.n, _rfold(ctx, m.terms, word) if word else dict(m.terms))
     out: dict = {}
     for c, a in x.terms.items():
-        ec = _expr(c)
         for d, b in y.terms.items():
-            ed = _expr(d)
-            z = _rfold(ctx, _middle(ctx, c, ec, d, ed).terms, ed.right_word)
+            z = _rfold(ctx, _middle(ctx, c, top_part(d)).terms, _expr(d).right_word)
             accumulate(out, a * b, z.items())
     return QBrauerElement._adopt(ctx.n, out)
 

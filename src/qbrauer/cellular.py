@@ -248,17 +248,16 @@ def inflation_product_check(ctx: AlgebraContext, sample=None, seed: int = 0) -> 
     failures = []
     pairs = 0
     diagrams = enumerate_diagrams(n)
-    # phi_k depends on the pair only through bottom_part(c) and top_part(d),
-    # that is through k, w2 of c and w1 of d
+    # phi_k depends on the pair only through bottom_part(c) and top_part(d)
     forms = {}
     for k in range(n // 2 + 1):
         layer_diags = [d for d in diagrams if d.layer() == k]
         for c, d in _pairs(rng, layer_diags, sample):
             pairs += 1
             ec, ed = to_inflation(c), to_inflation(d)
-            key = (k, ec.w2, ed.w1)
+            key = (bottom_part(c), top_part(d))
             if key not in forms:
-                forms[key] = phi_k(ctx, bottom_part(c), top_part(d))
+                forms[key] = phi_k(ctx, *key)
             form = forms[key]
             if form is None:
                 failures.append({"c": c.edges(), "d": d.edges(), "form": None})

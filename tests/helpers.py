@@ -50,30 +50,29 @@ def straighten_by_inverse_word(ctx, sigma, k):
     return sorted(out, key=lambda t: (t[1], t[2]))
 
 
-def mirror_entry(ctx, c, ec, d, middle, image=involution_i):
+def mirror_entry(ctx, c, t, middle, image=involution_i):
     """The k < k' fill of ``algebra._middle``: the mirror entry
-    (star(top_part(d)), k, w2^-1) through ``image``, the involution."""
-    mc, md = star(top_part(d)), star(c)
-    return image(middle(ctx, mc, _expr(mc), md, _expr(md)))
+    (star(t), star(c)) through ``image``, the involution."""
+    return image(middle(ctx, star(t), star(c)))
 
 
 def mutant_middle(lift=lambda word: word[::-1], mirror=mirror_entry):
     """A copy of ``algebra._middle`` whose non-bottom-part fill applies the
     atoms of ``lift(left_word)`` on the left in turn, and whose k < k' fill
     is ``mirror``; the defaults are the code's own."""
-    def middle(ctx, c, ec, d, ed):
-        key = (c, ed.k, ed.w1)
+    def middle(ctx, c, t):
+        key = (c, t)
         res = ctx._middle.get(key)
         if res is None:
+            ec, et = _expr(c), _expr(t)
             if ec.left_word:
-                b = bottom_part(c)
-                res = middle(ctx, b, _expr(b), d, ed)
+                res = middle(ctx, bottom_part(c), t)
                 for atom in lift(ec.left_word):
                     res = lmul_gen(ctx, atom, res)
-            elif ec.k < ed.k:
-                res = mirror(ctx, c, ec, d, middle)
+            elif ec.k < et.k:
+                res = mirror(ctx, c, t, middle)
             else:
-                word = reduced_word(ed.w1) + ((("e", ed.k),) if ed.k else ())
+                word = reduced_word(et.w1) + ((("e", et.k),) if et.k else ())
                 res = word_element(ctx, word, QBrauerElement.basis(c))
             ctx._middle[key] = res
         return res

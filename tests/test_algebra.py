@@ -269,11 +269,11 @@ def test_middle_copy_passes_the_checks(monkeypatch):
 
 @pytest.mark.parametrize("mirror", [
     # the mirror entry not mapped through the involution
-    lambda ctx, c, ec, d, middle: mirror_entry(ctx, c, ec, d, middle, image=lambda x: x),
+    lambda ctx, c, t, middle: mirror_entry(ctx, c, t, middle, image=lambda x: x),
     # the mirror read at w2 in place of w2^-1: e_(k') g_{w1'^-1} g_{w2} e_(k)
-    lambda ctx, c, ec, d, middle: involution_i(word_element(
-        ctx, reduced_word(ec.w2) + tuple(ek_atoms(ec.k)),
-        QBrauerElement.basis(star(top_part(d))))),
+    lambda ctx, c, t, middle: involution_i(word_element(
+        ctx, reduced_word(_expr(c).w2) + tuple(ek_atoms(c.layer())),
+        QBrauerElement.basis(star(t)))),
 ], ids=["no_involution", "mirror_at_w2"])
 def test_mirrored_fill_mutants_fail_the_checks(monkeypatch, mirror):
     """n = 4 has bottom parts e_(1) g_{w2} with w2 != w2^-1 and pairs with
@@ -348,6 +348,19 @@ def test_memo_entries_are_never_mutated():
     x = product(ctx, QBrauerElement.basis(ds[3]), QBrauerElement.basis(ds[9]))
     assert (x + x.scale(-ONE)).terms == {}
     assert (x - x).terms == {}
+
+
+def test_middle_entries_are_keyed_by_the_two_factors():
+    # after every n = 4 product the middle table holds one entry per left
+    # factor c and top part t of a right factor, the pair whose basis
+    # elements it multiplies; the lift and mirror fills add no other key
+    ds = enumerate_diagrams(4)
+    ctx = AlgebraContext(4)
+    for c in ds:
+        for d in ds:
+            product(ctx, QBrauerElement.basis(c), QBrauerElement.basis(d))
+    keys = {(c, top_part(d)) for c in ds for d in ds}
+    assert set(ctx._middle) == keys and len(keys) == 1050
 
 
 # Shared basis elements and the direct path of a pair of them through
@@ -720,12 +733,17 @@ def test_atoms_out_of_range_are_named():
 
 
 def test_g_atom_signs_other_than_one_are_refused():
-    # (1, 0) and (1, -2) would act as g_1^-1 and (1, 2) as g_1
+    # (1, 0) and (1, -2) would act as g_1^-1 and (1, 2) as g_1; a word is
+    # refused as a whole, before its first atom acts
     ctx = AlgebraContext(3)
     for atom, name in (((1, 0), "g_1^0"), ((1, -2), "g_1^-2"), ((1, 2), "g_1^2")):
-        with pytest.raises(ValueError, match=re.escape(f"{name}: the sign of a g atom is 1 or -1")):
+        refused = re.escape(f"{name}: the sign of a g atom is 1 or -1")
+        with pytest.raises(ValueError, match=refused):
             rmul_atom(ctx, ctx.unit(), atom)
-    assert ctx._rmul_atom == {}
+        for word in ((atom,), ((2, 1), atom), (atom, ("e", 1))):
+            with pytest.raises(ValueError, match=refused):
+                word_element(ctx, word, ctx.unit())
+    assert ctx._rmul_atom == {} and ctx._rmul_g == {}
 
 
 def test_size_mismatch():

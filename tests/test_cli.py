@@ -140,6 +140,9 @@ def test_table_determinism(capsys):
     (("verify", "oracle", "5", "--sample", "1000"), "ef04939cc58c2efb1fcb1d5b8d5384c6"),
     (("verify", "cell", "5", "--sample", "200"), "db1d5a8158fa31d0aa2caac414d9b728"),
     (("verify", "relations", "4"), "aa41c4438d5d3ff9a5786339d0a201a2"),
+    (("phi", "4", "1"), "94d170475a7cce7ec3ea13a7f96df9a3"),
+    (("phi", "5", "2"), "70697ccc9f37b8ac103dbfa8234c1fe3"),
+    (("phi", "5", "1", "--integral", "2"), "75154a0dc98009361b672db6c3777097"),
 ])
 def test_table_bytes_are_pinned(capsys, argv, md5):
     code, out, _ = run(capsys, *argv)
