@@ -7,19 +7,24 @@ basis element attached to a diagram d with canonical factorization
 also g_{w1} e_(k) g_{wd} g_{w2}: wd fixes 1..2k, so g_{wd} commutes with
 e_(k).  Multiplication is relation-driven, one pair of basis terms
 c = (k, w1, wd, w2), d = (k', w1', wd', w2') at a time, through the top
-part g_{w1'} e_(k') of d, ``top_part(d)``:
+part g_{w1'} e_(k') of d, the ``top`` of its coordinate ``_expr(d)``:
 
     b_c b_d = [b_c g_{w1'} e_(k')] g_{wd'} g_{w2'}.
 
-The product in brackets is memoized per (c, top_part(d)).  For c that is
+The product in brackets is memoized per (c, top part of d).  For c that is
 not a bottom part it is g_{w1} g_{wd} times the entry of the bottom part
-e_(k) g_{w2} of c, ``bottom_part(c)``, so every product of two basis
-elements factors through the middle product of the bottom part of c and
-the top part of d, the inflation form of the cell basis.  That one is
-filled from the side with the smaller e_(k): for k >= k' the word of
-g_{w1'} and the atom e_(k') are folded onto e_(k) g_{w2}; for k < k' the
-involution i maps the mirror product e_(k') g_{w1'^-1} g_{w2^-1} e_(k) to
-e_(k) g_{w2} g_{w1'} e_(k'), and the smaller e_(k) is folded there.
+e_(k) g_{w2} of c, the ``bottom`` of its coordinate, so every product of
+two basis elements factors through the middle product of the bottom part
+of c and the top part of d, the inflation form of the cell basis.  That
+one is filled from the side with the smaller e_(k): for k >= k' the word
+of g_{w1'} and the atom e_(k') are folded onto e_(k) g_{w2}; for k < k'
+the involution i maps the mirror product e_(k') g_{w1'^-1} g_{w2^-1} e_(k)
+to e_(k) g_{w2} g_{w1'} e_(k'), and the smaller e_(k) is folded there.
+The tail g_{wd'} g_{w2'} is ``_rtail``: the word of wd' is folded on, and
+then each layer-k' term x, which ends in the e_(k') row and so has
+w2 = 1, becomes the one basis element ``diagrams.bottom_relabel(x, w2')``
+= b_x g_{w2'} with x's coefficient; only the deeper terms fold the word of
+w2'.  e on the left, e g_{w1} e_(k) g_{wd} g_{w2}, puts on the same tail.
 The outer factors are plain g_j moves.  An atom of a word is (j, +1) for g_j,
 (j, -1) for g_j^{-1} (the encoding of ``hecke``), or ("e", k) for e_(k), with
 e = e_(1) = ``E_ATOM``; ``reduced_word`` spells a permutation in these atoms,
@@ -55,10 +60,12 @@ and never cleared.  Sharing is safe because no element is changed in
 place, the one coefficient ``ONE`` is free of r, so every context reads the
 same element, and ``product`` returns a fresh dict, never the terms of a
 basis element or of a memo entry.  The process-global ``functools.cache``
-tables of ``star``, ``top_part``, ``reduced_word`` and
-``enumerate_diagrams`` in ``diagrams``, and of the g_j step ``hecke._step``,
-hold values free of r, so every context shares them; ``star`` and
-``top_part`` make ``bottom_part`` and the involution i lookups.
+tables of ``star``, ``top_part``, the part builder ``_part``,
+``bottom_relabel``, ``reduced_word`` and ``enumerate_diagrams`` in
+``diagrams``, and of the g_j step ``hecke._step``, hold values free of r,
+so every context shares them; ``diagrams`` states each one's bound.
+``star`` makes the involution i a lookup, and a coordinate reads its top
+and bottom parts from ``_part`` once, into slots of its own.
 
 Multiplication by e reduces to the core products e g_sigma e_(k).  These
 are peeled by exact one-letter rules (e g_1 = q e; e g_i = g_i e for
@@ -89,7 +96,7 @@ from .diagrams import (
     Perm,
     ReducedExpression,
     SizeMismatch,
-    bottom_part,
+    bottom_relabel,
     bottom_swap,
     decompose,
     e_k_diagram,
@@ -102,7 +109,6 @@ from .diagrams import (
     rmul_s,
     star,
     swap_delta,
-    top_part,
     top_swap,
 )
 from .hecke import HeckeElement, SparseElement, accumulate, asc, desc, gen_pairs, inverse_pairs
@@ -296,9 +302,10 @@ def _core_compute(ctx: AlgebraContext, sigma: Perm, k: int) -> QBrauerElement:
 
 def _lmul_e_basis(ctx: AlgebraContext, d: BrauerDiagram) -> QBrauerElement:
     """e times the basis element g_{w1} e_(k) g_{wd} g_{w2} of d: e g_{w1}
-    e_(k) is a core product, and g_{wd} g_{w2} follows on the right."""
+    e_(k) is a core product, and g_{wd} g_{w2} follows on the right as the
+    tail of ``product``, ``_rtail``."""
     ex = _expr(d)
-    return word_element(ctx, ex.right_word, _core(ctx, ex.w1, ex.k))
+    return QBrauerElement._adopt(ctx.n, _rtail(ctx, _core(ctx, ex.w1, ex.k).terms, ex))
 
 
 # ---------------------------------------------------------------------------
@@ -423,11 +430,11 @@ def word_element(ctx: AlgebraContext, word, x: QBrauerElement) -> QBrauerElement
 
 
 def _middle(ctx: AlgebraContext, c: BrauerDiagram, t: BrauerDiagram) -> QBrauerElement:
-    """b_c times b_t for a top part t = g_{w1'} e_(k'), ``top_part(d)`` of
+    """b_c times b_t for a top part t = g_{w1'} e_(k'), the ``top`` of
     d = (k', w1', wd', w2'); memoized in ``ctx._middle`` under (c, t).
 
     When c = (k, w1, wd, w2) is not a bottom part, b_c is g_{w1} g_{wd}
-    times the basis element e_(k) g_{w2} of ``bottom_part(c)``, so the fill
+    times the basis element of its ``bottom`` e_(k) g_{w2}, so the fill
     reads that entry and applies the word of g_{w1} g_{wd} on the left.  For
     a bottom part c the product is filled from the side with the smaller
     e_(k).  For k >= k' the reduced word of w1' and the one atom ("e", k')
@@ -445,7 +452,7 @@ def _middle(ctx: AlgebraContext, c: BrauerDiagram, t: BrauerDiagram) -> QBrauerE
         ec, et = _expr(c), _expr(t)
         if ec.left_word:
             res = QBrauerElement._adopt(
-                ctx.n, _lfold(ctx, ec.left_word, _middle(ctx, bottom_part(c), t).terms))
+                ctx.n, _lfold(ctx, ec.left_word, _middle(ctx, ec.bottom, t).terms))
         elif ec.k < et.k:
             res = involution_i(_middle(ctx, star(t), star(c)))
         else:
@@ -455,29 +462,54 @@ def _middle(ctx: AlgebraContext, c: BrauerDiagram, t: BrauerDiagram) -> QBrauerE
     return res
 
 
+def _rtail(ctx: AlgebraContext, terms: dict, ex: ReducedExpression) -> dict:
+    """``terms`` times g_{wd} g_{w2} of the coordinate ``ex`` of layer k,
+    for ``terms`` whose layer-k diagrams all end in the e_(k) row, as
+    those of a product with e_(k) on the right do: a fresh dict.
+
+    The word of wd is folded on by ``_rfold``.  It fixes 1..2k, so each
+    layer-k term x then still has w2 = 1, and b_x g_{w2} is the basis
+    element of ``bottom_relabel(x, w2)`` with x's coefficient: lengths add.
+    Only the deeper terms fold the word of w2.  The two images never share
+    a diagram, as they lie in different layers."""
+    wd_word, w2_word = ex.tail
+    z = _rfold(ctx, terms, wd_word) if wd_word else dict(terms)
+    if not w2_word:
+        return z
+    k, w2, out, deep = ex.k, ex.w2, {}, {}
+    for x, c in z.items():
+        if x.layer() == k:
+            out[bottom_relabel(x, w2)] = c
+        else:
+            deep[x] = c
+    if deep:
+        out.update(_rfold(ctx, deep, w2_word))
+    return out
+
+
 def product(ctx: AlgebraContext, x: QBrauerElement, y: QBrauerElement) -> QBrauerElement:
     """x times y: each pair (c, d) of basis terms is ``_middle``, b_c times
-    the top part g_{w1'} e_(k') of d, with the word of g_{wd'} g_{w2'}
-    folded on by ``_rfold``.  A product of two basis elements with unit
-    coefficients, such as two shared ``basis`` elements, takes the first
-    branch: the ``_middle`` entry is read in place and the fold is the
-    result.  Either branch returns a fresh dict, never the terms of a
-    basis element or of a memo entry."""
+    the top part g_{w1'} e_(k') of d, read off d's coordinate, with
+    g_{wd'} g_{w2'} put on by ``_rtail``.  A product of two basis elements
+    with unit coefficients, such as two shared ``basis`` elements, takes
+    the first branch: the ``_middle`` entry is read in place and the tail
+    is the result.  Either branch returns a fresh dict, never the terms of
+    a basis element or of a memo entry."""
     if x.n != y.n or x.n != ctx.n:
         raise SizeMismatch("mixed ranks in product")
     if len(x.terms) == 1 == len(y.terms):
         (c, a), = x.terms.items()
         (d, b), = y.terms.items()
         if a is ONE and b is ONE:
-            t = top_part(d)
+            ed = _EXPR_CACHE.get(d) or _expr(d)
+            t = ed.top
             m = ctx._middle.get((c, t)) or _middle(ctx, c, t)
-            word = (_EXPR_CACHE.get(d) or _expr(d)).right_word
-            return QBrauerElement._adopt(
-                ctx.n, _rfold(ctx, m.terms, word) if word else dict(m.terms))
+            return QBrauerElement._adopt(ctx.n, _rtail(ctx, m.terms, ed))
     out: dict = {}
     for c, a in x.terms.items():
         for d, b in y.terms.items():
-            z = _rfold(ctx, _middle(ctx, c, top_part(d)).terms, _expr(d).right_word)
+            ed = _expr(d)
+            z = _rtail(ctx, _middle(ctx, c, ed.top).terms, ed)
             accumulate(out, a * b, z.items())
     return QBrauerElement._adopt(ctx.n, out)
 

@@ -39,7 +39,7 @@ from .algebra import (
     AlgebraContext,
     QBrauerElement,
     product,
-    rmul_atom,
+    _rfold,
     E_ATOM,
 )
 from .diagrams import (
@@ -293,9 +293,11 @@ def involution_symmetry_check(ctx: AlgebraContext) -> dict:
 def cell_chain_check(ctx: AlgebraContext) -> dict:
     """The layers A_{>=k} form a chain of involution-stable two-sided ideals:
     b_d g_j and b_d e have no term in a shallower layer than d (e is a
-    generator from n = 2 on).  Nothing else needs checking: b_d g_j^{-1} has
-    its terms among those of b_d g_j and d, by the relations report of
-    ``verify relations``; a b_d = i(b_{star d} a) for a = g_j or e, since
+    generator from n = 2 on), each read as the kernel's one-atom fold
+    ``_rfold``, which ``rmul_atom`` wraps.  Nothing else needs checking:
+    b_d g_j^{-1} has its terms among those of b_d g_j and d, by the
+    relations report of ``verify relations``; a b_d = i(b_{star d} a) for
+    a = g_j or e, since
     the involution i is an anti-automorphism that fixes both, by its
     left_action report (i(b_d g_j) = g_j i(b_d), and i(x e) = e i(x)
     because ``lmul_gen`` computes e y as i(i(y) e) and that report shows it
@@ -306,10 +308,9 @@ def cell_chain_check(ctx: AlgebraContext) -> dict:
     failures = []
     diagrams = enumerate_diagrams(n)
     for d in diagrams:
-        k = d.layer()
-        x = QBrauerElement.basis(d)
+        k, x = d.layer(), {d: ONE}
         for atom in atoms:
-            if any(dd.layer() < k for dd in rmul_atom(ctx, x, atom).terms):
+            if any(dd.layer() < k for dd in _rfold(ctx, x, (atom,))):
                 failures.append({"diagram": d.edges(), "atom": atom})
     return report("cell_chain", ctx, {}, len(diagrams), failures)
 

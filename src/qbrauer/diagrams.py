@@ -23,15 +23,21 @@ count times their concatenation, so ``concat`` is the q = 1 oracle for the defor
 kernel.  There is no classical element type, and this module never
 imports :mod:`qbrauer.scalars`.
 
-Four pure functions are cached with ``functools.cache``, each filled on
+Six pure functions are cached with ``functools.cache``, each filled on
 first use and never cleared.  :func:`star` and :func:`top_part` are keyed
 by a diagram, which is interned, so the key hashes by address; each holds
 at most (2n-1)!! entries per rank, and :func:`bottom_part` is three cache
-reads.  :func:`reduced_word` is keyed by a permutation, an immutable
-tuple, holds at most n! entries per rank, and returns a tuple of atoms
-that no caller can change.  :func:`enumerate_diagrams` holds one tuple
-per rank.  No value involves a scalar, so the generic and the integral
-versions share them.
+reads.  Both parts are built by :func:`_part`, keyed by a layer and a
+row's slot sequence, which holds at most sum_k transversal_count(n, k)
+entries per rank (76 at n = 6, 232 at n = 7); a coordinate
+(:class:`ReducedExpression`) reads its ``top`` and ``bottom`` there.
+:func:`bottom_relabel` is keyed by a diagram and a permutation and holds
+at most (2n-1)!! entries per rank on the pairs ``algebra`` passes.
+:func:`reduced_word` is keyed by a permutation, an immutable tuple, holds
+at most n! entries per rank, and returns a tuple of atoms that no caller
+can change.  :func:`enumerate_diagrams` holds one tuple per rank.  No
+value involves a scalar, so the generic and the integral versions share
+them.
 """
 
 from __future__ import annotations
@@ -345,22 +351,26 @@ class ReducedExpression:
 
     ``left_word`` and ``right_word`` spell g_{w1} g_{wd} and g_{wd} g_{w2}
     in ``reduced_word`` atoms; each is reduced, because the lengths add.
-    Each word is spelled on its first read and kept in its own slot, so a
-    coordinate whose wd or w2 is no permutation reaches
+    ``tail`` is the pair (word of wd, word of w2) that ``right_word``
+    joins.  ``top`` and ``bottom`` are the top part g_{w1} e_(k) and the
+    bottom part e_(k) g_{w2}, as diagrams, built from (k, w1) and (k, w2)
+    by :func:`_part`.  Each is computed on its first read and kept in its
+    own slot, so a coordinate whose wd or w2 is no permutation reaches
     ``inflation_bijection_check`` as a failure instead of raising in
     ``decompose`` (``test_bijection_check_kills_decompose_mutants``,
     ``_wd_slot_off_by_one``); eager words measured no faster.  g_{wd}
     commutes with e_(k), as wd fixes 1..2k, so b_d = g_{w1} g_{wd} e_(k)
-    g_{w2} = g_{w1} e_(k) g_{wd} g_{w2}: ``product`` reads b_d as its top
-    part g_{w1} e_(k) times ``right_word``, and ``left_word`` lifts the
-    bottom part e_(k) g_{w2} to b_d.  No field is changed in place.
+    g_{w2} = g_{w1} e_(k) g_{wd} g_{w2}: ``product`` reads b_d as ``top``
+    times g_{wd} g_{w2}, and ``left_word`` lifts ``bottom`` to b_d.  No
+    field is changed in place.
     """
 
-    __slots__ = ("k", "w1", "wd", "w2", "_left_word", "_right_word")
+    __slots__ = ("k", "w1", "wd", "w2", "_left_word", "_tail", "_right_word", "_top",
+                 "_bottom")
 
     def __init__(self, k: int, w1: Perm, wd: Perm, w2: Perm):
         self.k, self.w1, self.wd, self.w2 = k, w1, wd, w2
-        self._left_word = self._right_word = None
+        self._left_word = self._tail = self._right_word = self._top = self._bottom = None
 
     def __repr__(self) -> str:
         return (f"ReducedExpression(k={self.k!r}, w1={self.w1!r}, "
@@ -373,10 +383,30 @@ class ReducedExpression:
         return self._left_word
 
     @property
+    def tail(self) -> tuple:
+        if self._tail is None:
+            self._tail = (reduced_word(self.wd), reduced_word(self.w2))
+        return self._tail
+
+    @property
     def right_word(self) -> tuple:
         if self._right_word is None:
-            self._right_word = reduced_word(self.wd) + reduced_word(self.w2)
+            self._right_word = self.tail[0] + self.tail[1]
         return self._right_word
+
+    @property
+    def top(self) -> "BrauerDiagram":
+        if self._top is None:
+            # w1 sends the i-th top slot to i
+            self._top = _part(self.k, perm_inv(self.w1))
+        return self._top
+
+    @property
+    def bottom(self) -> "BrauerDiagram":
+        if self._bottom is None:
+            # w2 sends i to the i-th bottom slot
+            self._bottom = star(_part(self.k, self.w2))
+        return self._bottom
 
     def length(self) -> int:
         return perm_length(self.w1) + perm_length(self.wd) + perm_length(self.w2)
@@ -429,23 +459,58 @@ def diagram_length(d: BrauerDiagram) -> int:
 
 
 @cache
+def _part(k: int, slots: tuple) -> BrauerDiagram:
+    """The top part whose top row lists ``slots`` in slot order: the caps
+    (slots[0], slots[1]), ..., (slots[2k-2], slots[2k-1]), the e_(k) bottom
+    row, and the free top vertices slots[2k:] joined to bottom 2k+1..n
+    without crossings.  Cached by value: at most transversal_count(n, k)
+    entries per layer, one per one-row diagram with k caps."""
+    n = len(slots)
+    partner = [0] * (2 * n)
+    for i in range(0, 2 * k, 2):
+        a, b = slots[i], slots[i + 1]
+        partner[a - 1], partner[b - 1] = b, a
+        partner[n + i], partner[n + i + 1] = n + i + 2, n + i + 1
+    for i in range(2 * k, n):
+        t = slots[i]
+        partner[t - 1], partner[n + i] = n + i + 1, t
+    return BrauerDiagram(n, tuple(partner))
+
+
+@cache
 def top_part(d: BrauerDiagram) -> BrauerDiagram:
     """The diagram w1 . e_(k) of d: the top row of d, the e_(k) bottom row,
     and the free top vertices joined to bottom 2k+1..n without crossings.
-    Cached."""
-    n = d.n
+    Cached; built by :func:`_part` from the row's slots."""
     caps, free = _row(d, 0)
-    k = len(caps) // 2
-    edges = [(caps[i], caps[i + 1]) for i in range(0, 2 * k, 2)]
-    edges += [(n + i, n + i + 1) for i in range(1, 2 * k, 2)]
-    edges += [(t, n + i) for i, t in enumerate(free, 2 * k + 1)]
-    return diagram_from_edges(n, edges)
+    return _part(len(caps) // 2, tuple(caps + free))
 
 
 def bottom_part(d: BrauerDiagram) -> BrauerDiagram:
     """The diagram e_(k) . w2 of d: the mirror image of :func:`top_part`,
     three cache reads."""
     return star(top_part(star(d)))
+
+
+@cache
+def bottom_relabel(d: BrauerDiagram, w: Perm) -> BrauerDiagram:
+    """The diagram d . w for a permutation w: bottom vertex i of d becomes
+    bottom vertex (i)w, and no loop closes.  For a layer-k diagram d with
+    w2 = 1 and a w of layer k it is the diagram (k, w1, wd, w), since
+    b_d g_w = g_{w1} g_{wd} e_(k) g_w is then a basis element.  Cached:
+    keyed by an interned diagram and a permutation tuple, at most (2n-1)!!
+    entries per rank on such pairs, as (d, w) -> d . w is then a
+    bijection."""
+    n, p = d.n, d.partner
+    partner = list(p)  # the caps of the top row stay
+    for i in range(n):
+        u, v = p[n + i], n + w[i]
+        if u > n:
+            u = n + w[u - n - 1]
+        else:
+            partner[u - 1] = v
+        partner[v - 1] = u
+    return BrauerDiagram(n, tuple(partner))
 
 
 # ---------------------------------------------------------------------------

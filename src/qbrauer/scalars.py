@@ -125,7 +125,7 @@ class IntPoly:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(tuple(sorted(self.terms.items())))
+            self._hash = hash(frozenset(self.terms.items()))
         return self._hash
 
     def divide_qm1(self):

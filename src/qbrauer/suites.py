@@ -29,12 +29,17 @@ the free algebra on g_j^{±1} and e.
   i(x e) = e i(x) too, and the involution i is an anti-automorphism.
 * product: ``product`` forms u m v for a pair of basis elements b_c, b_d:
   m = b_{c↓} b_{d↑}, of the bottom part e_(k) g_{w2} of c and the top part
-  g_{w1'} e_(k') of d, u = g_{w1} g_{wd} and v = g_{wd'} g_{w2'} by one left
-  and one right word fold, whose one-atom cases are ``lmul_gen`` and
-  ``rmul_atom``.  m is compared with its word folded one ``rmul_atom`` at a
-  time for every pair of parts, which checks the multi-atom folds against
-  the one-atom step, and b_c 1 = b_c, 1 b_d = b_d show u b_{c↓} = b_c
-  and b_{d↑} v = b_d.  So ``product(b_c, b_d)`` = b_c b_d.
+  g_{w1'} e_(k') of d, u = g_{w1} g_{wd} by one left word fold, whose
+  one-atom case is ``lmul_gen``, and v = g_{wd'} g_{w2'} by the right
+  tail ``algebra._rtail``: a word fold of wd', whose one-atom case is
+  ``rmul_atom``, then w2' as a relabel of each layer-k' term and a word
+  fold on the deeper ones.  m is compared with its word folded one
+  ``rmul_atom`` at a time for every pair of parts, which checks the
+  multi-atom folds against the one-atom step, and b_c 1 = b_c, 1 b_d = b_d
+  show u b_{c↓} = b_c and b_{d↑} v = b_d; the second meets every relabel
+  the tail can make, one per diagram d.  So ``product(b_c, b_d)`` = b_c b_d.
+  e on the left puts on the same tail, so the relations and left_action
+  reports read it on every basis element too.
 
 Associativity and i(xy) = i(y) i(x) hold in the algebra, so the four
 reports prove them for ``product`` and need no check of their own.

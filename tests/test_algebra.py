@@ -21,12 +21,16 @@ from qbrauer.algebra import (
     straighten,
     word_element,
     E_ATOM,
+    _core,
     _expr,
     _lmul_g_basis,
+    _middle,
+    _rfold,
     _rmul_g_basis,
 )
 from qbrauer.diagrams import (
     BrauerDiagram,
+    bottom_relabel,
     concat,
     diagram_from_edges,
     e_k_diagram,
@@ -361,6 +365,81 @@ def test_middle_entries_are_keyed_by_the_two_factors():
             product(ctx, QBrauerElement.basis(c), QBrauerElement.basis(d))
     keys = {(c, top_part(d)) for c in ds for d in ds}
     assert set(ctx._middle) == keys and len(keys) == 1050
+
+
+# The tail of a product: the word of wd' folded on, then each layer-k' term
+# relabelled by w2' (``_rtail``).
+
+def test_wd_fold_leaves_every_top_layer_term_without_w2():
+    # the premise of _rtail on every middle product b_c b_t and every wd' of
+    # the right factors with top part t, and on every core product
+    # e g_{w1} e_(k) and every wd of layer k, which e on the left reads, at
+    # n <= 5: 357,517 layer-k' terms of middle products at n = 5
+    for n in range(1, 6):
+        ctx, ds, one = AlgebraContext(n), enumerate_diagrams(n), identity_perm(n)
+        tails, heads = {}, {}
+        for d in ds:
+            ed = _expr(d)
+            tails.setdefault(ed.top, set()).add(ed.wd)
+            heads.setdefault(ed.k, set()).add(ed.w1)
+        starts = [(_middle(ctx, c, t), t.layer(), wds) for c in ds
+                  for t, wds in tails.items()]
+        # e acts from n = 2 on; the top part e_(k) has every wd of layer k
+        starts += [(_core(ctx, w1, k), k, tails[e_k_diagram(n, k)])
+                   for k, w1s in heads.items() if n >= 2 for w1 in w1s]
+        for m, k, wds in starts:
+            for wd in wds:
+                for x in _rfold(ctx, m.terms, reduced_word(wd)):
+                    assert x.layer() > k or _expr(x).w2 == one, (m, wd, x)
+
+
+def test_bottom_relabel_is_the_one_atom_fold():
+    # every layer-k diagram x with w2 = 1 times g_w, for every w2 = w of
+    # layer k, folded one rmul_atom at a time, is one basis element with
+    # x's coefficient: that of bottom_relabel(x, w), whose coordinate is x's
+    # with w2 = w; 1,069 pairs at n <= 5
+    for n in range(1, 6):
+        ctx, ds, one = AlgebraContext(n), enumerate_diagrams(n), identity_perm(n)
+        w2s = {}
+        for d in ds:
+            w2s.setdefault(d.layer(), set()).add(_expr(d).w2)
+        for x in ds:
+            ex = _expr(x)
+            if ex.w2 != one:
+                continue
+            for w in w2s[ex.k]:
+                y = QBrauerElement.basis(x)
+                for atom in reduced_word(w):
+                    y = rmul_atom(ctx, y, atom)
+                z = bottom_relabel(x, w)
+                assert y.terms == {z: ONE}, (x, w)
+                ez = _expr(z)
+                assert (ez.k, ez.w1, ez.wd, ez.w2) == (ex.k, ex.w1, ex.wd, w), (x, w)
+
+
+def test_multi_term_product_is_the_sum_of_basis_products():
+    # the general loop of product, on three-term factors with coefficients
+    # drawn from a fixed seed at n = 4, against the sum of the basis
+    # products of a context of its own
+    ds = enumerate_diagrams(4)
+    ctx, ref = AlgebraContext(4), AlgebraContext(4)
+    rng = random.Random(4)
+    coeffs = [ONE, ctx.r(), q_scalar() ** -1, ctx.b(), Scalar(IntPoly.const(-2))]
+
+    def element():
+        out = QBrauerElement.basis(rng.choice(ds)).scale(rng.choice(coeffs))
+        for _ in range(2):
+            out = out + QBrauerElement.basis(rng.choice(ds)).scale(rng.choice(coeffs))
+        return out
+
+    for _ in range(60):
+        x, y = element(), element()
+        want = QBrauerElement(4, {})
+        for c, a in x.terms.items():
+            for d, b in y.terms.items():
+                z = product(ref, QBrauerElement.basis(c), QBrauerElement.basis(d))
+                want = want + z.scale(a * b)
+        assert product(ctx, x, y) == want
 
 
 # Shared basis elements and the direct path of a pair of them through

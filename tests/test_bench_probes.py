@@ -151,6 +151,8 @@ tables = {
     "enumerate_diagrams": diagrams.enumerate_diagrams,
     "star": diagrams.star,
     "top_part": diagrams.top_part,
+    "_part": diagrams._part,
+    "bottom_relabel": diagrams.bottom_relabel,
     "reduced_word": diagrams.reduced_word,
     "hecke._step": hecke._step,
     "cellular._head": cellular._head,

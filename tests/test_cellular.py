@@ -41,7 +41,7 @@ from qbrauer.diagrams import (
     top_part,
 )
 from qbrauer.hecke import HeckeElement
-from qbrauer.scalars import PrimeField
+from qbrauer.scalars import ONE, PrimeField
 
 
 def test_partitions():
@@ -381,14 +381,16 @@ def test_a_form_with_outer_factors_is_a_reported_failure(monkeypatch, capsys):
 def test_cell_chain_check_sees_a_shallower_term(monkeypatch):
     from qbrauer import cellular
 
-    real, ek = cellular.rmul_atom, e_k_diagram(3, 1)
+    real, ek = cellular._rfold, e_k_diagram(3, 1)
 
-    def leaky(ctx, x, atom):
+    def leaky(ctx, terms, word):
         """e on the basis element of e_(1) gains a layer-0 term."""
-        y = real(ctx, x, atom)
-        return y + ctx.unit() if atom == E_ATOM and ek in x.terms else y
+        out = real(ctx, terms, word)
+        if word == (E_ATOM,) and ek in terms:
+            out = {**out, identity_diagram(3): ONE}
+        return out
 
-    monkeypatch.setattr(cellular, "rmul_atom", leaky)
+    monkeypatch.setattr(cellular, "_rfold", leaky)
     rep = cell_chain_check(AlgebraContext(3))
     assert rep["failures"] == [{"diagram": ek.edges(), "atom": E_ATOM}]
 

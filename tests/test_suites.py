@@ -150,6 +150,26 @@ def test_product_report_catches_product_mutants(monkeypatch, module, name, mutan
     assert [bool(rep["failures"]) for rep in reps] == [False, False, False, True]
 
 
+def _relabel_every_term(ctx, terms, ex):
+    """``_rtail`` with the deeper terms relabelled by w2 too, not folded."""
+    return {algebra.bottom_relabel(x, ex.w2): c
+            for x, c in algebra._rfold(ctx, terms, ex.tail[0]).items()}
+
+
+# the tail of ``product`` is also that of e on the left, which the relations
+# and left_action reports read; the product report's right factors all have
+# w2 = 1, so it sees a wrong relabel through its unit rows only, and a
+# relabelled deeper term not at all
+@pytest.mark.parametrize("name, mutant, failing", [
+    ("bottom_relabel", lambda d, w: d, [True, False, True, True]),
+    ("_rtail", _relabel_every_term, [True, False, True, False]),
+], ids=["relabel_ignores_w2", "relabel_on_deeper_terms"])
+def test_certificate_catches_tail_mutants(monkeypatch, name, mutant, failing):
+    monkeypatch.setattr(algebra, name, mutant)
+    reps = suites.relations_suite(AlgebraContext(4))
+    assert [bool(rep["failures"]) for rep in reps] == failing
+
+
 # the certificate spells e_(k) with ek_atoms, and the product reads it as
 # the atom ("e", k); a wrong spelling in the certificate fails every report
 # that compares against the diagram basis, the left action, whose word
