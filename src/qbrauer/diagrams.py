@@ -352,7 +352,7 @@ class ReducedExpression:
     ``left_word`` and ``right_word`` spell g_{w1} g_{wd} and g_{wd} g_{w2}
     in ``reduced_word`` atoms; each is reduced, because the lengths add.
     ``tail`` is the pair (word of wd, word of w2) that ``right_word``
-    joins.  ``top`` and ``bottom`` are the top part g_{w1} e_(k) and the
+    joins on each read: ``product`` reads the pair.  ``top`` and ``bottom`` are the top part g_{w1} e_(k) and the
     bottom part e_(k) g_{w2}, as diagrams, built from (k, w1) and (k, w2)
     by :func:`_part`.  Each is computed on its first read and kept in its
     own slot, so a coordinate whose wd or w2 is no permutation reaches
@@ -365,12 +365,11 @@ class ReducedExpression:
     field is changed in place.
     """
 
-    __slots__ = ("k", "w1", "wd", "w2", "_left_word", "_tail", "_right_word", "_top",
-                 "_bottom")
+    __slots__ = ("k", "w1", "wd", "w2", "_left_word", "_tail", "_top", "_bottom")
 
     def __init__(self, k: int, w1: Perm, wd: Perm, w2: Perm):
         self.k, self.w1, self.wd, self.w2 = k, w1, wd, w2
-        self._left_word = self._tail = self._right_word = self._top = self._bottom = None
+        self._left_word = self._tail = self._top = self._bottom = None
 
     def __repr__(self) -> str:
         return (f"ReducedExpression(k={self.k!r}, w1={self.w1!r}, "
@@ -390,9 +389,8 @@ class ReducedExpression:
 
     @property
     def right_word(self) -> tuple:
-        if self._right_word is None:
-            self._right_word = self.tail[0] + self.tail[1]
-        return self._right_word
+        wd_word, w2_word = self.tail
+        return wd_word + w2_word
 
     @property
     def top(self) -> "BrauerDiagram":
