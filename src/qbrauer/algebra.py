@@ -51,21 +51,24 @@ every e_(k) on the right, under (diagram, atom); e on the left reads
 e_(k), k >= 2, folds one step of Wenzl's recursion
 e_(k) = e g^+_{2,2k-1} g^-_{1,2k-2} e_(k-1), with the atom ("e", k-1) last,
 so the e_(k-1) tail of each diagram is filled once per context.
-``_middle`` holds the products b_c g_{w1'} e_(k'),
-``_core`` the core products below, and the module-global ``_EXPR_CACHE``
-the factorization of each diagram read so far.  The ``functools.cache``
-of ``QBrauerElement.basis`` holds the one shared basis element of each
-diagram asked for: at most (2n-1)!! entries per rank, filled on first use
-and never cleared.  Sharing is safe because no element is changed in
-place, the one coefficient ``ONE`` is free of r, so every context reads the
-same element, and ``product`` returns a fresh dict, never the terms of a
-basis element or of a memo entry.  The process-global ``functools.cache``
-tables of ``star``, ``top_part``, the part builder ``_part``,
-``bottom_relabel``, ``reduced_word`` and ``enumerate_diagrams`` in
-``diagrams``, and of the g_j step ``hecke._step``, hold values free of r,
-so every context shares them; ``diagrams`` states each one's bound.
-``star`` makes the involution i a lookup, and a coordinate reads its top
-and bottom parts from ``_part`` once, into slots of its own.
+``_middle`` holds the products b_c g_{w1'} e_(k'), ``_core`` the core
+products below, and the module-global ``_EXPR_CACHE`` the factorization of
+each diagram read so far, at most (2n-1)!! per rank.  The
+``functools.cache`` of ``QBrauerElement.basis`` holds the one shared basis
+element of each diagram asked for: at most (2n-1)!! entries per rank,
+filled on first use and never cleared.  Sharing is safe because no element
+is changed in place, the one coefficient ``ONE`` is free of r, so every
+context reads the same element, and ``product`` returns a fresh dict,
+never the terms of a basis element or of a memo entry.  Six process-global
+``functools.cache`` tables of ``diagrams`` and ``hecke`` hold values free
+of r, so every context shares them.  Per rank, ``diagrams.star`` holds at
+most (2n-1)!! entries, the part builder ``diagrams._part`` at most sum_k
+transversal_count(n, k) (76 at n = 6), ``diagrams.bottom_relabel`` at most
+(2n-1)!!, ``diagrams.reduced_word`` at most n!,
+``diagrams.enumerate_diagrams`` one tuple, and the g_j step
+``hecke._step`` at most 2(n-1) n!.  ``star`` makes the involution i a
+lookup, and a coordinate reads its top and bottom parts from ``_part``
+once, into slots of its own.
 
 Multiplication by e reduces to the core products e g_sigma e_(k).  These
 are peeled by exact one-letter rules (e g_1 = q e; e g_i = g_i e for
@@ -156,8 +159,6 @@ class AlgebraContext:
     def __init__(self, n: int, N: int | None = None):
         if n < 1:
             raise ValueError("need n >= 1")
-        if N == 0:
-            raise ValueError("the integral version needs N != 0")
         if N is not None and abs(N) > scalars.MAX_EXPONENT:
             raise ValueError(f"the integral version needs |N| <= {scalars.MAX_EXPONENT}")
         self.n = n

@@ -46,9 +46,7 @@ from .diagrams import (
     BrauerDiagram,
     Perm,
     ReducedExpression,
-    bottom_part,
     concat,
-    concat_many,
     e_k_diagram,
     enumerate_diagrams,
     fixes_prefix,
@@ -56,7 +54,6 @@ from .diagrams import (
     perm_inv,
     perm_to_diagram,
     star,
-    top_part,
 )
 from .hecke import HeckeElement, accumulate, product as hecke_product
 from .scalars import ONE
@@ -156,7 +153,9 @@ def from_inflation(n: int, ex: ReducedExpression):
 @cache
 def _head(n: int, k: int, w1: Perm, wd: Perm):
     """``(diagram, loops)`` of w1 e_(k) wd; cached by value."""
-    return concat_many(perm_to_diagram(w1), e_k_diagram(n, k), perm_to_diagram(wd))
+    head, a = concat(perm_to_diagram(w1), e_k_diagram(n, k))
+    head, b = concat(head, perm_to_diagram(wd))
+    return head, a + b
 
 
 @cache
@@ -185,14 +184,15 @@ def _layer_form(x: QBrauerElement, k: int, w1: Perm, w2: Perm) -> HeckeElement |
 def phi_k(ctx: AlgebraContext, c: BrauerDiagram, d: BrauerDiagram) -> HeckeElement | None:
     """The parabolic Hecke element governing (e_(k) w2-part) * (w1-part e_(k)).
 
-    ``c`` must be a bottom part (e_(k) top row), ``d`` a top part (e_(k)
-    bottom row), both of layer k; the layer-k terms of the product of their
-    basis elements are permuted e_(k) diagrams, so their outer factors are
-    (1, 1), and phi_k is their :func:`_layer_form`: None when a term has
-    others, which :func:`inflation_product_check` reports.
+    ``c`` must be a bottom part (e_(k) top row) and ``d`` a top part (e_(k)
+    bottom row) of one layer k: the ``bottom`` and the ``top`` of their own
+    coordinates.  The layer-k terms of the product of their basis elements
+    are permuted e_(k) diagrams, so their outer factors are (1, 1), and
+    phi_k is their :func:`_layer_form`: None when a term has others, which
+    :func:`inflation_product_check` reports.
     """
     k = c.layer()
-    if d.layer() != k or bottom_part(c) != c or top_part(d) != d:
+    if d.layer() != k or to_inflation(c).bottom is not c or to_inflation(d).top is not d:
         raise ValueError("phi_k needs a bottom part and a top part of one layer")
     P = product(ctx, QBrauerElement.basis(c), QBrauerElement.basis(d))
     ident = identity_perm(ctx.n)
@@ -237,7 +237,8 @@ def inflation_product_check(ctx: AlgebraContext, sample=None, seed: int = 0) -> 
     """Layer products are governed by phi_k modulo lower layers: for all
     pairs of one layer, the layer-k terms of g_c g_d have the cell
     coordinates (w1(c), h, w2(d)) with
-    h = g_{wd(c)} phi_k(bottom_part(c), top_part(d)) g_{wd(d)}.
+    h = g_{wd(c)} phi_k(ec.bottom, ed.top) g_{wd(d)}, for the coordinates
+    ec and ed of c and d.
     Comparing coordinates is as strong as comparing diagrams, because
     :func:`inflation_bijection_check`, which ``verify cell`` runs first,
     rebuilds every diagram from its whole coordinate (k, w1, wd, w2)
@@ -248,14 +249,14 @@ def inflation_product_check(ctx: AlgebraContext, sample=None, seed: int = 0) -> 
     failures = []
     pairs = 0
     diagrams = enumerate_diagrams(n)
-    # phi_k depends on the pair only through bottom_part(c) and top_part(d)
+    # phi_k depends on the pair only through ec.bottom and ed.top
     forms = {}
     for k in range(n // 2 + 1):
         layer_diags = [d for d in diagrams if d.layer() == k]
         for c, d in _pairs(rng, layer_diags, sample):
             pairs += 1
             ec, ed = to_inflation(c), to_inflation(d)
-            key = (bottom_part(c), top_part(d))
+            key = (ec.bottom, ed.top)
             if key not in forms:
                 forms[key] = phi_k(ctx, *key)
             form = forms[key]

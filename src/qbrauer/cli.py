@@ -38,6 +38,7 @@ from .cellular import (
     phi_k,
     simple_module_index,
     double_factorial_odd,
+    to_inflation,
     transversal_count,
 )
 from .diagrams import (
@@ -49,7 +50,6 @@ from .diagrams import (
     star,
     s_ij,
     t_word,
-    top_part,
 )
 from .hecke import hecke_to_json
 from math import factorial
@@ -235,7 +235,8 @@ def cmd_decompose(args) -> int:
 def cmd_phi(args) -> int:
     ctx = _context(args)
     _check_k(args)
-    tops = [d for d in enumerate_diagrams(args.n) if d.layer() == args.k and top_part(d) is d]
+    tops = [d for d in enumerate_diagrams(args.n)
+            if d.layer() == args.k and to_inflation(d).top is d]
     bots = [star(t) for t in tops]
     buf = io.StringIO()
     writer = csv.writer(buf)

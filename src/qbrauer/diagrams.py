@@ -23,14 +23,14 @@ count times their concatenation, so ``concat`` is the q = 1 oracle for the defor
 kernel.  There is no classical element type, and this module never
 imports :mod:`qbrauer.scalars`.
 
-Six pure functions are cached with ``functools.cache``, each filled on
-first use and never cleared.  :func:`star` and :func:`top_part` are keyed
-by a diagram, which is interned, so the key hashes by address; each holds
-at most (2n-1)!! entries per rank, and :func:`bottom_part` is three cache
-reads.  Both parts are built by :func:`_part`, keyed by a layer and a
-row's slot sequence, which holds at most sum_k transversal_count(n, k)
-entries per rank (76 at n = 6, 232 at n = 7); a coordinate
-(:class:`ReducedExpression`) reads its ``top`` and ``bottom`` there.
+Five pure functions are cached with ``functools.cache``, each filled on
+first use and never cleared.  :func:`star` is keyed by a diagram, which is
+interned, so the key hashes by address; it holds at most (2n-1)!! entries
+per rank.  A diagram's top and bottom parts are the ``top`` and
+``bottom`` of its coordinate (:class:`ReducedExpression`), both built by
+:func:`_part`, keyed by a layer and a row's slot sequence, which holds at
+most sum_k transversal_count(n, k) entries per rank (76 at n = 6, 232 at
+n = 7).
 :func:`bottom_relabel` is keyed by a diagram and a permutation and holds
 at most (2n-1)!! entries per rank on the pairs ``algebra`` passes.
 :func:`reduced_word` is keyed by a permutation, an immutable tuple, holds
@@ -332,15 +332,6 @@ def concat(d1: BrauerDiagram, d2: BrauerDiagram):
     return BrauerDiagram(n, tuple(partner)), loops
 
 
-def concat_many(*diagrams):
-    """Concatenate top to bottom, accumulating the loop count."""
-    d, total = diagrams[0], 0
-    for nxt in diagrams[1:]:
-        d, g = concat(d, nxt)
-        total += g
-    return d, total
-
-
 # ---------------------------------------------------------------------------
 # the canonical factorization through e_(k)
 # ---------------------------------------------------------------------------
@@ -473,21 +464,6 @@ def _part(k: int, slots: tuple) -> BrauerDiagram:
         t = slots[i]
         partner[t - 1], partner[n + i] = n + i + 1, t
     return BrauerDiagram(n, tuple(partner))
-
-
-@cache
-def top_part(d: BrauerDiagram) -> BrauerDiagram:
-    """The diagram w1 . e_(k) of d: the top row of d, the e_(k) bottom row,
-    and the free top vertices joined to bottom 2k+1..n without crossings.
-    Cached; built by :func:`_part` from the row's slots."""
-    caps, free = _row(d, 0)
-    return _part(len(caps) // 2, tuple(caps + free))
-
-
-def bottom_part(d: BrauerDiagram) -> BrauerDiagram:
-    """The diagram e_(k) . w2 of d: the mirror image of :func:`top_part`,
-    three cache reads."""
-    return star(top_part(star(d)))
 
 
 @cache

@@ -9,7 +9,6 @@ from qbrauer.algebra import (
     word_element,
 )
 from qbrauer.diagrams import (
-    bottom_part,
     decompose,
     enumerate_diagrams,
     identity_perm,
@@ -18,7 +17,6 @@ from qbrauer.diagrams import (
     reduced_word,
     s_ij,
     star,
-    top_part,
 )
 
 
@@ -32,8 +30,9 @@ def chain(n, *pairs):
 
 def top_parts(n, k):
     """The top parts w1 . e_(k) of layer k, in partner order: the layer-k
-    diagrams d with ``top_part(d) is d``, as ``phi`` lists them."""
-    return [d for d in enumerate_diagrams(n) if d.layer() == k and top_part(d) is d]
+    diagrams d that are the ``top`` of their coordinate, as ``phi`` lists
+    them."""
+    return [d for d in enumerate_diagrams(n) if d.layer() == k and decompose(d).top is d]
 
 
 def straighten_by_inverse_word(ctx, sigma, k):
@@ -66,7 +65,7 @@ def mutant_middle(lift=lambda word: word[::-1], mirror=mirror_entry):
         if res is None:
             ec, et = _expr(c), _expr(t)
             if ec.left_word:
-                res = middle(ctx, bottom_part(c), t)
+                res = middle(ctx, ec.bottom, t)
                 for atom in lift(ec.left_word):
                     res = lmul_gen(ctx, atom, res)
             elif ec.k < et.k:

@@ -35,7 +35,6 @@ from qbrauer.diagrams import (
     perm_to_diagram,
     s_ij,
     t_word,
-    top_part,
 )
 from qbrauer.scalars import PrimeField, brauer_limit, q_scalar, qm1_scalar
 
@@ -125,7 +124,7 @@ def test_criterion_06_worked_examples():
     dstar = diagram_from_edges(
         7, [(4, 6), (5, 7), (8, 9), (10, 11), (1, 12), (2, 13), (3, 14)]
     )
-    assert top_part(dstar) == dstar
+    assert decompose(dstar).top is dstar
     assert chain_text(t_word(decompose(dstar).w1)) == "s3,6 s2,5 s1,4 s2"
 
     # three-term straightening at n=8, k=3

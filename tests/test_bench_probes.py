@@ -150,7 +150,6 @@ tables = {
     "QBrauerElement.basis": algebra.QBrauerElement.basis,
     "enumerate_diagrams": diagrams.enumerate_diagrams,
     "star": diagrams.star,
-    "top_part": diagrams.top_part,
     "_part": diagrams._part,
     "bottom_relabel": diagrams.bottom_relabel,
     "reduced_word": diagrams.reduced_word,

@@ -25,8 +25,7 @@ from qbrauer.cellular import (
 from qbrauer.diagrams import (
     ReducedExpression,
     SizeMismatch,
-    bottom_part,
-    concat_many,
+    concat,
     decompose,
     diagram_from_edges,
     e_k_diagram,
@@ -38,7 +37,7 @@ from qbrauer.diagrams import (
     perm_mul,
     perm_to_diagram,
     s_ij,
-    top_part,
+    star,
 )
 from qbrauer.hecke import HeckeElement
 from qbrauer.scalars import ONE, PrimeField
@@ -164,9 +163,12 @@ def test_from_inflation_is_the_five_diagram_concat():
     for n, d in cases:
         ex = to_inflation(d)
         ek = e_k_diagram(n, ex.k)
-        five = concat_many(perm_to_diagram(ex.w1), ek, perm_to_diagram(ex.wd), ek,
-                           perm_to_diagram(ex.w2))
-        assert from_inflation(n, ex) == five == (d, ex.k)
+        # left to right, not as from_inflation brackets it
+        x, a = concat(perm_to_diagram(ex.w1), ek)
+        x, b = concat(x, perm_to_diagram(ex.wd))
+        x, c = concat(x, ek)
+        x, e = concat(x, perm_to_diagram(ex.w2))
+        assert from_inflation(n, ex) == (x, a + b + c + e) == (d, ex.k)
 
 
 def test_from_inflation_refuses_a_non_permutation_on_every_call():
@@ -214,9 +216,9 @@ def test_inflation_coords_worked_example():
     assert fixes_prefix(ex.wd, 4)
     # w1 is the coordinate of the top part, w2 that of the bottom part
     ident = identity_perm(7)
-    assert [e for e in top_part(d).edges() if e[1] <= 7] == [(2, 4), (3, 5)]
-    assert [e for e in bottom_part(d).edges() if e[0] > 7] == [(10, 12), (13, 14)]
-    top, bot = to_inflation(top_part(d)), to_inflation(bottom_part(d))
+    assert [e for e in ex.top.edges() if e[1] <= 7] == [(2, 4), (3, 5)]
+    assert [e for e in ex.bottom.edges() if e[0] > 7] == [(10, 12), (13, 14)]
+    top, bot = to_inflation(ex.top), to_inflation(ex.bottom)
     assert (top.k, top.w1, top.wd, top.w2) == (2, ex.w1, ident, ident)
     assert (bot.k, bot.w1, bot.wd, bot.w2) == (2, ident, ident, ex.w2)
     assert from_inflation(7, ex) == (d, 2)
@@ -229,6 +231,9 @@ def test_phi_rejects_malformed_parts():
     skew = diagram_from_edges(4, [(2, 3), (5, 6), (1, 7), (4, 8)])
     with pytest.raises(ValueError):
         phi_k(ctx, skew, top)
+    # and its mirror image is not a valid top part
+    with pytest.raises(ValueError):
+        phi_k(ctx, top, star(skew))
     with pytest.raises(ValueError):
         phi_k(ctx, top, e_k_diagram(4, 2))
     # parts of another rank than the context's
@@ -293,8 +298,6 @@ def _watch_checked_products(monkeypatch, doctor=lambda x, y, P: P, in_forms=Fals
 def test_sampled_inflation_product_pairs(monkeypatch):
     """Drawing indices picks, layer by layer, the pairs that sampling the
     full list of same-layer pairs would pick."""
-    from qbrauer.diagrams import bottom_part, enumerate_diagrams, top_part
-
     forms, checked = _watch_checked_products(monkeypatch)
     rep = inflation_product_check(AlgebraContext(4), sample=50, seed=3)
     rng = random.Random(3)
@@ -307,7 +310,7 @@ def test_sampled_inflation_product_pairs(monkeypatch):
     assert rep["pairs_tested"] == 150 and rep["failures"] == []
     assert [(c, d) for c, d, _ in checked] == want
     # each distinct form is computed once, in the order first needed
-    assert forms == list(dict.fromkeys((bottom_part(c), top_part(d)) for c, d in want))
+    assert forms == list(dict.fromkeys((decompose(c).bottom, decompose(d).top) for c, d in want))
 
 
 def _layer_term(x, P):
@@ -337,7 +340,7 @@ def test_product_check_sees_a_changed_coefficient(monkeypatch):
 
 
 def test_product_check_sees_a_moved_top_part(monkeypatch):
-    from qbrauer.diagrams import top_part, top_swap
+    from qbrauer.diagrams import top_swap
 
     def doctor(x, y, P):
         term = _layer_term(x, P)
@@ -345,7 +348,7 @@ def test_product_check_sees_a_moved_top_part(monkeypatch):
             return P
         d, v = term
         moved = [top_swap(d, j) for j in range(1, d.n)]
-        other = next((e for e in moved if top_part(e) != top_part(d)), None)
+        other = next((e for e in moved if decompose(e).top != decompose(d).top), None)
         if other is None:  # layer 0: every diagram has the same top part
             return P
         return P - QBrauerElement.basis(d).scale(v) + QBrauerElement.basis(other).scale(v)
@@ -361,7 +364,7 @@ def test_a_form_with_outer_factors_is_a_reported_failure(monkeypatch, capsys):
 
     ctx = AlgebraContext(3)
     top = next(d for d in enumerate_diagrams(3)
-               if d.layer() == 1 and top_part(d) == d and to_inflation(d).w1 != identity_perm(3))
+               if d.layer() == 1 and decompose(d).top is d and to_inflation(d).w1 != identity_perm(3))
     ek = e_k_diagram(3, 1)
     # y = b_top has outer factors (w1, 1) with w1 != 1
     _watch_checked_products(
@@ -370,7 +373,7 @@ def test_a_form_with_outer_factors_is_a_reported_failure(monkeypatch, capsys):
     rep = inflation_product_check(ctx)
     layer = [d for d in enumerate_diagrams(3) if d.layer() == 1]
     bad = [{"c": c.edges(), "d": d.edges(), "form": None} for c in layer for d in layer
-           if (bottom_part(c), top_part(d)) == (ek, top)]
+           if (decompose(c).bottom, decompose(d).top) == (ek, top)]
     assert bad and rep["failures"] == bad
     assert main(["verify", "cell", "3"]) == 1
     lines = capsys.readouterr().out.splitlines()

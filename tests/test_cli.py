@@ -473,6 +473,40 @@ def test_integral_beyond_the_bound_exits_2(tmp_path, capsys):
     assert_input_error(capsys, "mul", *write_operands(tmp_path, x, x))
 
 
+# r = q^0 = 1: the integral version at N = 0, where b = (r-1)/(q-1) = 0
+# and δ = 0 at q = 1
+
+@pytest.mark.parametrize("argv", [("relations", "5"), ("oracle", "5", "--sample", "1000")])
+def test_verify_passes_at_r_equal_to_one(capsys, argv):
+    # the oracle's sample holds pairs that close a loop, whose products map
+    # to 0 at δ = 0
+    code, out, _ = run(capsys, "verify", *argv, "--integral", "0", "--format", "json")
+    reports = json.loads(out)
+    assert code == 0 and all(r["version"] == {"N": 0} and r["failures"] == [] for r in reports)
+
+
+def test_phi_zero_forms_at_r_equal_to_one(capsys):
+    # (zero forms, forms) of `phi n k --integral 0`, for every q at once:
+    # the top layer's forms all vanish at n = 2 and 4
+    want = {(2, 1): (1, 1), (3, 1): (1, 9), (4, 1): (1, 36), (4, 2): (9, 9), (5, 2): (17, 225)}
+    got = {}
+    for n, k in want:
+        code, out, _ = run(capsys, "phi", str(n), str(k), "--integral", "0")
+        assert code == 0
+        values = [row.rsplit(",", 1)[1] for row in out.splitlines()[1:]]
+        got[n, k] = (values.count("[]"), len(values))
+    assert got == want
+
+
+def test_mul_at_r_equal_to_one(tmp_path, capsys):
+    # (e + g_1) e = b e + q e, and b = 0 drops the first term
+    ctx = AlgebraContext(3, 0)
+    e = e_k_element(ctx, 1)
+    x = element_to_json(ctx, e + QBrauerElement.basis(perm_to_diagram((2, 1, 3))))
+    code, out, _ = run(capsys, "mul", *write_operands(tmp_path, x, element_to_json(ctx, e)))
+    assert code == 0 and json.loads(out) == element_to_json(ctx, e.scale(scalars.Q))
+
+
 def test_sample_below_one_exits_2(capsys):
     # a sample of no pairs would pass without testing anything
     for argv in (("oracle", "3", "--sample", "0"), ("oracle", "3", "--sample", "-5"),

@@ -10,10 +10,8 @@ from qbrauer.cli import chain_text
 from qbrauer.diagrams import (
     BrauerDiagram,
     SizeMismatch,
-    bottom_part,
     bottom_swap,
     concat,
-    concat_many,
     decompose,
     diagram_from_edges,
     diagram_from_json,
@@ -33,7 +31,6 @@ from qbrauer.diagrams import (
     star,
     swap_delta,
     t_word,
-    top_part,
     top_swap,
 )
 
@@ -161,8 +158,8 @@ def test_builders_make_matchings():
     involution."""
     for n in range(1, 5):
         ds = enumerate_diagrams(n)
-        built = [star(d) for d in ds] + [top_part(d) for d in ds]
-        built += [bottom_part(d) for d in ds]
+        exs = [decompose(d) for d in ds]
+        built = [star(d) for d in ds] + [ex.top for ex in exs] + [ex.bottom for ex in exs]
         built += [swap(d, j) for swap in (top_swap, bottom_swap) for d in ds for j in range(1, n)]
         built += [concat(c, d)[0] for c in ds for d in ds]
         built += [e_k_diagram(n, k) for k in range(n // 2 + 1)]
@@ -172,10 +169,11 @@ def test_builders_make_matchings():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_nocross_lists_the_top_parts(n):
-    # top_part is idempotent, so the layer-k diagrams it fixes are its image:
-    # one for each pairing of 2k of the n top vertices
+    # a top part is the top of its own coordinate, so the layer-k diagrams
+    # that are their coordinate's top are the image of d -> top: one for
+    # each pairing of 2k of the n top vertices
     for k in range(n // 2 + 1):
-        tops = {top_part(d) for d in enumerate_diagrams(n) if d.layer() == k}
+        tops = {decompose(d).top for d in enumerate_diagrams(n) if d.layer() == k}
         assert top_parts(n, k) == sorted(tops, key=lambda d: d.partner)
         assert len(tops) == comb(n, 2 * k) * factorial(2 * k) // (2 ** k * factorial(k))
 
@@ -339,8 +337,8 @@ def test_peeling_algorithm_worked_example():
     dstar = diagram_from_edges(
         7, [(4, 6), (5, 7), (8, 9), (10, 11), (1, 12), (2, 13), (3, 14)]
     )
-    assert top_part(dstar) == dstar
     ex = decompose(dstar)
+    assert ex.top is dstar
     tw = t_word(ex.w1)
     assert tw == ((3, 6), (2, 5), (1, 4), (2, 2))
     assert chain_text(tw) == "s3,6 s2,5 s1,4 s2"
@@ -506,22 +504,37 @@ def test_star():
 
 
 def test_parts_are_their_rebuilds():
-    # all 1,069 diagrams with n <= 5
-    for n in range(1, 6):
-        for d in enumerate_diagrams(n):
-            ex = decompose(d)
-            ek = e_k_diagram(n, ex.k)
-            assert (top_part(d), 0) == concat(perm_to_diagram(ex.w1), ek)
-            assert (bottom_part(d), 0) == concat(ek, perm_to_diagram(ex.w2))
-
-
-def test_coordinate_parts_are_the_row_parts():
-    # the parts built from (k, w1) and (k, w2) are those read off the rows,
-    # for all 11,465 diagrams with n <= 6
+    # the parts built from (k, w1) and (k, w2) against the concatenations
+    # w1 e_(k) and e_(k) w2, for all 11,465 diagrams with n <= 6
     for n in range(1, 7):
         for d in enumerate_diagrams(n):
             ex = decompose(d)
-            assert ex.top is top_part(d) and ex.bottom is bottom_part(d), d
+            ek = e_k_diagram(n, ex.k)
+            assert (ex.top, 0) == concat(perm_to_diagram(ex.w1), ek), d
+            assert (ex.bottom, 0) == concat(ek, perm_to_diagram(ex.w2)), d
+
+
+def _rows(d):
+    """The caps of the top row of d, those of its bottom row, and whether
+    its verticals keep their order (do not cross)."""
+    n, edges = d.n, d.edges()
+    bottoms = [b for a, b in edges if a <= n < b]  # in the order of the top ends
+    top, bottom = {e for e in edges if e[1] <= n}, {e for e in edges if e[0] > n}
+    return top, bottom, bottoms == sorted(bottoms)
+
+
+def test_coordinate_parts_are_the_row_parts():
+    # the top part has the top row of d over the bottom row of e_(k), the
+    # bottom part the top row of e_(k) over the bottom row of d, and neither
+    # crosses its verticals, read off the edges without the coordinate: for
+    # all 11,465 diagrams with n <= 6
+    for n in range(1, 7):
+        for d in enumerate_diagrams(n):
+            ex = decompose(d)
+            top, bottom, _ = _rows(d)
+            ek_top, ek_bottom, _ = _rows(e_k_diagram(n, ex.k))
+            assert _rows(ex.top) == (top, ek_bottom, True), d
+            assert _rows(ex.bottom) == (ek_top, bottom, True), d
 
 
 def test_reduced_word_is_a_reduced_word_that_no_caller_can_change():
@@ -584,7 +597,8 @@ def test_brauer_relations():
     assert concat(e2, e1) == (e2, 1)
     assert concat(e2, e2) == (e2, 2)
     s2 = perm_to_diagram(s_ij(n, 2, 2))
-    assert concat_many(e1, s2, e1) == (e1, 0)  # loopless rewiring
+    s2e1, loops = concat(s2, e1)
+    assert loops == 0 and concat(e1, s2e1) == (e1, 0)  # loopless rewiring
 
     # layer filtration never drops under products
     for d1 in enumerate_diagrams(3):
@@ -601,7 +615,9 @@ def test_brauer_associativity_random():
         a, b, c = (rng.choice(ds) for _ in range(3))
         bc, loops_bc = concat(b, c)
         abc, loops_a_bc = concat(a, bc)
-        assert concat_many(a, b, c) == (abc, loops_bc + loops_a_bc)
+        ab, loops_ab = concat(a, b)
+        ab_c, loops_ab_c = concat(ab, c)
+        assert (ab_c, loops_ab + loops_ab_c) == (abc, loops_bc + loops_a_bc)
 
 
 def test_classical_ideal_closure():

@@ -23,7 +23,7 @@ from qbrauer.algebra import (
 )
 from qbrauer.cellular import double_factorial_odd
 from qbrauer.cli import main
-from qbrauer.diagrams import reduced_word, swap_delta, top_part, top_swap
+from qbrauer.diagrams import reduced_word, swap_delta, top_swap
 from qbrauer.scalars import Q, Q_INV, QM1
 
 from helpers import mutant_middle
@@ -125,7 +125,8 @@ def _product_reading(right):
         out = {}
         for c, a in x.terms.items():
             for d, b in y.terms.items():
-                z = word_element(ctx, right(_expr(d)), _middle(ctx, c, top_part(d)))
+                ed = _expr(d)
+                z = word_element(ctx, right(ed), _middle(ctx, c, ed.top))
                 accumulate(out, a * b, z.terms.items())
         return QBrauerElement._adopt(ctx.n, out)
     return mutant
