@@ -163,20 +163,19 @@ class BrauerDiagram:
 
     Hash-consed: ``BrauerDiagram(n, partner)`` interns the matching that its
     caller built or checked and returns the one object kept for it, so
-    ``==`` and ``hash`` are the object defaults (identity) and the layer is
-    counted once.  No diagram may be changed in place, copied or pickled.
+    ``==`` and ``hash`` are the object defaults (identity).  A new object
+    is made by :func:`_intern`, keyed by its own ``partner`` tuple, whose
+    length 2n fixes the rank; the layer is counted once, here or by
+    :func:`enumerate_diagrams` while it pairs.  No diagram may be changed
+    in place, copied or pickled.
     """
 
     __slots__ = ("n", "partner", "_layer")
 
     def __new__(cls, n: int, partner: tuple):
-        key = (n, partner)
-        self = _DIAGRAMS.get(key)
+        self = _DIAGRAMS.get(partner)
         if self is None:
-            self = object.__new__(cls)
-            self.n, self.partner = n, partner
-            self._layer = sum(1 for u in partner[:n] if u <= n) // 2
-            _DIAGRAMS[key] = self
+            self = _intern(n, partner, sum(1 for u in partner[:n] if u <= n) // 2)
         return self
 
     def layer(self) -> int:
@@ -194,8 +193,17 @@ class BrauerDiagram:
         return f"BrauerDiagram(n={self.n!r}, partner={self.partner!r})"
 
 
-# Process-global: every diagram by (n, partner).  Entries are never removed.
+# Process-global: every diagram under its own partner tuple, which is the key
+# and the ``partner`` slot at once.  Entries are never removed.
 _DIAGRAMS: dict = {}
+
+
+def _intern(n: int, partner: tuple, layer: int) -> BrauerDiagram:
+    """Make and store the diagram of a matching not yet in ``_DIAGRAMS``."""
+    self = object.__new__(BrauerDiagram)
+    self.n, self.partner, self._layer = n, partner, layer
+    _DIAGRAMS[partner] = self
+    return self
 
 
 def diagram_from_edges(n: int, edges) -> BrauerDiagram:
@@ -498,27 +506,31 @@ def enumerate_diagrams(n: int) -> tuple:
     The partner tuples are listed by pairing the least unmatched vertex
     with each greater unmatched vertex in ascending order: every earlier
     entry of the tuple is then fixed, so that order is the sorted order.
-    Each tuple is a matching by construction, so ``BrauerDiagram`` only
-    interns it.  The result is cached per rank, and every call returns
-    that one tuple.
+    Each tuple is a matching by construction, and its layer is counted
+    while pairing: pairing a with b < n (0-based) adds one top-row cap.
+    Each leaf reads ``_DIAGRAMS`` first, so a diagram built earlier keeps
+    its identity, and hands a new matching to :func:`_intern` with that
+    count.  The result is cached per rank, and every call returns that one
+    tuple.
     """
     n2, partner, found = 2 * n, [0] * (2 * n), []
 
-    def pair_from(a: int) -> None:
-        # every vertex below index a is matched
+    def pair_from(a: int, caps: int) -> None:
+        # every vertex below index a is matched; caps top-row caps so far
         while a < n2 and partner[a]:
             a += 1
         if a >= n2:
-            found.append(BrauerDiagram(n, tuple(partner)))
+            key = tuple(partner)
+            found.append(_DIAGRAMS.get(key) or _intern(n, key, caps))
             return
         for b in range(a + 1, n2):
             if not partner[b]:
                 partner[a], partner[b] = b + 1, a + 1
-                pair_from(a + 1)
+                pair_from(a + 1, caps + (b < n))
                 partner[b] = 0
         partner[a] = 0
 
-    pair_from(0)
+    pair_from(0, 0)
     return tuple(found)
 
 

@@ -33,6 +33,7 @@ from qbrauer.diagrams import (
     t_word,
     top_swap,
 )
+from qbrauer.diagrams import _DIAGRAMS
 
 from helpers import chain, top_parts
 
@@ -112,6 +113,25 @@ def test_diagrams_are_hash_consed():
     p = (4, 5, 6, 1, 2, 3)
     assert BrauerDiagram(3, p) is BrauerDiagram(3, p) is identity_diagram(3)
     assert repr(identity_diagram(2)) == "BrauerDiagram(n=2, partner=(3, 4, 1, 2))"
+
+
+def test_intern_table_is_keyed_by_the_partner_tuple():
+    """The layer counted while enumerating is the recount, and each diagram
+    is stored under its own partner tuple, not a second key."""
+    for n in range(1, 7):
+        for d in enumerate_diagrams(n):
+            assert d.layer() == sum(u <= n for u in d.partner[:n]) // 2
+            assert BrauerDiagram(n, d.partner) is d
+    keys = {id(k) for k in _DIAGRAMS}
+    assert all(id(d.partner) in keys for n in range(1, 7) for d in enumerate_diagrams(n))
+
+
+def test_enumeration_reuses_interned_diagrams():
+    built = identity_diagram(4), e_k_diagram(4, 2)
+    fresh = enumerate_diagrams.__wrapped__(4)
+    assert all(any(d is e for e in fresh) for d in built)
+    assert len(fresh) == len(enumerate_diagrams(4))
+    assert all(a is b for a, b in zip(fresh, enumerate_diagrams(4)))
 
 
 def _is_involution(n, p):
